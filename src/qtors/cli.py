@@ -14,8 +14,6 @@ from .families import (
     kronecker_chain_check,
     kronecker_window,
     nonff_evidence,
-    uniserial_tower,
-    verify_witness,
 )
 from .forms import forms_context, triple_quiver, wild_triple_euler_value
 from .poset import torsion_poset
@@ -161,7 +159,7 @@ def _cmd_witness(args) -> int:
     else:
         raise SystemExit("error: witness needs a quiver file or --abc a,b,c")
     w = build_wild_witness(q)
-    report = verify_witness(w)
+    report = w.report
     out = {
         "case": w.case,
         "abc": list(w.abc),
@@ -184,11 +182,10 @@ def _cmd_witness(args) -> int:
     }
     ok = report.ok()
     if args.tower:
-        tower = uniserial_tower(w, args.tower)
         evidence = nonff_evidence(w, args.tower)
         out["tower"] = [
             {"dims": list(lvl.rep.dims), "top": lvl.top, "split": lvl.split}
-            for lvl in tower
+            for lvl in evidence.tower
         ]
         out["nonff"] = {
             "gen_results": evidence.gen_results,

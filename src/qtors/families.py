@@ -204,6 +204,7 @@ class WildWitness:
     n: Rep
     case: str
     abc: tuple[int, int, int]
+    report: WitnessReport | None = None  # set by build_wild_witness
 
 
 def case_quiver(case: str, a: int, b: int, c: int) -> Quiver:
@@ -288,7 +289,7 @@ def build_wild_witness(q: Quiver) -> WildWitness:
     """Witness pair (M, N) on a connected wild 3-vertex quiver: built
     directly in case (i), transported along a reflection functor for cases
     (ii)/(iii), and by the k-dual for (iv)/(v)/(vi).  Verified before
-    returning."""
+    returning; the report is kept on the witness."""
     if q.n != 3 or not q.is_connected():
         raise QuiverError("witness construction needs a connected 3-vertex quiver")
     if classify(q).tag != "Wild":
@@ -296,8 +297,11 @@ def build_wild_witness(q: Quiver) -> WildWitness:
     case, (a, b, c) = detect_case(q)
     w = _build_case(case, a, b, c)
     target = _relabel_onto(w, q)
-    report = verify_witness(target)
-    assert report.ok(), f"witness verification failed: {report.failures}"
+    target.report = verify_witness(target)
+    if not target.report.ok():
+        raise RuntimeError(
+            f"witness verification failed: {target.report.failures}"
+        )
     return target
 
 
@@ -443,14 +447,15 @@ def uniserial_tower(w: WildWitness, lmax: int) -> list[TowerLevel]:
                 chosen = coc
                 break
         if chosen is None:
-            raise AssertionError(
+            raise RuntimeError(
                 "no cocycle with nonzero pushforward; Ext nonvanishing violated"
             )
         e, _, pi = extension_realize(cur.rep, u, chosen, ext_big.presentation)
         split = ext_big.is_coboundary(chosen)
-        assert not split, "tower step extension split"
-        want = tuple(x + y for x, y in zip(cur.rep.dims, u.dims))
-        assert e.dims == want, "tower dimension bookkeeping failed"
+        if split:
+            raise RuntimeError("tower step extension split")
+        if e.dims != tuple(x + y for x, y in zip(cur.rep.dims, u.dims)):
+            raise RuntimeError("tower dimension bookkeeping failed")
         levels.append(TowerLevel(e, other, pi, split))
     return levels
 
@@ -459,6 +464,7 @@ def uniserial_tower(w: WildWitness, lmax: int) -> list[TowerLevel]:
 class NonFFReport:
     gen_results: list[bool]
     hom_dims: list[int]
+    tower: list[TowerLevel]
 
     def ok(self) -> bool:
         return not any(self.gen_results)
@@ -475,4 +481,4 @@ def nonff_evidence(w: WildWitness, lmax: int) -> NonFFReport:
         target = tower[l].rep
         gen_results.append(gen_contains(partial, target))
         homs.append(hom_dim(partial, target))
-    return NonFFReport(gen_results, homs)
+    return NonFFReport(gen_results, homs, tower)

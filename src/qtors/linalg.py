@@ -266,31 +266,6 @@ class Matrix:
             raise ValueError("matrix is singular")
         return red.submatrix(range(n), range(n, 2 * n))
 
-    def det(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        m = [list(row) for row in self._data]
-        n = self.rows
-        d = Fraction(1)
-        for c in range(n):
-            p = None
-            for i in range(c, n):
-                if m[i][c] != 0:
-                    p = i
-                    break
-            if p is None:
-                return Fraction(0)
-            if p != c:
-                m[c], m[p] = m[p], m[c]
-                d = -d
-            d *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return d
-
 
 def column_space_contains(m: Matrix, vec: Sequence[Scalar]) -> bool:
     """True iff vec lies in the column span of m."""

@@ -222,9 +222,6 @@ class FinitePoset:
 
     # -- export -------------------------------------------------------------------
 
-    def _canonical_ids(self) -> list[int]:
-        return list(range(len(self.elements)))
-
     def export_dot(self, label: Callable[[Hashable], str] = str) -> str:
         lines = ["digraph hasse {", "  rankdir=BT;"]
         for i, e in enumerate(self.elements):

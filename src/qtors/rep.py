@@ -9,8 +9,10 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
@@ -77,6 +79,33 @@ class Rep:
             m = self.arrow_maps[a] * m
         return m
 
+    # Derived data of the reduced Hom engine, computed on first use and kept
+    # in the instance dict, so it is freed together with the representation.
+    # No value refers back to its owner.
+
+    @cached_property
+    def _rescaled(self) -> Rep | None:
+        """Isomorphic copy with integer maps; None when already integer."""
+        return _rescale_to_integers(self)
+
+    @cached_property
+    def _dual(self) -> Rep:
+        return dualize(self)
+
+    @cached_property
+    def _presentation(self) -> _TopPresentation:
+        return _top_presentation(self)
+
+    @cached_property
+    def _np_paths(self) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
+        return {}
+
+    @cached_property
+    def _pair_data(self) -> dict[int, tuple[weakref.ref, dict]]:
+        """Per-pair data with this representation as first argument, keyed by
+        the id of the second and held with only a weak reference to it."""
+        return {}
+
 
 def zero_rep(q: Quiver) -> Rep:
     return Rep(q, (0,) * q.n, tuple(Matrix.zero(0, 0) for _ in q.arrows))
@@ -123,18 +152,6 @@ def injective_rep(q: Quiver, vertex: int) -> Rep:
     """Indecomposable injective, realized as the dual of the projective of
     the opposite quiver."""
     return dualize(projective_rep(opposite(q), vertex))
-
-
-def standard_rep(q: Quiver, kind: str, vertex: int) -> Rep:
-    if not (1 <= vertex <= q.n):
-        raise ValueError(f"vertex {vertex} out of range")
-    if kind == "simple":
-        return simple_rep(q, vertex)
-    if kind == "projective":
-        return projective_rep(q, vertex)
-    if kind == "injective":
-        return injective_rep(q, vertex)
-    raise ValueError(f"unknown standard representation kind {kind!r}")
 
 
 def direct_sum(reps: list[Rep]) -> Rep:
@@ -236,7 +253,8 @@ def ext1_dim(x: Rep, y: Rep) -> int:
         raise ValueError("Ext requires representations of the same quiver")
     ctx = forms_context(x.quiver)
     val = hom_dim(x, y) - ctx.euler_form(list(x.dims), list(y.dims))
-    assert val >= 0, "negative Ext dimension: internal inconsistency"
+    if val < 0:
+        raise RuntimeError("negative Ext dimension: internal inconsistency")
     return val
 
 
@@ -298,7 +316,8 @@ def projective_presentation(z: Rep) -> PresentationData:
                 cols.append(z.path_map(p, v).apply(gen))
         epi.append(Matrix.from_columns(cols, nrows=z.dim(w)))
     for w in range(1, q.n + 1):
-        assert epi[w - 1].rank() == z.dim(w), "presentation epi not surjective"
+        if epi[w - 1].rank() != z.dim(w):
+            raise RuntimeError("presentation epi not surjective")
     # kernel with induced maps
     incl = [Matrix.from_columns(epi[w].kernel_basis(), nrows=p0.dims[w]) for w in range(q.n)]
     kdims = tuple(m.cols for m in incl)
@@ -308,7 +327,8 @@ def projective_presentation(z: Rep) -> PresentationData:
         cols = []
         for col in carried.columns():
             sol = incl[t - 1].solve(col)
-            assert sol is not None, "kernel not arrow-stable"
+            if sol is None:
+                raise RuntimeError("kernel not arrow-stable")
             cols.append(sol)
         kmaps.append(Matrix.from_columns(cols, nrows=kdims[t - 1]))
     kernel = Rep(q, kdims, tuple(kmaps))
@@ -639,15 +659,14 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
 # (an isomorphism, always possible over an acyclic quiver), the system has
 # integer entries and its kernel is analyzed by qtors.modkernel: modular
 # nullities are certified upper bounds, verified lifted vectors certified
-# lower bounds, and every value returned here is exact.
+# lower bounds, and every value returned here is exact.  The integer and
+# dual forms, presentations and path maps are cached on the Rep they
+# describe; Hom systems and dimensions on the first argument, keyed by a
+# weak reference to the second (`_pair_memo`).
 
 _FAST_VARS = 64  # intertwining-variable count where the reduced path engages
 _GEN_LIFT_CAP = 24  # morphisms lifted before trying a quotient certificate
 _GEN_RANDOM_TRIES = 6  # generic solutions absorbed before the column screen
-
-_INT_FORMS: dict[int, tuple[Rep, Rep]] = {}
-_DUAL_FORMS: dict[int, tuple[Rep, Rep]] = {}
-_PRESENTATIONS: dict[int, tuple[Rep, "_TopPresentation"]] = {}
 
 
 def _intertwining_vars(x: Rep, y: Rep) -> int:
@@ -662,18 +681,18 @@ def _den_lcm(m: Matrix) -> int:
 
 
 def _integer_form(x: Rep) -> Rep:
+    return x._rescaled or x
+
+
+def _rescale_to_integers(x: Rep) -> Rep | None:
     """Isomorphic copy with integer matrices: rescaling the basis at vertex
     v by a scalar s_v multiplies the map along an arrow by s_target/s_source,
     and along a topological order the targets can always absorb the
     denominators of their incoming maps."""
-    cached = _INT_FORMS.get(id(x))
-    if cached is not None:
-        return cached[1]
     q = x.quiver
     dens = [_den_lcm(m) for m in x.arrow_maps]
     if all(d == 1 for d in dens):
-        _INT_FORMS[id(x)] = (x, x)
-        return x
+        return None
     order = q.topological_order()
     assert order is not None, "integer rescaling requires an acyclic quiver"
     scale = [1] * (q.n + 1)
@@ -686,18 +705,7 @@ def _integer_form(x: Rep) -> Rep:
         m.scale(Fraction(scale[t], scale[s]))
         for (s, t), m in zip(q.arrows, x.arrow_maps)
     )
-    xi = Rep(q, x.dims, maps)
-    _INT_FORMS[id(x)] = (x, xi)
-    return xi
-
-
-def _dual_form(x: Rep) -> Rep:
-    cached = _DUAL_FORMS.get(id(x))
-    if cached is not None:
-        return cached[1]
-    d = dualize(x)
-    _DUAL_FORMS[id(x)] = (x, d)
-    return d
+    return Rep(q, x.dims, maps)
 
 
 def _np_int(m: Matrix) -> np.ndarray:
@@ -708,14 +716,11 @@ def _np_int(m: Matrix) -> np.ndarray:
     return out
 
 
-_NP_PATHS: dict[int, tuple[Rep, dict[tuple[int, tuple[int, ...]], np.ndarray]]] = {}
-
-
 def _np_path_map(x: Rep, path: tuple[int, ...], start: int) -> np.ndarray:
     """Composite of arrow maps along a path of an integer representation, as
     an integer ndarray; int64 matmul while an a-priori magnitude bound keeps
     the products exact, exact object arithmetic beyond that."""
-    cache = _NP_PATHS.setdefault(id(x), (x, {}))[1]
+    cache = x._np_paths
     key = (start, path)
     pm = cache.get(key)
     if pm is not None:
@@ -808,9 +813,6 @@ class _TopPresentation:
 
 
 def _top_presentation(x: Rep) -> _TopPresentation:
-    cached = _PRESENTATIONS.get(id(x))
-    if cached is not None:
-        return cached[1]
     q = x.quiver
     summands: list[tuple[int, int]] = []
     for v in range(1, q.n + 1):
@@ -834,9 +836,7 @@ def _top_presentation(x: Rep) -> _TopPresentation:
         else:
             epi = np.zeros((x.dim(w), 0), dtype=object)
         kernels.append(_certified_int_kernel(epi))
-    pres = _TopPresentation(summands, paths, kernels, path_counts)
-    _PRESENTATIONS[id(x)] = (x, pres)
-    return pres
+    return _TopPresentation(summands, paths, kernels, path_counts)
 
 
 def _weighted_blocks(ks: np.ndarray, pmats: list[np.ndarray]) -> np.ndarray:
@@ -869,8 +869,6 @@ class _HomSystem:
     of unknowns per top generator of x (its image in y), one block of
     equations per kernel column of the presentation of x."""
 
-    x: Rep
-    y: Rep
     summands: list[tuple[int, int]]
     paths: dict[int, dict[int, list[tuple[int, ...]]]]
     offsets: list[int]
@@ -921,7 +919,7 @@ def _hom_rows(
     """Assembled equation rows of the reduced Hom system, without the
     modular elimination; x and y must be integer representations of the
     same quiver."""
-    pres = _top_presentation(x)
+    pres = x._presentation
     q = x.quiver
     offsets: list[int] = []
     ncols = 0
@@ -966,36 +964,30 @@ def _hom_rows(
     return pres, offsets, ncols, ynp, rows
 
 
-_HOM_SYSTEMS: dict[tuple[int, int], _HomSystem] = {}
+def _pair_memo(x: Rep, y: Rep) -> dict:
+    """Data cached for the ordered pair (x, y), stored on x.  An entry left
+    by an earlier object with the same id as y is replaced, never read."""
+    entry = x._pair_data.get(id(y))
+    if entry is None or entry[0]() is not y:
+        entry = (weakref.ref(y), {})
+        x._pair_data[id(y)] = entry
+    return entry[1]
 
 
 def _hom_system(x: Rep, y: Rep) -> _HomSystem:
     """x and y must be integer representations of the same quiver."""
-    cached = _HOM_SYSTEMS.get((id(x), id(y)))
-    if cached is not None and cached.x is x and cached.y is y:
-        return cached
-    pres, offsets, ncols, ynp, rows = _hom_rows(x, y)
-    if ncols == 0:
-        sys = _HomSystem(
-            x, y, pres.summands, pres.paths, offsets, 0, None, ynp
+    memo = _pair_memo(x, y)
+    if "system" not in memo:
+        pres, offsets, ncols, ynp, rows = _hom_rows(x, y)
+        mk = ModKernel(rows, ncols) if ncols else None
+        memo["system"] = _HomSystem(
+            pres.summands, pres.paths, offsets, ncols, mk, ynp
         )
-    else:
-        sys = _HomSystem(
-            x,
-            y,
-            pres.summands,
-            pres.paths,
-            offsets,
-            ncols,
-            ModKernel(rows, ncols),
-            ynp,
-        )
-    _HOM_SYSTEMS[(id(x), id(y))] = sys
-    return sys
+    return memo["system"]
 
 
 def _system_shape(x: Rep, y: Rep) -> tuple[int, int]:
-    pres = _top_presentation(x)
+    pres = x._presentation
     cols = sum(y.dim(v) for v, _ in pres.summands)
     rows = sum(
         pres.kernels[w].shape[1] * y.dims[w] for w in range(x.quiver.n)
@@ -1009,7 +1001,7 @@ def _best_dim_system(xi: Rep, yi: Rep) -> _HomSystem | None:
     None when the unknown count of both routes exceeds the elimination
     bound."""
     candidates: list[tuple[int, Rep, Rep]] = []
-    for a, b in ((xi, yi), (_dual_form(yi), _dual_form(xi))):
+    for a, b in ((xi, yi), (yi._dual, xi._dual)):
         rows, cols = _system_shape(a, b)
         if cols <= _MAX_COLS:
             candidates.append((max(rows, 1) * cols * cols, a, b))
@@ -1019,34 +1011,25 @@ def _best_dim_system(xi: Rep, yi: Rep) -> _HomSystem | None:
     return _hom_system(a, b)
 
 
-_FAST_HOM_CACHE: dict[tuple[int, int], tuple[Rep, Rep, int]] = {}
-
-
 def _fast_hom_dim(x: Rep, y: Rep) -> int:
     """Exact dim Hom(x, y): the modular upper bound meets the Euler-form
     lower bound (dim Hom >= <dim x, dim y> over a hereditary algebra) in
     the common rigid cases; otherwise every solution of the reduced system
     is lifted and verified, which pins the dimension exactly."""
-    cached = _FAST_HOM_CACHE.get((id(x), id(y)))
-    if cached is not None:
-        return cached[2]
-    val = _fast_hom_dim_uncached(x, y)
-    _FAST_HOM_CACHE[(id(x), id(y))] = (x, y, val)
-    return val
-
-
-def _fast_hom_dim_uncached(x: Rep, y: Rep) -> int:
-    ctx = forms_context(x.quiver)
-    lower = max(ctx.euler_form(list(x.dims), list(y.dims)), 0)
-    sys = _best_dim_system(_integer_form(x), _integer_form(y))
-    if sys is None:
-        return len(hom_basis(x, y))
-    if sys.upper == lower:
-        return lower
-    sys.refine()
-    if sys.upper == lower:
-        return lower
-    return sum(1 for _ in sys.solutions())
+    memo = _pair_memo(x, y)
+    if "dim" not in memo:
+        ctx = forms_context(x.quiver)
+        lower = max(ctx.euler_form(list(x.dims), list(y.dims)), 0)
+        sys = _best_dim_system(_integer_form(x), _integer_form(y))
+        if sys is None:
+            memo["dim"] = len(hom_basis(x, y))
+        else:
+            if sys.upper != lower:
+                sys.refine()
+            memo["dim"] = (
+                lower if sys.upper == lower else sum(1 for _ in sys.solutions())
+            )
+    return memo["dim"]
 
 
 def _hom_vanishes_certified(xi: Rep, yi: Rep) -> bool:

@@ -6,15 +6,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .quiver import Quiver, QuiverError, classify
 from .rep import (
+    ExtGroup,
+    Morphism,
+    PresentationData,
     Rep,
     ar_translate,
     direct_sum,
     exists_surjection,
-    ext1_via_presentation,
     extension_realize,
     gen_contains,
     hom_dim,
@@ -31,7 +33,8 @@ TorsionClassModel = frozenset[int]
 
 class Catalog:
     """Fixed list of the indecomposables of a Dynkin quiver together with
-    the Hom/tau data every torsion-class computation needs."""
+    the Hom/tau data every torsion-class computation needs.  Each table is
+    computed once, on first use, and every lookup reads it."""
 
     def __init__(self, q: Quiver):
         from .rep import enumerate_indecomposables
@@ -42,21 +45,52 @@ class Catalog:
         self.modules: list[Rep] = enumerate_indecomposables(q)
         self.tau = [ar_translate(m) for m in self.modules]
         self.projectives = [projective_rep(q, v) for v in range(1, q.n + 1)]
-        self._hom: dict[tuple[int, int], int] = {}
-        self._proj_hom: dict[tuple[int, int], int] = {}
+
+    @cached_property
+    def hom_table(self) -> list[list[int]]:
+        """dim Hom(M_i, M_j) for all catalog members i, j."""
+        return [[hom_dim(x, y) for y in self.modules] for x in self.modules]
+
+    @cached_property
+    def tau_hom_table(self) -> list[list[int]]:
+        """dim Hom(M_i, tau M_j) for all catalog members i, j."""
+        return [[hom_dim(x, t) for t in self.tau] for x in self.modules]
+
+    @cached_property
+    def proj_hom_table(self) -> list[list[int]]:
+        """dim Hom(P_v, M_j), row v - 1 for the projective at vertex v."""
+        return [[hom_dim(p, y) for y in self.modules] for p in self.projectives]
+
+    @cached_property
+    def presentations(self) -> list[PresentationData]:
+        return [projective_presentation(m) for m in self.modules]
+
+    @cached_property
+    def ext_cocycles(self) -> dict[tuple[int, int], list[Morphism]]:
+        """Cocycles of Ext^1(M_z, M_x) along the stored presentation of M_z,
+        keyed (x, z)."""
+        return {
+            (xi, zi): ExtGroup(x, z, self.presentations[zi]).cocycles
+            for zi, z in enumerate(self.modules)
+            for xi, x in enumerate(self.modules)
+        }
+
+    @cached_property
+    def _summands(self) -> tuple[Summand, ...]:
+        mods = [
+            ("mod", i) for i in range(self.size()) if self.tau_hom_table[i][i] == 0
+        ]
+        projs = [("proj", v) for v in range(1, self.quiver.n + 1)]
+        return tuple(mods + projs)
 
     def size(self) -> int:
         return len(self.modules)
 
     def hom(self, i: int, j: int) -> int:
-        if (i, j) not in self._hom:
-            self._hom[i, j] = hom_dim(self.modules[i], self.modules[j])
-        return self._hom[i, j]
+        return self.hom_table[i][j]
 
     def hom_from_projective(self, v: int, j: int) -> int:
-        if (v, j) not in self._proj_hom:
-            self._proj_hom[v, j] = hom_dim(self.projectives[v - 1], self.modules[j])
-        return self._proj_hom[v, j]
+        return self.proj_hom_table[v - 1][j]
 
     def index_of_dims(self, dims: tuple[int, ...]) -> int:
         for i, m in enumerate(self.modules):
@@ -67,13 +101,7 @@ class Catalog:
     def summands(self) -> list[Summand]:
         """All decorated summands: tau-rigid modules plus shifted
         projectives, in canonical order."""
-        mods = [
-            ("mod", i)
-            for i in range(self.size())
-            if hom_dim(self.modules[i], self.tau[i]) == 0
-        ]
-        projs = [("proj", v) for v in range(1, self.quiver.n + 1)]
-        return mods + projs
+        return list(self._summands)
 
 
 @lru_cache(maxsize=None)
@@ -92,17 +120,16 @@ def is_compatible(cat: Catalog, u: Summand, v: Summand) -> bool:
     if v[0] == "proj":
         return cat.hom_from_projective(v[1], u[1]) == 0
     i, j = u[1], v[1]
-    return (
-        hom_dim(cat.modules[i], cat.tau[j]) == 0
-        and hom_dim(cat.modules[j], cat.tau[i]) == 0
-    )
+    return cat.tau_hom_table[i][j] == 0 and cat.tau_hom_table[j][i] == 0
 
 
 def _pairwise_compatible(cat: Catalog, items: list[Summand]) -> bool:
+    """Every summand is tau-rigid on its own, so only distinct pairs are
+    tested."""
     return all(
         is_compatible(cat, items[i], items[j])
         for i in range(len(items))
-        for j in range(i, len(items))
+        for j in range(i + 1, len(items))
     )
 
 
@@ -112,10 +139,8 @@ def enumerate_stt_exhaustive(q: Quiver) -> set[SttPair]:
     from itertools import combinations
 
     cat = catalog(q)
-    all_summands = cat.summands()
-    ok = [u for u in all_summands if is_compatible(cat, u, u)]
     pairs = set()
-    for combo in combinations(ok, q.n):
+    for combo in combinations(cat.summands(), q.n):
         if _pairwise_compatible(cat, list(combo)):
             pairs.add(frozenset(combo))
     return pairs
@@ -125,7 +150,7 @@ def mutations(q: Quiver, p: SttPair) -> list[SttPair]:
     """The n neighbors of a pair: each summand has a unique alternative
     completion of the remaining n-1 summands."""
     cat = catalog(q)
-    all_summands = [u for u in cat.summands() if is_compatible(cat, u, u)]
+    all_summands = cat.summands()
     out = []
     for u in sorted(p):
         rest = [w for w in p if w != u]
@@ -135,11 +160,11 @@ def mutations(q: Quiver, p: SttPair) -> list[SttPair]:
             if w != u
             and w not in p
             and all(is_compatible(cat, w, r) for r in rest)
-            and is_compatible(cat, w, w)
         ]
-        assert len(completions) == 1, (
-            f"expected a unique exchange partner, got {len(completions)}"
-        )
+        if len(completions) != 1:
+            raise RuntimeError(
+                f"expected a unique exchange partner, got {len(completions)}"
+            )
         out.append(frozenset(rest + [completions[0]]))
     return out
 
@@ -169,7 +194,8 @@ def enumerate_stt(q: Quiver) -> list[SttPair]:
     exhaustive search and the mutation walk must agree."""
     exhaustive = enumerate_stt_exhaustive(q)
     walked = enumerate_stt_mutation(q)
-    assert exhaustive == walked, "enumeration strategies disagree"
+    if exhaustive != walked:
+        raise RuntimeError("enumeration strategies disagree")
     return sorted(exhaustive, key=_pair_sort_key)
 
 
@@ -261,34 +287,15 @@ def torsion_axiom_spotcheck(
     if generator is not None:
         for zi in sorted(t):
             z = cat.modules[zi]
-            pres = _presentation(cat, zi)
+            pres = cat.presentations[zi]
             for xi in sorted(t):
                 x = cat.modules[xi]
-                _, cocycles = _ext_cocycles(cat, xi, zi, pres)
-                for coc in cocycles:
+                for coc in cat.ext_cocycles[xi, zi]:
                     e, _, _ = extension_realize(x, z, coc, pres)
                     if not gen_contains(generator, e):
                         report.extension_violations.append((zi, xi))
                         break
     return report
-
-
-def _presentation(cat: Catalog, zi: int):
-    cache = cat.__dict__.setdefault("_pres_cache", {})
-    if zi not in cache:
-        cache[zi] = projective_presentation(cat.modules[zi])
-    return cache[zi]
-
-
-def _ext_cocycles(cat: Catalog, xi: int, zi: int, pres):
-    key = ("ext", xi, zi)
-    cache = cat.__dict__.setdefault("_ext_cache", {})
-    if key not in cache:
-        from .rep import ExtGroup
-
-        ext = ExtGroup(cat.modules[xi], cat.modules[zi], pres)
-        cache[key] = (ext.dimension, ext.cocycles)
-    return cache[key]
 
 
 def surjection_table(q: Quiver) -> dict[tuple[int, int], bool]:

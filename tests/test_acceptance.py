@@ -204,24 +204,12 @@ def test_criterion_09_perp_and_meet_join_consistency():
 
 
 def test_criterion_10_kronecker_windows():
-    # the exact-arithmetic caches built by earlier tests make generational
-    # GC scans dominate this matmul-heavy check; suspend collection for its
-    # duration
-    import gc
-
-    gc.collect()
-    gc.freeze()
-    gc.disable()
     t0 = time.perf_counter()
     failures = []
-    try:
-        for n in (2, 3):
-            report = kronecker_chain_check(kronecker_window(n, 6))
-            if not report.ok():
-                failures.append((n, report.failures))
-    finally:
-        gc.enable()
-        gc.unfreeze()
+    for n in (2, 3):
+        report = kronecker_chain_check(kronecker_window(n, 6))
+        if not report.ok():
+            failures.append((n, report.failures))
     _check(10, "Kronecker windows at depth 6 pass the chain checks", 30, t0,
            not failures, str(failures))
 

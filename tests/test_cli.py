@@ -83,6 +83,14 @@ def test_kronecker(capsys):
     assert data["dims_preprojective"][0] == [0, 1]
 
 
+def test_kronecker_repeat_is_identical(capsys):
+    # the repeat builds fresh objects that may reuse the ids of freed ones
+    argv = ("kronecker", "--n", "3", "--depth", "4")
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv) == first
+
+
 def test_witness_with_tower(capsys):
     code, out, _ = run(capsys, "witness", "--abc", "2,1,0", "--tower", "3")
     assert code == 0

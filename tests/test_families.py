@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from qtors import (
@@ -20,6 +23,22 @@ CASES = ["i", "ii", "iii", "iv", "v", "vi"]
 
 
 class TestKronecker:
+    def test_window_is_freed_with_its_caches(self):
+        # derived data lives on the representations and holds no reference
+        # cycle, so reference counting alone frees a checked window
+        gc.disable()
+        try:
+            w = kronecker_window(3, 4)
+            assert kronecker_chain_check(w).ok()
+            refs = [weakref.ref(m) for m in w.preprojectives + w.preinjectives]
+            cached = any("_pair_data" in vars(r()) for r in refs)
+            del w
+            alive = [r for r in refs if r() is not None]
+        finally:
+            gc.enable()
+        assert not alive
+        assert cached
+
     def test_quiver_shape(self):
         q = kronecker_quiver(3)
         assert q.n == 2 and q.arrows == ((1, 2),) * 3

@@ -4,15 +4,18 @@ import pytest
 
 from qtors import (
     Quiver,
+    ar_translate,
     catalog,
     enumerate_stt,
     enumerate_stt_exhaustive,
     enumerate_stt_mutation,
     fac_class,
     gen_contains,
+    hom_dim,
     is_compatible,
     mutations,
     pair_module,
+    projective_rep,
     stt_pairs_to_json,
     surjection_table,
     tc_join,
@@ -22,9 +25,10 @@ from qtors import (
     torsion_axiom_spotcheck,
     triple_quiver,
 )
+from qtors import taurig
 from qtors.quiver import QuiverError
 
-from conftest import linear_quiver
+from conftest import linear_quiver, star_quiver
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -74,6 +78,46 @@ def test_every_pair_has_n_mutations():
         for m in neighbors:
             assert m in all_pairs
             assert len(m & p) == 2
+
+
+def test_strategy_disagreement_raises(monkeypatch):
+    # a real exception, so the check also holds under python -O
+    monkeypatch.setattr(taurig, "enumerate_stt_mutation", lambda q: set())
+    with pytest.raises(RuntimeError, match="strategies disagree"):
+        enumerate_stt(A2)
+
+
+@pytest.mark.parametrize(
+    "q", [A3, Quiver(3, ((1, 2), (3, 2))), star_quiver(3)], ids=["A3", "A3-sink", "D4"]
+)
+def test_catalog_tables_match_fresh_hom(q):
+    cat = catalog(q)
+    mods = cat.modules
+    taus = [ar_translate(m) for m in mods]
+    projs = [projective_rep(q, v) for v in range(1, q.n + 1)]
+    rigid = [("mod", i) for i, m in enumerate(mods) if hom_dim(m, taus[i]) == 0]
+    summands = rigid + [("proj", v) for v in range(1, q.n + 1)]
+    assert cat.summands() == summands
+
+    def compatible(u, v):
+        if u[0] == v[0] == "proj":
+            return True
+        if u[0] == "proj":
+            u, v = v, u
+        if v[0] == "proj":
+            return hom_dim(projs[v[1] - 1], mods[u[1]]) == 0
+        i, j = u[1], v[1]
+        return hom_dim(mods[i], taus[j]) == 0 and hom_dim(mods[j], taus[i]) == 0
+
+    for u in summands:
+        for v in summands:
+            assert is_compatible(cat, u, v) == compatible(u, v), (u, v)
+    n = len(mods)
+    for i in range(n):
+        zero_from = frozenset(j for j in range(n) if hom_dim(mods[i], mods[j]) == 0)
+        zero_into = frozenset(j for j in range(n) if hom_dim(mods[j], mods[i]) == 0)
+        assert tc_perp(q, frozenset({i})) == zero_from
+        assert tc_left_perp(q, frozenset({i})) == zero_into
 
 
 def test_pair_module_and_fac_class_generation():
