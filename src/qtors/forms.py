@@ -31,7 +31,8 @@ class FormsContext:
         cinv_t = self.cartan_inv.transpose()
         mid = cinv_t.apply(y)
         val = sum(Fraction(xi) * mi for xi, mi in zip(x, mid))
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise RuntimeError("Euler form value is not an integer")
         return int(val)
 
     def tau_dimvec(self, d: list[int]) -> list[int]:
@@ -44,7 +45,8 @@ class FormsContext:
 
 
 def _int_vector(v: list[Fraction]) -> list[int]:
-    assert all(x.denominator == 1 for x in v)
+    if any(x.denominator != 1 for x in v):
+        raise RuntimeError("dimension vector is not integral")
     return [int(x) for x in v]
 
 

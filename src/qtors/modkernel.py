@@ -368,7 +368,8 @@ class ModKernel:
                         for r1, r2 in zip(res, vec)
                     ]
                     mod *= p
-            assert res is not None
+            if res is None:
+                raise RuntimeError("no prime with the base pivots to reconstruct from")
             zero = Fraction(0)
             out = [zero] * self.ncols
             for i, u in enumerate(res):
@@ -424,7 +425,8 @@ class ModKernel:
                         for r1, r2 in zip(res, x)
                     ]
                     mod *= p
-            assert res is not None
+            if res is None:
+                raise RuntimeError("no prime with the base pivots to reconstruct from")
             out = [Fraction(0)] * self.ncols
             for j, c in enumerate(free):
                 out[c] = Fraction(w[j])

@@ -4,7 +4,9 @@ duality and interval extraction, plus DOT/JSON export."""
 from __future__ import annotations
 
 import json
-from typing import Callable, Hashable, Sequence
+from functools import cached_property
+from itertools import compress, count
+from typing import Callable, Hashable, Iterator, Sequence
 
 
 class PosetError(ValueError):
@@ -12,132 +14,152 @@ class PosetError(ValueError):
 
 
 class FinitePoset:
-    """Finite poset over opaque element ids; the order relation is validated
-    (reflexive, antisymmetric, transitive) at construction and the Hasse
-    edges are precomputed."""
+    """Finite poset over opaque element ids.  The order relation is stored
+    once, as int bitmasks: bit j of `_up[i]` and bit i of `_down[j]` are set
+    iff element i <= element j.  It is validated (reflexive, antisymmetric,
+    transitive) at construction and the Hasse edges are precomputed."""
 
     def __init__(self, elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]):
+        self._set_elements(elements)
+        rev = self.elements[::-1]  # binary literals put the last element first
+        self._set_order(
+            [int("".join("1" if leq(a, b) else "0" for b in rev), 2) for a in self.elements]
+        )
+
+    @classmethod
+    def _from_up(cls, elements: Sequence[Hashable], up: list[int]) -> "FinitePoset":
+        """Poset whose relation is given as the `_up` bitmasks."""
+        p = cls.__new__(cls)
+        p._set_elements(elements)
+        p._set_order(up)
+        return p
+
+    def _set_elements(self, elements: Sequence[Hashable]):
         self.elements = list(elements)
-        n = len(self.elements)
-        if len(set(self.elements)) != n:
-            raise PosetError("duplicate elements")
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self._leq = [[bool(leq(a, b)) for b in self.elements] for a in self.elements]
+        if len(self._index) != len(self.elements):
+            raise PosetError("duplicate elements")
+
+    def _set_order(self, up: list[int]):
+        n = len(self.elements)
+        self._up = up
+        # transpose through fixed-width bit strings, least significant first
+        rows = [format(m, f"0{n}b")[::-1] for m in up]
+        self._down = [int("".join(col)[::-1], 2) for col in zip(*rows)]
+        self._full = (1 << n) - 1
         self._validate()
         self.hasse = self._hasse_edges()
 
     def _validate(self):
-        n = len(self.elements)
-        m = self._leq
-        for i in range(n):
-            if not m[i][i]:
+        up, down = self._up, self._down
+        for i in range(len(self.elements)):
+            if not up[i] >> i & 1:
                 raise PosetError(f"not reflexive at {self.elements[i]!r}")
-        for i in range(n):
-            for j in range(n):
-                if i != j and m[i][j] and m[j][i]:
-                    raise PosetError(
-                        f"antisymmetry fails at ({self.elements[i]!r}, {self.elements[j]!r})"
-                    )
-        for i in range(n):
-            for j in range(n):
-                if not m[i][j]:
-                    continue
-                for k in range(n):
-                    if m[j][k] and not m[i][k]:
-                        raise PosetError(
-                            "transitivity fails at "
-                            f"({self.elements[i]!r}, {self.elements[j]!r}, {self.elements[k]!r})"
-                        )
+        for i in range(len(self.elements)):
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                j = _lowest(both)
+                raise PosetError(
+                    f"antisymmetry fails at ({self.elements[i]!r}, {self.elements[j]!r})"
+                )
+        # up(j) must lie inside up(i) for every j in up(i)
+        for i in range(len(self.elements)):
+            outside = ~up[i]
+            if any(map(outside.__and__, map(up.__getitem__, _bits(up[i])))):
+                j = next(j for j in _bits(up[i]) if up[j] & outside)
+                k = _lowest(up[j] & outside)
+                raise PosetError(
+                    "transitivity fails at "
+                    f"({self.elements[i]!r}, {self.elements[j]!r}, {self.elements[k]!r})"
+                )
 
     def _hasse_edges(self) -> list[tuple[int, int]]:
-        n = len(self.elements)
-        m = self._leq
+        """(i, j) where j covers i: up(i) and down(j) share only i and j."""
+        up, down = self._up, self._down
         edges = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not m[i][j]:
-                    continue
-                if any(k != i and k != j and m[i][k] and m[k][j] for k in range(n)):
-                    continue
-                edges.append((i, j))
+        for i in range(len(self.elements)):
+            js = list(_bits(up[i] & ~(1 << i)))
+            shared = map(int.bit_count, map(up[i].__and__, map(down.__getitem__, js)))
+            edges.extend((i, j) for j, s in zip(js, shared) if s == 2)
         return edges
 
     # -- order primitives ----------------------------------------------------
 
     def leq(self, a: Hashable, b: Hashable) -> bool:
-        return self._leq[self._index[a]][self._index[b]]
+        return bool(self._up[self._index[a]] >> self._index[b] & 1)
 
-    def _maximal(self, idx: list[int]) -> list[int]:
-        return [
-            i
-            for i in idx
-            if not any(j != i and self._leq[i][j] for j in idx)
-        ]
+    def _bound(
+        self, masks: list[int], index: dict[int, int], subset: Sequence[Hashable]
+    ) -> Hashable | None:
+        """The element whose mask is the intersection of the subset's masks,
+        or None.  With `_down` masks this is the meet: in a finite poset the
+        common lower bounds have a unique maximal element c exactly when
+        they are down(c).  With `_up` masks it is the join."""
+        common = self._full
+        for e in subset:
+            common &= masks[self._index[e]]
+        c = index.get(common)
+        return None if c is None else self.elements[c]
 
-    def _minimal(self, idx: list[int]) -> list[int]:
-        return [
-            i
-            for i in idx
-            if not any(j != i and self._leq[j][i] for j in idx)
-        ]
+    @cached_property
+    def _down_index(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self._down)}
+
+    @cached_property
+    def _up_index(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self._up)}
 
     def meet(self, subset: Sequence[Hashable]) -> Hashable | None:
         """Unique maximal lower bound of a nonempty subset, or None."""
         if not subset:
             raise PosetError("meet of the empty subset")
-        idx = [self._index[e] for e in subset]
-        lower = [
-            i
-            for i in range(len(self.elements))
-            if all(self._leq[i][j] for j in idx)
-        ]
-        if not lower:
-            return None
-        mx = self._maximal(lower)
-        return self.elements[mx[0]] if len(mx) == 1 else None
+        return self._bound(self._down, self._down_index, subset)
 
     def join(self, subset: Sequence[Hashable]) -> Hashable | None:
         if not subset:
             raise PosetError("join of the empty subset")
-        idx = [self._index[e] for e in subset]
-        upper = [
-            i
-            for i in range(len(self.elements))
-            if all(self._leq[j][i] for j in idx)
-        ]
-        if not upper:
-            return None
-        mn = self._minimal(upper)
-        return self.elements[mn[0]] if len(mn) == 1 else None
+        return self._bound(self._up, self._up_index, subset)
 
     def bottom(self) -> Hashable | None:
-        mn = self._minimal(list(range(len(self.elements))))
-        return self.elements[mn[0]] if len(mn) == 1 else None
+        i = self._up_index.get(self._full)
+        return None if i is None else self.elements[i]
 
     def top(self) -> Hashable | None:
-        mx = self._maximal(list(range(len(self.elements))))
-        return self.elements[mx[0]] if len(mx) == 1 else None
+        i = self._down_index.get(self._full)
+        return None if i is None else self.elements[i]
 
     # -- lattice checks --------------------------------------------------------
 
+    def _first_missing_bound(
+        self, masks: list[int], index: dict[int, int]
+    ) -> tuple[Hashable, Hashable] | None:
+        """First pair (a, b), in element order, whose masks intersect in no
+        mask of the list; comparable pairs always have one."""
+        up, down = self._up, self._down
+        for i in range(len(self.elements)):
+            later = self._full & ~((2 << i) - 1)
+            js = list(_bits(later & ~(up[i] | down[i])))
+            found = list(map(index.__contains__, map(masks[i].__and__, map(masks.__getitem__, js))))
+            if not all(found):
+                return self.elements[i], self.elements[js[found.index(False)]]
+        return None
+
     def is_meet_semilattice(self) -> tuple[bool, tuple[Hashable, Hashable] | None]:
-        for i, a in enumerate(self.elements):
-            for b in self.elements[i + 1 :]:
-                if self.meet([a, b]) is None:
-                    return False, (a, b)
-        return True, None
+        witness = self._first_missing_bound(self._down, self._down_index)
+        return witness is None, witness
 
     def is_join_semilattice(self) -> tuple[bool, tuple[Hashable, Hashable] | None]:
-        for i, a in enumerate(self.elements):
-            for b in self.elements[i + 1 :]:
-                if self.join([a, b]) is None:
-                    return False, (a, b)
-        return True, None
+        witness = self._first_missing_bound(self._up, self._up_index)
+        return witness is None, witness
 
     def is_lattice(self) -> tuple[bool, tuple[Hashable, Hashable] | None]:
         ok, witness = self.is_meet_semilattice()
         if not ok:
             return False, witness
+        # a finite meet-semilattice with a top is a lattice: the join of a
+        # and b is the meet of their (nonempty) set of upper bounds
+        if self.top() is not None:
+            return True, None
         return self.is_join_semilattice()
 
     def is_complete_lattice(self) -> bool:
@@ -151,24 +173,19 @@ class FinitePoset:
     # -- constructions -----------------------------------------------------------
 
     def dual(self) -> "FinitePoset":
-        leq = self._leq
-        idx = self._index
-        return FinitePoset(self.elements, lambda a, b: leq[idx[b]][idx[a]])
+        return FinitePoset._from_up(self.elements, list(self._down))
 
     def interval(self, lo: Hashable, hi: Hashable) -> "FinitePoset":
         if not self.leq(lo, hi):
             raise PosetError("interval bounds are not comparable")
-        members = [e for e in self.elements if self.leq(lo, e) and self.leq(e, hi)]
-        leq = self._leq
-        idx = self._index
-        return FinitePoset(members, lambda a, b: leq[idx[a]][idx[b]])
+        inside = self._up[self._index[lo]] & self._down[self._index[hi]]
+        members = [self.elements[i] for i in _bits(inside)]
+        return FinitePoset(members, self.leq)
 
     # -- isomorphism -----------------------------------------------------------
 
     def _signature(self, i: int) -> tuple[int, int]:
-        below = sum(1 for j in range(len(self.elements)) if self._leq[j][i])
-        above = sum(1 for j in range(len(self.elements)) if self._leq[i][j])
-        return below, above
+        return self._down[i].bit_count(), self._up[i].bit_count()
 
     def find_isomorphism(self, other: "FinitePoset") -> dict | None:
         """Order isomorphism self -> other by backtracking, or None."""
@@ -187,9 +204,9 @@ class FinitePoset:
                 jk = assignment[k]
                 if jk is None:
                     continue
-                if self._leq[i][k] != other._leq[j][jk]:
+                if self._up[i] >> k & 1 != other._up[j] >> jk & 1:
                     return False
-                if self._leq[k][i] != other._leq[jk][j]:
+                if self._down[i] >> k & 1 != other._down[j] >> jk & 1:
                     return False
             return True
 
@@ -244,6 +261,18 @@ class FinitePoset:
         )
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(m: int) -> Iterator[int]:
+    """Positions of the set bits of m, in increasing order."""
+    return compress(count(), bin(m)[:1:-1].encode().translate(_BIT_BYTES))
+
+
+def _lowest(m: int) -> int:
+    return (m & -m).bit_length() - 1
+
+
 def _payload(e: Hashable):
     if isinstance(e, frozenset):
         return sorted(e)
@@ -257,22 +286,15 @@ def poset_from_json(text: str) -> FinitePoset:
     data = json.loads(text)
     ids = [el["id"] for el in data["elements"]]
     edges = {(lo, hi) for lo, hi in data["hasse"]}
-    # transitive closure of the Hasse relation
-    n = len(ids)
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    # reflexive transitive closure of the Hasse relation (Warshall on rows)
+    up = [1 << i for i in range(len(ids))]
     for lo, hi in edges:
-        leq[lo][hi] = True
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if leq[i][j]:
-                    for k in range(n):
-                        if leq[j][k] and not leq[i][k]:
-                            leq[i][k] = True
-                            changed = True
-    return FinitePoset(ids, lambda a, b: leq[a][b])
+        up[lo] |= 1 << hi
+    for k in range(len(ids)):
+        for i in range(len(ids)):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return FinitePoset._from_up(ids, up)
 
 
 def build_poset(elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]) -> FinitePoset:
@@ -282,10 +304,22 @@ def build_poset(elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable]
 def torsion_poset(q) -> FinitePoset:
     """Poset of the functorially finite torsion classes of a Dynkin quiver,
     ordered by inclusion; elements are frozensets of catalog indices."""
-    from .taurig import enumerate_stt, fac_class
+    from .taurig import catalog, enumerate_stt, fac_class
 
     classes = sorted(
         {fac_class(q, p) for p in enumerate_stt(q)},
         key=lambda t: (len(t), sorted(t)),
     )
-    return FinitePoset(classes, lambda a, b: a <= b)
+    # t <= u iff u holds every member of t, so up(t) is the intersection,
+    # over the members m of t, of the classes holding m
+    holding = [0] * catalog(q).size()
+    for k, t in enumerate(classes):
+        for m in t:
+            holding[m] |= 1 << k
+    up = []
+    for t in classes:
+        u = (1 << len(classes)) - 1
+        for m in t:
+            u &= holding[m]
+        up.append(u)
+    return FinitePoset._from_up(classes, up)

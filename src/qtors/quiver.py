@@ -265,7 +265,8 @@ def classify_by_shape(q: Quiver) -> QuiverClass:
         if degrees[c] > 4:
             return QuiverClass("Wild")
         br = _branch_lengths(adj, c)
-        assert br is not None and len(br) == 3
+        if br is None or len(br) != 3:
+            raise RuntimeError("tree with one branch vertex lacks three branches")
         if br[0] == 1 and br[1] == 1:
             return QuiverClass("Dynkin", f"D{n}")
         if br == [1, 2, 2]:
@@ -309,7 +310,8 @@ def classify(q: Quiver) -> QuiverClass:
     else:
         tag = "Wild"
     shaped = classify_by_shape(q)
-    assert shaped.tag == tag, f"Tits form and shape matcher disagree on {q}"
+    if shaped.tag != tag:
+        raise RuntimeError(f"Tits form and shape matcher disagree on {q}")
     return shaped
 
 
@@ -369,7 +371,8 @@ def theorem_main_decision(q: Quiver) -> tuple[bool, dict]:
     if q.n <= 2:
         return True, {"reason": "at most 2 vertices", "vertices": q.n}
     witness = find_witness_subquiver(q)
-    assert witness is not None
+    if witness is None:
+        raise RuntimeError("non-Dynkin quiver without a witness subquiver")
     vs, wcls = witness
     return False, {
         "reason": "witness subquiver",

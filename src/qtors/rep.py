@@ -224,11 +224,17 @@ def hom_basis(x: Rep, y: Rep) -> list[Morphism]:
 
 
 def hom_dim(x: Rep, y: Rep) -> int:
+    """dim Hom(x, y), kept on x for the pair (`_pair_memo`) whichever engine
+    computed it."""
     if x.quiver != y.quiver:
         raise ValueError("Hom requires representations of the same quiver")
-    if _intertwining_vars(x, y) <= _FAST_VARS:
-        return len(hom_basis(x, y))
-    return _fast_hom_dim(x, y)
+    memo = _pair_memo(x, y)
+    if "dim" not in memo:
+        if _intertwining_vars(x, y) <= _FAST_VARS:
+            memo["dim"] = len(hom_basis(x, y))
+        else:
+            memo["dim"] = _fast_hom_dim(x, y)
+    return memo["dim"]
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -386,7 +392,8 @@ class ExtGroup:
 
     def _coordinates(self, f: Morphism) -> list[Fraction]:
         sol = self._coords.solve(self._flatten(f))
-        assert sol is not None, "morphism outside Hom(K, X)"
+        if sol is None:
+            raise RuntimeError("morphism outside Hom(K, X)")
         return sol
 
     def is_coboundary(self, cocycle: Morphism) -> bool:
@@ -415,7 +422,8 @@ def extension_realize(
     sec = []  # section of quot
     for v in range(q.n):
         graph = Matrix.vstack([cocycle[v], -pres.incl[v]])
-        assert graph.rank() == graph.cols, "graph columns dependent"
+        if graph.rank() != graph.cols:
+            raise RuntimeError("graph columns dependent")
         comp = extend_to_basis(graph)
         b = Matrix.hstack([graph, comp]) if graph.cols else comp
         binv = b.inverse()
@@ -525,21 +533,25 @@ def ar_translate(x: Rep) -> Rep:
     indecomposable non-projective the dimension vector transforms by the
     Coxeter matrix."""
     order = x.quiver.topological_order()
-    assert order is not None
+    if order is None:
+        raise ValueError("AR translate requires an acyclic quiver")
     cur = x
     for v in reversed(order):
         cur = reflect(cur, v)
-    assert cur.quiver == x.quiver
+    if cur.quiver != x.quiver:
+        raise RuntimeError("reflections did not return to the quiver")
     return cur
 
 
 def ar_translate_inverse(x: Rep) -> Rep:
     order = x.quiver.topological_order()
-    assert order is not None
+    if order is None:
+        raise ValueError("AR translate requires an acyclic quiver")
     cur = x
     for v in order:
         cur = reflect(cur, v)
-    assert cur.quiver == x.quiver
+    if cur.quiver != x.quiver:
+        raise RuntimeError("reflections did not return to the quiver")
     return cur
 
 
@@ -643,7 +655,8 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
             cur = ar_translate(cur)
     reps = sorted(found.values(), key=lambda r: (r.total_dim(), r.dims))
     for r in reps:
-        assert is_brick(r), f"non-brick in Dynkin enumeration: dims {r.dims}"
+        if not is_brick(r):
+            raise RuntimeError(f"non-brick in Dynkin enumeration: dims {r.dims}")
     return reps
 
 
@@ -694,7 +707,8 @@ def _rescale_to_integers(x: Rep) -> Rep | None:
     if all(d == 1 for d in dens):
         return None
     order = q.topological_order()
-    assert order is not None, "integer rescaling requires an acyclic quiver"
+    if order is None:
+        raise ValueError("integer rescaling requires an acyclic quiver")
     scale = [1] * (q.n + 1)
     for v in order:
         s = 1
@@ -758,7 +772,8 @@ def _complement_coords(r: Matrix) -> list[int]:
             arr[i, j] = int(e) % p
         arr[i, r.cols + i] = 1.0
     _, piv = echelon_mod_p(arr, p)
-    assert len(piv) == d, "augmented identity lost rank"
+    if len(piv) != d:
+        raise RuntimeError("augmented identity lost rank")
     return [c - r.cols for c in piv if c >= r.cols]
 
 
@@ -1016,20 +1031,14 @@ def _fast_hom_dim(x: Rep, y: Rep) -> int:
     lower bound (dim Hom >= <dim x, dim y> over a hereditary algebra) in
     the common rigid cases; otherwise every solution of the reduced system
     is lifted and verified, which pins the dimension exactly."""
-    memo = _pair_memo(x, y)
-    if "dim" not in memo:
-        ctx = forms_context(x.quiver)
-        lower = max(ctx.euler_form(list(x.dims), list(y.dims)), 0)
-        sys = _best_dim_system(_integer_form(x), _integer_form(y))
-        if sys is None:
-            memo["dim"] = len(hom_basis(x, y))
-        else:
-            if sys.upper != lower:
-                sys.refine()
-            memo["dim"] = (
-                lower if sys.upper == lower else sum(1 for _ in sys.solutions())
-            )
-    return memo["dim"]
+    ctx = forms_context(x.quiver)
+    lower = max(ctx.euler_form(list(x.dims), list(y.dims)), 0)
+    sys = _best_dim_system(_integer_form(x), _integer_form(y))
+    if sys is None:
+        return len(hom_basis(x, y))
+    if sys.upper != lower:
+        sys.refine()
+    return lower if sys.upper == lower else sum(1 for _ in sys.solutions())
 
 
 def _hom_vanishes_certified(xi: Rep, yi: Rep) -> bool:

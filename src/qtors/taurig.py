@@ -83,6 +83,38 @@ class Catalog:
         projs = [("proj", v) for v in range(1, self.quiver.n + 1)]
         return tuple(mods + projs)
 
+    @cached_property
+    def compat_masks(self) -> list[int]:
+        """Bit k of entry i is set iff summands i and k differ and are
+        compatible, indexing `summands()`."""
+        items = self._summands
+        return [
+            sum(
+                1 << k
+                for k, v in enumerate(items)
+                if k != i and is_compatible(self, u, v)
+            )
+            for i, u in enumerate(items)
+        ]
+
+    @cached_property
+    def fac_masks(self) -> dict[Summand, int]:
+        """Catalog members a summand admits into the torsion class of any
+        pair containing it, as a bitmask: ⊥(τM_i) for the module M_i,
+        P_v^⊥ for the shifted projective at v."""
+        out = {}
+        for kind, i in self._summands:
+            if kind == "mod":
+                dims = [row[i] for row in self.tau_hom_table]  # Hom(M_j, τM_i)
+            else:
+                dims = self.proj_hom_table[i - 1]  # Hom(P_i, M_j)
+            out[kind, i] = sum(1 << j for j, d in enumerate(dims) if d == 0)
+        return out
+
+    @cached_property
+    def summand_index(self) -> dict[Summand, int]:
+        return {s: k for k, s in enumerate(self._summands)}
+
     def size(self) -> int:
         return len(self.modules)
 
@@ -123,49 +155,50 @@ def is_compatible(cat: Catalog, u: Summand, v: Summand) -> bool:
     return cat.tau_hom_table[i][j] == 0 and cat.tau_hom_table[j][i] == 0
 
 
-def _pairwise_compatible(cat: Catalog, items: list[Summand]) -> bool:
-    """Every summand is tau-rigid on its own, so only distinct pairs are
-    tested."""
-    return all(
-        is_compatible(cat, items[i], items[j])
-        for i in range(len(items))
-        for j in range(i + 1, len(items))
-    )
-
-
 def enumerate_stt_exhaustive(q: Quiver) -> set[SttPair]:
-    """All size-n pairwise-compatible sets of decorated summands, found by
-    brute force over the compatibility graph."""
-    from itertools import combinations
-
+    """All n-cliques of the compatibility graph of the decorated summands,
+    found by backtracking over the bitmask neighbour sets; each clique is
+    built in increasing summand order, so each is found once."""
     cat = catalog(q)
+    items = cat.summands()
+    nbr = cat.compat_masks
     pairs = set()
-    for combo in combinations(cat.summands(), q.n):
-        if _pairwise_compatible(cat, list(combo)):
-            pairs.add(frozenset(combo))
+
+    def extend(chosen: list[int], cand: int) -> None:
+        if len(chosen) == q.n:
+            pairs.add(frozenset(items[k] for k in chosen))
+            return
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            k = low.bit_length() - 1
+            extend(chosen + [k], cand & nbr[k])
+
+    extend([], (1 << len(items)) - 1)
     return pairs
 
 
 def mutations(q: Quiver, p: SttPair) -> list[SttPair]:
     """The n neighbors of a pair: each summand has a unique alternative
-    completion of the remaining n-1 summands."""
+    completion of the remaining n-1 summands, the one summand outside p
+    compatible with all of them."""
     cat = catalog(q)
-    all_summands = cat.summands()
+    items = cat.summands()
+    index = cat.summand_index
+    nbr = cat.compat_masks
+    outside = (1 << len(items)) - 1
+    for w in p:
+        outside &= ~(1 << index[w])
     out = []
     for u in sorted(p):
-        rest = [w for w in p if w != u]
-        completions = [
-            w
-            for w in all_summands
-            if w != u
-            and w not in p
-            and all(is_compatible(cat, w, r) for r in rest)
-        ]
-        if len(completions) != 1:
-            raise RuntimeError(
-                f"expected a unique exchange partner, got {len(completions)}"
-            )
-        out.append(frozenset(rest + [completions[0]]))
+        rest = p - {u}
+        completions = outside
+        for r in rest:
+            completions &= nbr[index[r]]
+        found = completions.bit_count()
+        if found != 1:
+            raise RuntimeError(f"expected a unique exchange partner, got {found}")
+        out.append(rest | {items[completions.bit_length() - 1]})
     return out
 
 
@@ -210,15 +243,16 @@ def pair_module(cat: Catalog, p: SttPair) -> Rep | None:
 
 
 def fac_class(q: Quiver, p: SttPair) -> TorsionClassModel:
-    """Torsion class Fac(M) of the pair, as the set of catalog indices it
-    generates."""
+    """Torsion class Fac(M) of the pair (M, P), as the set of catalog
+    indices it generates, read from the catalog tables by the identity
+    Fac M = ⊥(τM) ∩ P^⊥ (Adachi-Iyama-Reiten, arXiv:1210.1036, §2).  The
+    all-shifted pair gives the empty class: every module lies outside
+    some P_v^⊥."""
     cat = catalog(q)
-    m = pair_module(cat, p)
-    if m is None:
-        return frozenset()
-    return frozenset(
-        i for i in range(cat.size()) if gen_contains(m, cat.modules[i])
-    )
+    inside = (1 << cat.size()) - 1
+    for s in p:
+        inside &= cat.fac_masks[s]
+    return frozenset(i for i in range(cat.size()) if inside >> i & 1)
 
 
 def tc_perp(q: Quiver, t: TorsionClassModel) -> frozenset[int]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -64,6 +65,32 @@ def test_check_lattice_dynkin(capsys, a3_file):
     assert data["theorem_decision"] is True
     assert data["agreement"] is True
     assert data["enumerated"]["elements"] == 14
+
+
+@pytest.mark.parametrize(
+    "dsl, elements, budget",
+    [
+        ("vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 5 6\n", 429, 2),
+        ("vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6\n", 833, 30),
+    ],
+    ids=["A6", "E6"],
+)
+def test_check_lattice_reaches_a6_and_e6(capsys, tmp_path, dsl, elements, budget):
+    f = tmp_path / "q.quiver"
+    f.write_text(dsl)
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "check-lattice", str(f))
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    data = json.loads(out)
+    assert data["enumerated"] == {
+        "elements": elements,
+        "is_lattice": True,
+        "has_top": True,
+        "has_bottom": True,
+    }
+    assert data["agreement"] is True
+    assert elapsed < budget, f"check-lattice took {elapsed:.1f}s of {budget}s"
 
 
 def test_check_lattice_wild_never_enumerates(capsys, wild_file):

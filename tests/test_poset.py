@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtors import FinitePoset, PosetError, build_poset, poset_from_json, torsion_poset
 
@@ -92,3 +94,129 @@ def test_torsion_poset_smallest_cases():
     assert len(p2.elements) == 5
     assert p2.is_complete_lattice()
     assert p2.bottom() == frozenset()
+
+
+class NaivePoset:
+    """Reference: the order as a list of lists, every answer by direct
+    search over elements."""
+
+    def __init__(self, elements, rel):
+        self.elements = elements
+        self.rel = rel
+        self.n = len(elements)
+
+    def error(self):
+        e, m, r = self.elements, self.rel, range(self.n)
+        for i in r:
+            if not m[i][i]:
+                return f"not reflexive at {e[i]!r}"
+        for i in r:
+            for j in r:
+                if i != j and m[i][j] and m[j][i]:
+                    return f"antisymmetry fails at ({e[i]!r}, {e[j]!r})"
+        for i in r:
+            for j in r:
+                for k in r:
+                    if m[i][j] and m[j][k] and not m[i][k]:
+                        return f"transitivity fails at ({e[i]!r}, {e[j]!r}, {e[k]!r})"
+        return None
+
+    def hasse(self):
+        m, r = self.rel, range(self.n)
+        return [
+            (i, j)
+            for i in r
+            for j in r
+            if i != j
+            and m[i][j]
+            and not any(k not in (i, j) and m[i][k] and m[k][j] for k in r)
+        ]
+
+    def _greatest(self, idx, rel):
+        if not idx:
+            return None
+        best = [i for i in idx if all(rel(j, i) for j in idx)]
+        return self.elements[best[0]] if best else None
+
+    def meet(self, subset):
+        pos = [self.elements.index(a) for a in subset]
+        lower = [i for i in range(self.n) if all(self.rel[i][j] for j in pos)]
+        return self._greatest(lower, lambda a, b: self.rel[a][b])
+
+    def join(self, subset):
+        pos = [self.elements.index(a) for a in subset]
+        upper = [i for i in range(self.n) if all(self.rel[j][i] for j in pos)]
+        return self._greatest(upper, lambda a, b: self.rel[b][a])
+
+    def top(self):
+        return self._greatest(list(range(self.n)), lambda a, b: self.rel[a][b])
+
+    def bottom(self):
+        return self._greatest(list(range(self.n)), lambda a, b: self.rel[b][a])
+
+    def is_lattice(self):
+        for bound in (self.meet, self.join):
+            for i, a in enumerate(self.elements):
+                for b in self.elements[i + 1 :]:
+                    if bound([a, b]) is None:
+                        return False, (a, b)
+        return True, None
+
+
+@st.composite
+def relations(draw):
+    """A relation on up to 12 labelled elements: a random order (the
+    reflexive transitive closure of random pairs along a shuffled chain),
+    optionally with one entry flipped, or an arbitrary relation."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    labels = draw(st.permutations([f"e{k}" for k in range(n)]))
+    kind = draw(st.sampled_from(["order", "flipped", "arbitrary"]))
+    if kind == "arbitrary":
+        rel = [[draw(st.booleans()) for _ in range(n)] for _ in range(n)]
+        return labels, rel
+    pos = draw(st.permutations(range(n)))
+    rel = [[i == j for j in range(n)] for i in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if draw(st.booleans()):
+                rel[pos[a]][pos[b]] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
+    if kind == "flipped" and n:
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        rel[i][j] = not rel[i][j]
+    return labels, rel
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_bitset_poset_matches_naive_reference(case):
+    labels, rel = case
+    ref = NaivePoset(labels, rel)
+    pos = {e: i for i, e in enumerate(labels)}
+    expected_error = ref.error()
+    if expected_error is not None:
+        with pytest.raises(PosetError) as exc:
+            FinitePoset(labels, lambda a, b: rel[pos[a]][pos[b]])
+        assert str(exc.value) == expected_error
+        return
+    p = FinitePoset(labels, lambda a, b: rel[pos[a]][pos[b]])
+    assert p.hasse == ref.hasse()
+    assert p.is_lattice() == ref.is_lattice()
+    assert p.top() == ref.top() and p.bottom() == ref.bottom()
+    for a in labels:
+        for b in labels:
+            assert p.leq(a, b) == rel[pos[a]][pos[b]]
+            assert p.meet([a, b]) == ref.meet([a, b])
+            assert p.join([a, b]) == ref.join([a, b])
+    if len(labels) >= 3:
+        assert p.meet(labels[:3]) == ref.meet(labels[:3])
+        assert p.join(labels[:3]) == ref.join(labels[:3])
+    back = poset_from_json(p.export_json())
+    assert back.hasse == p.hasse
+    assert all(
+        back.leq(i, j) == rel[i][j] for i in range(len(labels)) for j in range(len(labels))
+    )

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -32,6 +33,50 @@ from conftest import linear_quiver, star_quiver
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
+
+# quivers on which the table-driven engine is held to the slow oracles below
+DIFFERENTIAL = [
+    pytest.param(A3, id="A3"),
+    pytest.param(Quiver(3, ((1, 2), (3, 2))), id="A3-sink"),
+    pytest.param(linear_quiver(4), id="A4"),
+    pytest.param(star_quiver(3), id="D4"),
+    pytest.param(Quiver(5, ((1, 2), (3, 2), (3, 4), (5, 4))), id="A5-zigzag"),
+]
+
+
+def gen_fac_class(q, p):
+    """Oracle: Fac(M) by testing Gen-membership of every catalog member."""
+    cat = catalog(q)
+    m = pair_module(cat, p)
+    if m is None:
+        return frozenset()
+    return frozenset(i for i in range(cat.size()) if gen_contains(m, cat.modules[i]))
+
+
+def combination_cliques(q):
+    """Oracle: every n-subset of summands whose members are pairwise
+    compatible."""
+    cat = catalog(q)
+    return {
+        frozenset(c)
+        for c in combinations(cat.summands(), q.n)
+        if all(is_compatible(cat, u, v) for u, v in combinations(c, 2))
+    }
+
+
+def scanned_mutations(q, p):
+    """Oracle: each exchange partner found by scanning every summand."""
+    cat = catalog(q)
+    out = []
+    for u in sorted(p):
+        rest = p - {u}
+        partners = [
+            w
+            for w in cat.summands()
+            if w not in p and all(is_compatible(cat, w, r) for r in rest)
+        ]
+        out.append([rest | {w} for w in partners])
+    return out
 
 
 def test_catalog_requires_dynkin():
@@ -118,6 +163,20 @@ def test_catalog_tables_match_fresh_hom(q):
         zero_into = frozenset(j for j in range(n) if hom_dim(mods[j], mods[i]) == 0)
         assert tc_perp(q, frozenset({i})) == zero_from
         assert tc_left_perp(q, frozenset({i})) == zero_into
+
+
+@pytest.mark.parametrize("q", DIFFERENTIAL)
+def test_fac_class_tables_match_gen_contains(q):
+    for p in enumerate_stt(q):
+        assert fac_class(q, p) == gen_fac_class(q, p), sorted(p)
+
+
+@pytest.mark.parametrize("q", DIFFERENTIAL)
+def test_clique_search_and_mutations_match_oracles(q):
+    pairs = enumerate_stt_exhaustive(q)
+    assert pairs == combination_cliques(q)
+    for p in pairs:
+        assert [[m] for m in mutations(q, p)] == scanned_mutations(q, p)
 
 
 def test_pair_module_and_fac_class_generation():
