@@ -272,27 +272,23 @@ def column_space_contains(m: Matrix, vec: Sequence[Scalar]) -> bool:
     return m.solve(vec) is not None
 
 
-def extend_to_basis(m: Matrix) -> Matrix:
-    """Standard basis vectors completing the columns of m to a basis of k^rows.
+def complement_indices(m: Matrix) -> list[int]:
+    """Indices j of the standard basis vectors e_j completing the column
+    span of m to k^rows, chosen greedily in index order.
 
-    Returns a rows x (rows - rank) matrix; columns are chosen greedily in
-    index order, so the result is deterministic.
+    They are the pivots that fall in the identity block of one RREF of
+    [m | I]: e_j is a pivot there exactly when it lies outside the span of
+    m and e_0 .. e_{j-1}.
     """
-    chosen: list[int] = []
-    current = m
-    r = current.rank()
-    for j in range(m.rows):
-        if r == m.rows:
-            break
-        e = [Fraction(0)] * m.rows
-        e[j] = Fraction(1)
-        cand = Matrix.hstack([current, Matrix.column(e)])
-        if cand.rank() > r:
-            chosen.append(j)
-            current = cand
-            r += 1
+    _, pivots, _ = Matrix.hstack([m, Matrix.identity(m.rows)]).rref()
+    return [c - m.cols for c in pivots if c >= m.cols]
+
+
+def extend_to_basis(m: Matrix) -> Matrix:
+    """Standard basis vectors completing the columns of m to a basis of
+    k^rows, as a rows x (rows - rank) matrix (`complement_indices`)."""
     cols = []
-    for j in chosen:
+    for j in complement_indices(m):
         e = [Fraction(0)] * m.rows
         e[j] = Fraction(1)
         cols.append(e)

@@ -18,7 +18,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .forms import forms_context
-from .linalg import Matrix, extend_to_basis
+from .linalg import Matrix, complement_indices, extend_to_basis
 from .modkernel import (
     _MAX_COLS,
     PRIMES,
@@ -371,21 +371,9 @@ class ExtGroup:
             restricted = compose(f, pres.incl)
             image_cols.append(self._coordinates(restricted))
         self._image = Matrix.from_columns(image_cols, nrows=len(self.hom_k))
-        self.dimension = len(self.hom_k) - self._image.rank()
         # cocycle representatives: hom_k elements completing the image
-        self.cocycles = []
-        current = self._image
-        r = current.rank()
-        for i, f in enumerate(self.hom_k):
-            if len(self.cocycles) == self.dimension:
-                break
-            e = [Fraction(0)] * len(self.hom_k)
-            e[i] = Fraction(1)
-            cand = Matrix.hstack([current, Matrix.column(e)])
-            if cand.rank() > r:
-                self.cocycles.append(f)
-                current = cand
-                r += 1
+        self.cocycles = [self.hom_k[i] for i in complement_indices(self._image)]
+        self.dimension = len(self.cocycles)
 
     def _flatten(self, f: Morphism) -> list[Fraction]:
         return [e for m in f for e in m.entries()]
@@ -458,64 +446,30 @@ def _reflected_quiver(q: Quiver, vertex: int) -> Quiver:
 
 
 def reflect(x: Rep, vertex: int) -> Rep:
-    """BGP reflection: at a sink, replace the space by the kernel of the
-    assembled incoming map; at a source, by the cokernel of the assembled
-    outgoing map.  Result lives over the quiver with arrows at the vertex
-    reversed."""
+    """BGP reflection at a sink or a source; the result lives over the
+    quiver with the arrows at the vertex reversed.  At a sink the space is
+    replaced by the kernel of the assembled incoming map, with the kernel
+    coordinates as the new outgoing maps.  At a source the reflection is
+    the k-dual of the sink reflection of the dual (Bernstein-Gelfand-
+    Ponomarev), so one exact kernel computation serves both halves."""
     q = x.quiver
-    new_q = _reflected_quiver(q, vertex)
-    if q.is_sink(vertex):
-        arrows_at = q.arrows_in(vertex)
-        blocks = [x.arrow_maps[a] for a in arrows_at]
-        assembled = (
-            Matrix.hstack(blocks) if blocks else Matrix.zero(x.dim(vertex), 0)
-        )
-        kernel = Matrix.from_columns(
-            _kernel_columns(assembled), nrows=assembled.cols
-        )
-        dims = list(x.dims)
-        dims[vertex - 1] = kernel.cols
-        maps = list(x.arrow_maps)
-        row0 = 0
-        for a in arrows_at:
-            s = q.arrows[a][0]
-            maps[a] = kernel.submatrix(range(row0, row0 + x.dim(s)), range(kernel.cols))
-            row0 += x.dim(s)
-        return Rep(new_q, tuple(dims), tuple(maps))
-    if q.is_source(vertex):
-        arrows_at = q.arrows_out(vertex)
-        if sum(x.dim(q.arrows[a][1]) for a in arrows_at) * x.dim(vertex) > 600:
-            # large cokernel problem: reflect the dual at what is there a
-            # sink (the standard identity between the two half reflections),
-            # where only a kernel is needed
+    if not q.is_sink(vertex):
+        if q.is_source(vertex):
             return dualize(reflect(dualize(x), vertex))
-        blocks = [x.arrow_maps[a] for a in arrows_at]
-        assembled = (
-            Matrix.vstack(blocks) if blocks else Matrix.zero(0, x.dim(vertex))
-        )
-        # cokernel projection: pick a column basis of im(assembled), extend
-        # by standard vectors, and project onto the complement coordinates
-        col_basis = assembled.submatrix(range(assembled.rows), [])
-        if assembled.cols:
-            _, piv, _ = assembled.rref()
-            col_basis = assembled.submatrix(range(assembled.rows), piv)
-        comp = extend_to_basis(col_basis)
-        proj_rows = comp.cols
-        pieces = [m for m in (col_basis, comp) if m.cols]
-        b = Matrix.hstack(pieces) if pieces else Matrix.zero(0, 0)
-        binv = b.inverse()
-        quot = binv.submatrix(range(col_basis.cols, b.rows), range(b.cols))
-        dims = list(x.dims)
-        dims[vertex - 1] = proj_rows
-        maps = list(x.arrow_maps)
-        row0 = 0
-        for a in arrows_at:
-            t = q.arrows[a][1]
-            block = quot.submatrix(range(proj_rows), range(row0, row0 + x.dim(t)))
-            maps[a] = block
-            row0 += x.dim(t)
-        return Rep(new_q, tuple(dims), tuple(maps))
-    raise QuiverError(f"vertex {vertex} is neither a sink nor a source")
+        raise QuiverError(f"vertex {vertex} is neither a sink nor a source")
+    arrows_at = q.arrows_in(vertex)
+    blocks = [x.arrow_maps[a] for a in arrows_at]
+    assembled = Matrix.hstack(blocks) if blocks else Matrix.zero(x.dim(vertex), 0)
+    kernel = Matrix.from_columns(assembled.kernel_basis(), nrows=assembled.cols)
+    dims = list(x.dims)
+    dims[vertex - 1] = kernel.cols
+    maps = list(x.arrow_maps)
+    row0 = 0
+    for a in arrows_at:
+        s = q.arrows[a][0]
+        maps[a] = kernel.submatrix(range(row0, row0 + x.dim(s)), range(kernel.cols))
+        row0 += x.dim(s)
+    return Rep(_reflected_quiver(q, vertex), tuple(dims), tuple(maps))
 
 
 def dualize(x: Rep) -> Rep:
@@ -566,16 +520,7 @@ def gen_contains(m: Rep, x: Rep) -> bool:
         return True
     if _intertwining_vars(m, x) > _FAST_VARS:
         return _fast_gen_contains(m, x)
-    basis = hom_basis(m, x)
-    for v in range(m.quiver.n):
-        if x.dims[v] == 0:
-            continue
-        cols = [phi[v] for phi in basis if phi[v].cols > 0]
-        if not cols:
-            return False
-        if Matrix.hstack(cols).rank() < x.dims[v]:
-            return False
-    return True
+    return gen_contains_exact_fallback(m, x)
 
 
 def _search_combination(basis: list[Morphism], accept, seed: int) -> bool:
@@ -980,12 +925,23 @@ def _hom_rows(
 
 
 def _pair_memo(x: Rep, y: Rep) -> dict:
-    """Data cached for the ordered pair (x, y), stored on x.  An entry left
-    by an earlier object with the same id as y is replaced, never read."""
-    entry = x._pair_data.get(id(y))
+    """Data cached for the ordered pair (x, y), stored on x.  The entry is
+    dropped when y dies; an entry left by an earlier object with the same
+    id as y is replaced, never read."""
+    key = id(y)
+    entry = x._pair_data.get(key)
     if entry is None or entry[0]() is not y:
-        entry = (weakref.ref(y), {})
-        x._pair_data[id(y)] = entry
+        owner = weakref.ref(x)
+
+        def drop(ref: weakref.ref) -> None:
+            # only the entry this reference belongs to; x is held weakly, so
+            # the callback keeps nothing alive
+            holder = owner()
+            if holder is not None and holder._pair_data.get(key, (None,))[0] is ref:
+                del holder._pair_data[key]
+
+        entry = (weakref.ref(y, drop), {})
+        x._pair_data[key] = entry
     return entry[1]
 
 
@@ -1051,27 +1007,6 @@ def _hom_vanishes_certified(xi: Rep, yi: Rep) -> bool:
         return True
     sys.refine()
     return sys.upper == 0
-
-
-def _kernel_columns(m: Matrix) -> list[list[Fraction]]:
-    """Kernel basis of a rational matrix; large instances are routed
-    through the certified modular kernel after a row rescaling (which does
-    not change the kernel)."""
-    if m.rows * m.cols <= 600:
-        return m.kernel_basis()
-    arr = np.zeros((m.rows, m.cols), dtype=object)
-    for i in range(m.rows):
-        row = m.row(i)
-        d = 1
-        for e in row:
-            d = lcm(d, e.denominator)
-        for j, e in enumerate(row):
-            arr[i, j] = int(e * d)
-    kern = _certified_int_kernel(arr)
-    return [
-        [Fraction(int(kern[i, j])) for i in range(m.cols)]
-        for j in range(kern.shape[1])
-    ]
 
 
 def _columns_mod_p(columns: list[np.ndarray], dim: int, p: int) -> np.ndarray:

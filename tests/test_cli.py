@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +133,25 @@ def test_witness_from_file(capsys, wild_file):
     code, out, _ = run(capsys, "witness", wild_file)
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("kronecker", "--n", "2", "--depth", "6"), "kronecker_n2_depth6.txt"),
+        (("witness", "--abc", "2,1,0", "--tower", "4"), "witness_abc210_tower4.txt"),
+    ],
+    ids=["kronecker", "witness-tower"],
+)
+def test_stdout_matches_golden(capsys, argv, golden):
+    # stdout recorded from a known-good build: refactors of the
+    # representation code must keep it byte-identical
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_euler_scan(capsys):

@@ -66,6 +66,21 @@ class TestKronecker:
             (5, 4),
         ]
 
+    @pytest.mark.parametrize("n, depth", [(2, 4), (3, 4)])
+    def test_coxeter_preinjectives_are_the_exact_mirror(self, n, depth):
+        # the source reflections behind tau^-1 are the duals of the sink
+        # reflections behind tau, so iterating tau on S1 and I2 gives the
+        # mirrored preprojectives matrix for matrix
+        from qtors import ar_translate, injective_rep, simple_rep
+        from qtors.families import _kronecker_mirror
+
+        w = kronecker_window(n, depth)
+        q = w.quiver
+        b = [simple_rep(q, 1), injective_rep(q, 2)]
+        while len(b) < depth:
+            b.append(ar_translate(b[-2]))
+        assert b == [_kronecker_mirror(x, q) for x in w.preprojectives]
+
     def test_chain_check_n2(self):
         report = kronecker_chain_check(kronecker_window(2, 4))
         assert report.ok(), report.failures
@@ -149,10 +164,27 @@ class TestTower:
         assert len(evidence.hom_dims) == 3
 
 
+def _change_basis(x):
+    """x transported along the basis change 2I + N (N the ones just above
+    the diagonal) at every vertex: isomorphic, with other matrices."""
+    from qtors import Matrix, Rep
+
+    g = [
+        Matrix(d, d, [[2 if j == i else int(j == i + 1) for j in range(d)] for i in range(d)])
+        for d in x.dims
+    ]
+    maps = tuple(
+        g[t - 1] * m * g[s - 1].inverse()
+        for (s, t), m in zip(x.quiver.arrows, x.arrow_maps)
+    )
+    return Rep(x.quiver, x.dims, maps)
+
+
 def test_chain_check_on_hand_built_window():
-    # a window whose preinjective side comes from Coxeter iteration instead
-    # of the duality mirror: same series up to isomorphism, and the check
-    # must compute both sides directly and still pass
+    # a window whose preinjective side comes from Coxeter iteration followed
+    # by a change of basis instead of the duality mirror: the same series up
+    # to isomorphism, not matrix for matrix, so the check must compute both
+    # sides directly and still pass
     from qtors import ar_translate, injective_rep, simple_rep
     from qtors.families import KroneckerWindow, _kronecker_mirror
 
@@ -161,6 +193,7 @@ def test_chain_check_on_hand_built_window():
     b = [simple_rep(q, 1), injective_rep(q, 2)]
     while len(b) < 4:
         b.append(ar_translate(b[-2]))
+    b = [_change_basis(y) for y in b]
     assert any(
         _kronecker_mirror(x, q) != y for x, y in zip(w.preprojectives, b)
     )

@@ -25,6 +25,22 @@ def matrices(max_dim=5):
     )
 
 
+def rational_matrices(max_dim=5):
+    """Rational matrices of any shape up to max_dim, empty ones included;
+    zero entries are frequent, so rank deficiency is common."""
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, small_int, st.integers(min_value=1, max_value=4)),
+    )
+    return st.integers(min_value=0, max_value=max_dim).flatmap(
+        lambda r: st.integers(min_value=0, max_value=max_dim).flatmap(
+            lambda c: st.lists(
+                st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r
+            ).map(lambda rows, r=r, c=c: Matrix(r, c, rows))
+        )
+    )
+
+
 class TestArithmetic:
     def test_identity_is_neutral(self):
         m = Matrix.from_rows([[1, 2], [3, 4], [5, 6]])
@@ -112,6 +128,30 @@ class TestRrefKernelSolve:
         extra = extend_to_basis(m)
         assert (extra.rows, extra.cols) == (2, 1)
         assert Matrix.hstack([m, extra]).rank() == 2
+
+    @given(rational_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_extend_to_basis_matches_greedy_rank_oracle(self, m):
+        assert extend_to_basis(m) == _greedy_extend_to_basis(m)
+
+
+def _greedy_extend_to_basis(m: Matrix) -> Matrix:
+    """Reference: try e_0, e_1, ... in order and keep each one that raises
+    the rank of the columns kept so far (one rank per candidate)."""
+    chosen: list[list[Fraction]] = []
+    current = m
+    r = current.rank()
+    for j in range(m.rows):
+        if r == m.rows:
+            break
+        e = [Fraction(0)] * m.rows
+        e[j] = Fraction(1)
+        cand = Matrix.hstack([current, Matrix.column(e)])
+        if cand.rank() > r:
+            chosen.append(e)
+            current = cand
+            r += 1
+    return Matrix.from_columns(chosen, nrows=m.rows)
 
 
 def _definiteness_oracle(b: Matrix) -> tuple[bool, bool]:

@@ -5,6 +5,7 @@ import pytest
 from qtors import (
     Matrix,
     Quiver,
+    Rep,
     ar_translate,
     ar_translate_inverse,
     direct_sum,
@@ -29,12 +30,16 @@ from qtors import (
     simple_rep,
     zero_rep,
 )
+from qtors.linalg import extend_to_basis
 from qtors.rep import ExtGroup, compose, gen_contains_exact_fallback
 
 from conftest import linear_quiver, star_quiver
 
 A3 = linear_quiver(3)
 D4 = star_quiver(3)
+# orientations with a source at every kind of vertex: the ends and the
+# middle of A3, the leaves and the center of D4
+SOURCE_QUIVERS = [A3, Quiver(3, ((2, 1), (2, 3))), D4, opposite(D4)]
 
 
 def _is_morphism(f, x, y):
@@ -135,6 +140,111 @@ class TestExt:
         )
         e, _, _ = extension_realize(s3, s1, zero_cocycle, ext.presentation)
         assert is_isomorphic(e, direct_sum([s3, s1]))
+
+
+def _greedy_cocycles(ext: ExtGroup) -> list:
+    """Reference: walk hom_k in order and keep each element whose
+    coordinate vector raises the rank of the image columns kept so far."""
+    dimension = len(ext.hom_k) - ext._image.rank()
+    chosen = []
+    current = ext._image
+    r = current.rank()
+    for i, f in enumerate(ext.hom_k):
+        if len(chosen) == dimension:
+            break
+        e = [Fraction(0)] * len(ext.hom_k)
+        e[i] = Fraction(1)
+        cand = Matrix.hstack([current, Matrix.column(e)])
+        if cand.rank() > r:
+            chosen.append(f)
+            current = cand
+            r += 1
+    return chosen
+
+
+class TestCocycleOracle:
+    def _check(self, x, z):
+        ext = ExtGroup(x, z)
+        assert ext.cocycles == _greedy_cocycles(ext)
+        assert ext.dimension == len(ext.hom_k) - ext._image.rank()
+
+    @pytest.mark.parametrize("q", [A3, D4], ids=["A3", "D4"])
+    def test_all_dynkin_pairs(self, q):
+        mods = enumerate_indecomposables(q)
+        for x in mods:
+            for z in mods:
+                self._check(x, z)
+
+    @pytest.mark.parametrize("abc", [(2, 1, 0), (2, 1, 1)])
+    def test_case_i_witness_pairs(self, abc):
+        from qtors import build_wild_witness, triple_quiver
+
+        w = build_wild_witness(triple_quiver(*abc))
+        assert w.case == "i"
+        for x in (w.m, w.n):
+            for z in (w.m, w.n):
+                self._check(x, z)
+
+
+def _cokernel_source_reflection(x, vertex):
+    """Reference source reflection: the cokernel of the assembled outgoing
+    map, projected onto standard coordinates completing its image."""
+    q = x.quiver
+    arrows_at = q.arrows_out(vertex)
+    blocks = [x.arrow_maps[a] for a in arrows_at]
+    assembled = Matrix.vstack(blocks) if blocks else Matrix.zero(0, x.dim(vertex))
+    col_basis = assembled.submatrix(range(assembled.rows), [])
+    if assembled.cols:
+        _, piv, _ = assembled.rref()
+        col_basis = assembled.submatrix(range(assembled.rows), piv)
+    comp = extend_to_basis(col_basis)
+    pieces = [m for m in (col_basis, comp) if m.cols]
+    b = Matrix.hstack(pieces) if pieces else Matrix.zero(0, 0)
+    quot = b.inverse().submatrix(range(col_basis.cols, b.rows), range(b.cols))
+    dims = list(x.dims)
+    dims[vertex - 1] = comp.cols
+    maps = list(x.arrow_maps)
+    row0 = 0
+    for a in arrows_at:
+        t = q.arrows[a][1]
+        maps[a] = quot.submatrix(range(comp.cols), range(row0, row0 + x.dim(t)))
+        row0 += x.dim(t)
+    arrows = tuple((t, s) if vertex in (s, t) else (s, t) for s, t in q.arrows)
+    return Rep(Quiver(q.n, arrows), tuple(dims), tuple(maps))
+
+
+class TestSourceReflectionOracle:
+    def _check(self, x, vertex):
+        old = _cokernel_source_reflection(x, vertex)
+        new = reflect(x, vertex)
+        assert new.quiver == old.quiver
+        assert is_isomorphic(new, old)
+
+    @pytest.mark.parametrize("q", SOURCE_QUIVERS, ids=["A3", "A3mid", "D4", "D4op"])
+    def test_dynkin_indecomposables(self, q):
+        sources = [v for v in range(1, q.n + 1) if q.is_source(v)]
+        for m in enumerate_indecomposables(q):
+            for v in sources:
+                self._check(m, v)
+
+    def test_kronecker_window_members(self):
+        from qtors import kronecker_window
+
+        w = kronecker_window(2, 5)
+        for m in w.preprojectives + w.preinjectives:
+            self._check(m, 1)
+
+
+class TestPairMemo:
+    def test_dead_partners_leave_no_entries(self):
+        x = projective_rep(A3, 1)
+        partners = [simple_rep(A3, 1 + i % 3) for i in range(200)]
+        for y in partners:
+            hom_dim(x, y)
+        assert hom_dim(x, x) == 1
+        assert len(x._pair_data) == 201
+        del partners, y
+        assert set(x._pair_data) == {id(x)}
 
 
 class TestReflectionAndTranslate:
