@@ -11,29 +11,25 @@ from .quiver import Quiver, QuiverError
 
 
 class FormsContext:
-    """Caches the Cartan matrix C, its inverse, and the Coxeter matrix
-    Phi = -C^t * C^{-1} for one quiver.  All entries are exact."""
+    """Caches the Cartan matrix C and the Coxeter matrix Phi = -C^t * C^{-1}
+    and its inverse for one quiver.  All entries are exact."""
 
     def __init__(self, q: Quiver):
         if q.topological_order() is None:
             raise QuiverError("forms require an acyclic quiver")
         self.quiver = q
         self.cartan = cartan_matrix(q)
-        self.cartan_inv = self.cartan.inverse()
-        self.coxeter = (-self.cartan.transpose()) * self.cartan_inv
+        self.coxeter = (-self.cartan.transpose()) * self.cartan.inverse()
         self.coxeter_inv = self.coxeter.inverse()
 
     def euler_form(self, x: list[int], y: list[int]) -> int:
-        """<x, y> = x^t * (C^{-1})^t * y; equals dim Hom - dim Ext^1 on
-        dimension vectors."""
+        """<x, y> = sum_v x_v y_v - sum_{arrows s -> t} x_s y_t, which is
+        x^t * (C^{-1})^t * y as C^{-1} = I - N; equals dim Hom - dim Ext^1
+        on dimension vectors."""
         if len(x) != self.quiver.n or len(y) != self.quiver.n:
             raise ValueError("dimension vector length mismatch")
-        cinv_t = self.cartan_inv.transpose()
-        mid = cinv_t.apply(y)
-        val = sum(Fraction(xi) * mi for xi, mi in zip(x, mid))
-        if val.denominator != 1:
-            raise RuntimeError("Euler form value is not an integer")
-        return int(val)
+        arrows = sum(x[s - 1] * y[t - 1] for s, t in self.quiver.arrows)
+        return sum(a * b for a, b in zip(x, y)) - arrows
 
     def tau_dimvec(self, d: list[int]) -> list[int]:
         """Phi * d; equals dimvec of the AR translate for indecomposable

@@ -10,7 +10,6 @@ cross-check in the tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -102,11 +101,6 @@ class Quiver:
         return not self.arrows_in(v)
 
     # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"vertices": self.n, "arrows": sorted([s, t] for s, t in self.arrows)}
-        )
 
     def to_dsl(self) -> str:
         lines = [f"vertices {self.n}"]
@@ -355,7 +349,7 @@ def find_witness_subquiver(q: Quiver) -> tuple[frozenset[int], QuiverClass] | No
                 return frozenset(vs), cls
             if cls.tag == "Wild" and size == 3:
                 return frozenset(vs), cls
-    raise AssertionError("no witness found for a non-Dynkin quiver with >= 3 vertices")
+    raise RuntimeError("no witness found for a non-Dynkin quiver with >= 3 vertices")
 
 
 def theorem_main_decision(q: Quiver) -> tuple[bool, dict]:

@@ -366,11 +366,17 @@ class ExtGroup:
             x.dims[v] * pres.kernel.dims[v] for v in range(x.quiver.n)
         )
         self._coords = Matrix.from_columns(flat, nrows=nent)
-        image_cols = []
-        for f in hom_basis(pres.p0, x):
-            restricted = compose(f, pres.incl)
-            image_cols.append(self._coordinates(restricted))
-        self._image = Matrix.from_columns(image_cols, nrows=len(self.hom_k))
+        restricted = Matrix.from_columns(
+            [self._flatten(compose(f, pres.incl)) for f in hom_basis(pres.p0, x)],
+            nrows=nent,
+        )
+        # hom_k coordinates of every restriction from one RREF; the hom_k
+        # columns are independent, so all pivots must fall among them
+        k = len(self.hom_k)
+        red, pivots, _ = Matrix.hstack([self._coords, restricted]).rref()
+        if pivots != tuple(range(k)):
+            raise RuntimeError("morphism outside Hom(K, X)")
+        self._image = red.submatrix(range(k), range(k, red.cols))
         # cocycle representatives: hom_k elements completing the image
         self.cocycles = [self.hom_k[i] for i in complement_indices(self._image)]
         self.dimension = len(self.cocycles)
@@ -378,16 +384,12 @@ class ExtGroup:
     def _flatten(self, f: Morphism) -> list[Fraction]:
         return [e for m in f for e in m.entries()]
 
-    def _coordinates(self, f: Morphism) -> list[Fraction]:
-        sol = self._coords.solve(self._flatten(f))
-        if sol is None:
-            raise RuntimeError("morphism outside Hom(K, X)")
-        return sol
-
     def is_coboundary(self, cocycle: Morphism) -> bool:
         """True iff the class of the cocycle vanishes, i.e. the extension
         it realizes splits."""
-        coords = self._coordinates(cocycle)
+        coords = self._coords.solve(self._flatten(cocycle))
+        if coords is None:
+            raise RuntimeError("morphism outside Hom(K, X)")
         if self._image.cols == 0:
             return all(c == 0 for c in coords)
         return self._image.solve(coords) is not None

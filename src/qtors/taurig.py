@@ -8,18 +8,18 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
+from .forms import forms_context
 from .quiver import Quiver, QuiverError, classify
 from .rep import (
     ExtGroup,
     Morphism,
     PresentationData,
     Rep,
-    ar_translate,
     direct_sum,
+    enumerate_indecomposables,
     exists_surjection,
     extension_realize,
     gen_contains,
-    hom_dim,
     projective_rep,
     projective_presentation,
 )
@@ -32,34 +32,41 @@ TorsionClassModel = frozenset[int]
 
 
 class Catalog:
-    """Fixed list of the indecomposables of a Dynkin quiver together with
-    the Hom/tau data every torsion-class computation needs.  Each table is
-    computed once, on first use, and every lookup reads it."""
+    """The indecomposables of a Dynkin quiver as its positive roots: the
+    Coxeter orbits of the injective dimension vectors, in the order of
+    `enumerate_indecomposables`.  Hom(X, Y) and Ext^1(X, Y) are never both
+    non-zero for Dynkin indecomposables (Ringel, LNM 1099, §2.4), so every
+    Hom/tau table is read off the Euler form; module matrices are built
+    only when `modules` is read."""
 
     def __init__(self, q: Quiver):
-        from .rep import enumerate_indecomposables
-
         if classify(q).tag != "Dynkin":
             raise QuiverError("catalog requires a Dynkin quiver")
         self.quiver = q
-        self.modules: list[Rep] = enumerate_indecomposables(q)
-        self.tau = [ar_translate(m) for m in self.modules]
-        self.projectives = [projective_rep(q, v) for v in range(1, q.n + 1)]
+        ctx = forms_context(q)
+        found = set()
+        for v in range(q.n):
+            dims = [int(c) for c in ctx.cartan.row(v)]  # dim I_v: paths into v
+            while min(dims) >= 0:
+                found.add(tuple(dims))
+                dims = ctx.tau_dimvec(dims)
+        self.roots: list[tuple[int, ...]] = sorted(found, key=lambda d: (sum(d), d))
+        euler = [[ctx.euler_form(x, y) for y in self.roots] for x in self.roots]
+        # dim Hom(M_i, M_j)
+        self.hom_table = [[max(0, e) for e in row] for row in euler]
+        # dim Hom(M_i, tau M_j) = dim Ext^1(M_j, M_i) (AR formula), 0 for a
+        # projective M_j: the column of M_i in the Euler matrix
+        self.tau_hom_table = [[max(0, -e) for e in col] for col in zip(*euler)]
+        # dim Hom(P_v, M_j), row v - 1 for the projective at vertex v
+        self.proj_hom_table = [[r[v] for r in self.roots] for v in range(q.n)]
 
     @cached_property
-    def hom_table(self) -> list[list[int]]:
-        """dim Hom(M_i, M_j) for all catalog members i, j."""
-        return [[hom_dim(x, y) for y in self.modules] for x in self.modules]
-
-    @cached_property
-    def tau_hom_table(self) -> list[list[int]]:
-        """dim Hom(M_i, tau M_j) for all catalog members i, j."""
-        return [[hom_dim(x, t) for t in self.tau] for x in self.modules]
-
-    @cached_property
-    def proj_hom_table(self) -> list[list[int]]:
-        """dim Hom(P_v, M_j), row v - 1 for the projective at vertex v."""
-        return [[hom_dim(p, y) for y in self.modules] for p in self.projectives]
+    def modules(self) -> list[Rep]:
+        """The indecomposables as representations, in the order of `roots`."""
+        mods = enumerate_indecomposables(self.quiver)
+        if [m.dims for m in mods] != self.roots:
+            raise RuntimeError("indecomposables do not match the positive roots")
+        return mods
 
     @cached_property
     def presentations(self) -> list[PresentationData]:
@@ -116,7 +123,7 @@ class Catalog:
         return {s: k for k, s in enumerate(self._summands)}
 
     def size(self) -> int:
-        return len(self.modules)
+        return len(self.roots)
 
     def hom(self, i: int, j: int) -> int:
         return self.hom_table[i][j]
@@ -125,8 +132,8 @@ class Catalog:
         return self.proj_hom_table[v - 1][j]
 
     def index_of_dims(self, dims: tuple[int, ...]) -> int:
-        for i, m in enumerate(self.modules):
-            if m.dims == dims:
+        for i, r in enumerate(self.roots):
+            if r == dims:
                 return i
         raise KeyError(f"no catalog module with dims {dims}")
 
@@ -348,7 +355,7 @@ def stt_pairs_to_json(q: Quiver, pairs: list[SttPair]) -> str:
     out = []
     for p in pairs:
         entry = {
-            "modules": [list(cat.modules[i].dims) for k, i in sorted(p) if k == "mod"],
+            "modules": [list(cat.roots[i]) for k, i in sorted(p) if k == "mod"],
             "shifted_projectives": [i for k, i in sorted(p) if k == "proj"],
         }
         out.append(entry)

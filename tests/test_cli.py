@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from qtors import rep, taurig
 from qtors.cli import main
 
 
@@ -92,6 +93,30 @@ def test_check_lattice_reaches_a6_and_e6(capsys, tmp_path, dsl, elements, budget
     }
     assert data["agreement"] is True
     assert elapsed < budget, f"check-lattice took {elapsed:.1f}s of {budget}s"
+
+
+@pytest.mark.parametrize(
+    "dsl",
+    [
+        "vertices 4\narrow 1 4\narrow 2 4\narrow 3 4\n",
+        "vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6\n",
+    ],
+    ids=["D4", "E6"],
+)
+def test_dynkin_commands_compute_no_hom(capsys, tmp_path, monkeypatch, dsl):
+    # the torsion classes of a Dynkin quiver come from its roots alone
+    def refuse(*args):
+        raise RuntimeError("Hom computed on the Dynkin path")
+
+    monkeypatch.setattr(rep, "hom_basis", refuse)
+    monkeypatch.setattr(rep, "hom_dim", refuse)
+    taurig.catalog.cache_clear()
+    f = tmp_path / "q.quiver"
+    f.write_text(dsl)
+    for argv in (["enumerate"], ["poset", "--out", "json"], ["check-lattice"]):
+        code, out, _ = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == 0, argv
+        assert out
 
 
 def test_check_lattice_wild_never_enumerates(capsys, wild_file):

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtors import (
     Matrix,
@@ -51,6 +55,31 @@ def test_euler_form_on_simples_reads_arrows():
     assert euler_form(q, e[0], e[0]) == 1
     assert euler_form(q, e[0], e[1]) == -2  # minus the arrow count 1 -> 2
     assert euler_form(q, e[1], e[0]) == 0
+
+
+@st.composite
+def quivers_with_vectors(draw):
+    """A random acyclic quiver, multiple arrows allowed, with vertices
+    relabelled so arrows need not point upwards, and two integer vectors."""
+    n = draw(st.integers(1, 5))
+    label = draw(st.permutations(range(1, n + 1)))
+    edges = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(edges), max_size=8)) if edges else []
+    q = Quiver(n, tuple((label[s], label[t]) for s, t in chosen))
+    vec = st.lists(st.integers(-4, 6), min_size=n, max_size=n)
+    return q, draw(vec), draw(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quivers_with_vectors())
+def test_euler_form_is_the_inverse_cartan_form(case):
+    # reference: x^t (C^{-1})^t y over the rationals
+    q, x, y = case
+    cinv_t = cartan_matrix(q).inverse().transpose()
+    want = sum(Fraction(a) * b for a, b in zip(x, cinv_t.apply(y)))
+    got = euler_form(q, x, y)
+    assert type(got) is int
+    assert got == want
 
 
 @pytest.mark.parametrize("q", [linear_quiver(3), star_quiver(3)])

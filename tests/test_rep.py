@@ -162,9 +162,22 @@ def _greedy_cocycles(ext: ExtGroup) -> list:
     return chosen
 
 
+def _per_column_image(ext: ExtGroup) -> Matrix:
+    """Reference: the hom_k coordinates of each restriction of a
+    Hom(P0, X) basis element, one solve of the coordinate system each."""
+    pres = ext.presentation
+    cols = []
+    for f in hom_basis(pres.p0, ext.x):
+        sol = ext._coords.solve(ext._flatten(compose(f, pres.incl)))
+        assert sol is not None
+        cols.append(sol)
+    return Matrix.from_columns(cols, nrows=len(ext.hom_k))
+
+
 class TestCocycleOracle:
     def _check(self, x, z):
         ext = ExtGroup(x, z)
+        assert ext._image == _per_column_image(ext)
         assert ext.cocycles == _greedy_cocycles(ext)
         assert ext.dimension == len(ext.hom_k) - ext._image.rank()
 

@@ -23,6 +23,7 @@ from qtors import (
     tc_left_perp,
     tc_meet,
     tc_perp,
+    tits_form,
     torsion_axiom_spotcheck,
     triple_quiver,
 )
@@ -33,6 +34,7 @@ from conftest import linear_quiver, star_quiver
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
+A5_ZIGZAG = Quiver(5, ((1, 2), (3, 2), (3, 4), (5, 4)))
 
 # quivers on which the table-driven engine is held to the slow oracles below
 DIFFERENTIAL = [
@@ -40,7 +42,7 @@ DIFFERENTIAL = [
     pytest.param(Quiver(3, ((1, 2), (3, 2))), id="A3-sink"),
     pytest.param(linear_quiver(4), id="A4"),
     pytest.param(star_quiver(3), id="D4"),
-    pytest.param(Quiver(5, ((1, 2), (3, 2), (3, 4), (5, 4))), id="A5-zigzag"),
+    pytest.param(A5_ZIGZAG, id="A5-zigzag"),
 ]
 
 
@@ -132,15 +134,56 @@ def test_strategy_disagreement_raises(monkeypatch):
         enumerate_stt(A2)
 
 
+def d_quiver(n):
+    """D_n: the path 1 -> ... -> n-2 with two arrows n-2 -> n-1, n-2 -> n."""
+    return Quiver(n, tuple((i, i + 1) for i in range(1, n - 2)) + ((n - 2, n - 1), (n - 2, n)))
+
+
+def e_quiver(n):
+    """E_n: the path 1 -> ... -> n-1 with one more arrow 3 -> n."""
+    return Quiver(n, tuple((i, i + 1) for i in range(1, n - 1)) + ((3, n),))
+
+
 @pytest.mark.parametrize(
-    "q", [A3, Quiver(3, ((1, 2), (3, 2))), star_quiver(3)], ids=["A3", "A3-sink", "D4"]
+    "q, count",
+    [pytest.param(linear_quiver(n), n * (n + 1) // 2, id=f"A{n}") for n in range(1, 8)]
+    + [pytest.param(A5_ZIGZAG, 15, id="A5-zigzag")]
+    + [pytest.param(d_quiver(n), n * (n - 1), id=f"D{n}") for n in range(4, 8)]
+    + [pytest.param(star_quiver(3), 12, id="D4-star")]
+    + [pytest.param(e_quiver(n), c, id=f"E{n}") for n, c in ((6, 36), (7, 63), (8, 120))],
+)
+def test_catalog_roots_are_the_positive_roots(q, count):
+    roots = catalog(q).roots
+    assert len(set(roots)) == len(roots) == count
+    assert all(min(r) >= 0 and tits_form(q, list(r)) == 1 for r in roots)
+    assert roots == sorted(roots, key=lambda d: (sum(d), d))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        A3,
+        Quiver(3, ((1, 2), (3, 2))),
+        star_quiver(3),
+        A5_ZIGZAG,
+        d_quiver(5),
+        e_quiver(6),
+        Quiver(6, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 3))),
+    ],
+    ids=["A3", "A3-sink", "D4", "A5-zigzag", "D5", "E6", "E6-alternating"],
 )
 def test_catalog_tables_match_fresh_hom(q):
     cat = catalog(q)
     mods = cat.modules
     taus = [ar_translate(m) for m in mods]
     projs = [projective_rep(q, v) for v in range(1, q.n + 1)]
-    rigid = [("mod", i) for i, m in enumerate(mods) if hom_dim(m, taus[i]) == 0]
+    hom = [[hom_dim(x, y) for y in mods] for x in mods]
+    tau_hom = [[hom_dim(x, t) for t in taus] for x in mods]
+    proj_hom = [[hom_dim(p, y) for y in mods] for p in projs]
+    assert cat.hom_table == hom
+    assert cat.tau_hom_table == tau_hom
+    assert cat.proj_hom_table == proj_hom
+    rigid = [("mod", i) for i in range(len(mods)) if tau_hom[i][i] == 0]
     summands = rigid + [("proj", v) for v in range(1, q.n + 1)]
     assert cat.summands() == summands
 
@@ -150,17 +193,17 @@ def test_catalog_tables_match_fresh_hom(q):
         if u[0] == "proj":
             u, v = v, u
         if v[0] == "proj":
-            return hom_dim(projs[v[1] - 1], mods[u[1]]) == 0
+            return proj_hom[v[1] - 1][u[1]] == 0
         i, j = u[1], v[1]
-        return hom_dim(mods[i], taus[j]) == 0 and hom_dim(mods[j], taus[i]) == 0
+        return tau_hom[i][j] == 0 and tau_hom[j][i] == 0
 
     for u in summands:
         for v in summands:
             assert is_compatible(cat, u, v) == compatible(u, v), (u, v)
     n = len(mods)
     for i in range(n):
-        zero_from = frozenset(j for j in range(n) if hom_dim(mods[i], mods[j]) == 0)
-        zero_into = frozenset(j for j in range(n) if hom_dim(mods[j], mods[i]) == 0)
+        zero_from = frozenset(j for j in range(n) if hom[i][j] == 0)
+        zero_into = frozenset(j for j in range(n) if hom[j][i] == 0)
         assert tc_perp(q, frozenset({i})) == zero_from
         assert tc_left_perp(q, frozenset({i})) == zero_into
 
