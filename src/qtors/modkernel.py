@@ -5,8 +5,9 @@ integer matrix, so a mod-p kernel dimension is a rigorous upper bound for
 the rational kernel dimension, while lower bounds are only ever claimed by
 exhibiting explicit rational kernel vectors that are re-verified in exact
 arithmetic.  The modular eliminations run on numpy float64 blocks (products
-stay below 2**53, hence exact); candidate rational vectors are recovered by
-CRT across several primes followed by rational reconstruction.
+stay below 2**53, hence exact), one connected component of the matrix at a
+time; candidate rational vectors are recovered by CRT across several primes
+followed by rational reconstruction.
 """
 
 from __future__ import annotations
@@ -203,65 +204,76 @@ def _rational_reconstruct(u: int, m: int) -> Fraction | None:
     return Fraction(n, d)
 
 
-class ModKernel:
-    """Kernel analysis of one integer matrix, growing a prime schedule
-    lazily: one prime gives the dimension upper bound and the pivot/free
-    structure, more primes refine CRT residues until rational kernel
-    vectors reconstruct and verify."""
-
-    def __init__(
-        self,
-        rows: list[list[int]] | np.ndarray,
-        ncols: int,
-        max_primes: int = 8,
-    ):
-        self.ncols = ncols
-        self.max_primes = max_primes
-        if isinstance(rows, np.ndarray):
-            self._base = rows if rows.size else np.zeros((0, ncols), dtype=np.int64)
-        elif rows:
-            try:
-                self._base = np.array(rows, dtype=np.int64)
-            except OverflowError:
-                self._base = np.array(rows, dtype=object)
-        else:
-            self._base = np.zeros((0, ncols), dtype=np.int64)
-        self._max_abs = int(np.abs(self._base).max()) if self._base.size else 0
-        self._verify_residues: dict[int, np.ndarray] = {}
-        self._echelons: list[tuple[int, np.ndarray, list[int]]] = []
-        self._add_prime()
-
-    def _add_prime(self) -> None:
-        used = {p for p, _, _ in self._echelons}
-        for p in PRIMES:
-            if p not in used:
-                break
-        else:
-            raise ReconstructionError("prime schedule exhausted")
-        a = (self._base % p).astype(np.float64)
-        ech, pivots = echelon_mod_p(a, p)
-        self._echelons.append((p, ech, pivots))
-
-    @property
-    def dim_upper_bound(self) -> int:
-        """Exact upper bound for the rational kernel dimension."""
-        return min(self.ncols - len(piv) for _, _, piv in self._echelons)
-
-    def _structure(self) -> tuple[np.ndarray, list[int], list[int], int]:
-        p, ech, pivots = min(
-            self._echelons, key=lambda t: self.ncols - len(t[2])
-        )
-        pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
-        return ech, pivots, free, p
+def int_array(rows: list[list[int]]) -> np.ndarray:
+    """Integer rows as an int64 array when every entry fits, as an object
+    array of Python ints otherwise."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
-    def _verified(self, vec: list[Fraction]) -> bool:
+def max_abs(a: np.ndarray) -> int:
+    """Largest absolute entry of an integer array (int64 or object) as a
+    Python int; 0 for an empty array."""
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _components(base: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column indices, both ascending, of the connected components
+    of the bipartite graph joining row i to column j where base[i, j] != 0.
+    Columns without a non-zero entry form one last component with no rows;
+    zero rows belong to no component."""
+    m, n = base.shape
+    ri, ci = np.nonzero(base)
+    # min-label propagation with pointer jumping: each column's label is a
+    # column of its component no larger than itself, and labels only fall,
+    # so the loop ends; at its fixed point every row sees a single label
+    lab = np.arange(n)
+    while True:
+        rowlab = np.full(m, n)
+        np.minimum.at(rowlab, ri, lab[ci])
+        new = lab.copy()
+        np.minimum.at(new, ci, rowlab[ri])
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    live = np.zeros(n, dtype=bool)
+    live[ci] = True
+    lab[~live] = n
+    corder = np.argsort(lab, kind="stable")
+    rorder = np.argsort(rowlab, kind="stable")
+    ccuts = np.flatnonzero(np.diff(lab[corder])) + 1
+    rcuts = np.flatnonzero(np.diff(rowlab[rorder])) + 1
+    col_groups = np.split(corder, ccuts) if n else []
+    row_groups = np.split(rorder, rcuts) if m else []
+    # rows and columns with the same label sort into the same position; the
+    # label n (zero rows, empty columns) sorts last on both sides
+    out = [(r, c) for r, c in zip(row_groups, col_groups) if rowlab[r[0]] < n]
+    if n and not live[col_groups[-1][0]]:
+        out.append((np.zeros(0, dtype=np.intp), col_groups[-1]))
+    return out
+
+
+class _Block:
+    """One connected component of a ModKernel matrix: its columns
+    (ascending), its integer sub-matrix and one echelon per prime of the
+    schedule."""
+
+    def __init__(self, cols: np.ndarray, base: np.ndarray):
+        self.cols = cols
+        self.base = base
+        self.max_abs = max_abs(base)
+        self.echelons: list[tuple[np.ndarray, list[int]]] = []
+        self.verify_residues: dict[int, np.ndarray] = {}
+
+    def verified(self, vec: list[Fraction]) -> bool:
         """Exact zero test of base @ vec: the integers base @ w (w = vec with
         denominators cleared) are checked to vanish modulo verification
         primes whose product exceeds twice the a-priori magnitude bound, so
         vanishing modulo all of them implies vanishing over the integers."""
-        if self._base.shape[0] == 0:
+        if self.base.shape[0] == 0:
             return True
         den = 1
         for e in vec:
@@ -272,7 +284,7 @@ class ModKernel:
             w = [e.numerator for e in vec]
         else:
             w = [int(e * den) for e in vec]
-        bound = 2 * self.ncols * self._max_abs * max(
+        bound = 2 * len(w) * self.max_abs * max(
             (abs(c) for c in w), default=0
         ) + 1
         nzi = [j for j, c in enumerate(w) if c]
@@ -281,10 +293,10 @@ class ModKernel:
         for q in _VERIFY_PRIMES:
             if modulus > bound:
                 return True
-            rq = self._verify_residues.get(q)
+            rq = self.verify_residues.get(q)
             if rq is None:
-                rq = (self._base % q).astype(np.int64)
-                self._verify_residues[q] = rq
+                rq = (self.base % q).astype(np.int64)
+                self.verify_residues[q] = rq
             if sparse:
                 wq = np.array([w[j] % q for j in nzi], dtype=np.int64)
                 prod = rq[:, nzi] @ wq
@@ -298,20 +310,146 @@ class ModKernel:
         # to the direct exact dot products
         nz = [(j, c) for j, c in enumerate(w) if c]
         return not any(
-            sum(int(row[j]) * c for j, c in nz) for row in self._base
+            sum(int(row[j]) * c for j, c in nz) for row in self.base
         )
+
+
+def _reconstructed(
+    residues: list[list[int]], primes: list[int]
+) -> list[Fraction] | None:
+    """Rational vector whose entries reduce to the given residue vectors
+    modulo the given primes (CRT, then rational reconstruction); None when
+    some entry does not reconstruct."""
+    res, mod = residues[0], primes[0]
+    for vec, p in zip(residues[1:], primes[1:]):
+        res = [_crt_pair(r1, mod, r2, p)[0] for r1, r2 in zip(res, vec)]
+        mod *= p
+    zero = Fraction(0)
+    out = [zero] * len(res)
+    for i, u in enumerate(res):
+        if u:
+            fr = _rational_reconstruct(u, mod)
+            if fr is None:
+                return None
+            out[i] = fr
+    return out
+
+
+class ModKernel:
+    """Kernel analysis of one integer matrix, growing a prime schedule
+    lazily: one prime gives the dimension upper bound and the pivot/free
+    structure, more primes refine CRT residues until rational kernel
+    vectors reconstruct and verify.
+
+    The matrix is split once into the connected components of its
+    row-column graph and every prime eliminates each component on its own.
+    The greedy pivot columns of an echelon form are the columns outside the
+    span of the columns before them, and that span splits along the
+    components, so the pivots are those of one elimination of the whole
+    matrix; the canonical kernel vector of a free column is non-zero only
+    inside that column's component."""
+
+    def __init__(
+        self,
+        rows: list[list[int]] | np.ndarray,
+        ncols: int,
+        max_primes: int = 8,
+    ):
+        self.ncols = ncols
+        self.max_primes = max_primes
+        if isinstance(rows, np.ndarray):
+            base = rows if rows.size else np.zeros((0, ncols), dtype=np.int64)
+        elif rows:
+            base = int_array(rows)
+        else:
+            base = np.zeros((0, ncols), dtype=np.int64)
+        self._blocks = [
+            _Block(c, base[np.ix_(r, c)]) for r, c in _components(base)
+        ]
+        self._block_of = np.zeros(ncols, dtype=np.intp)
+        self._local = np.zeros(ncols, dtype=np.intp)
+        for bi, b in enumerate(self._blocks):
+            self._block_of[b.cols] = bi
+            self._local[b.cols] = np.arange(len(b.cols))
+        self._primes: list[int] = []
+        self._pivots: list[list[int]] = []  # whole-matrix pivots per prime
+        self._add_prime()
+
+    def _add_prime(self) -> None:
+        for p in PRIMES:
+            if p not in self._primes:
+                break
+        else:
+            raise ReconstructionError("prime schedule exhausted")
+        pivots: list[int] = []
+        for b in self._blocks:
+            ech, piv = echelon_mod_p((b.base % p).astype(np.float64), p)
+            b.echelons.append((ech, piv))
+            pivots.extend(b.cols[piv].tolist())
+        self._primes.append(p)
+        self._pivots.append(sorted(pivots))
+
+    @property
+    def dim_upper_bound(self) -> int:
+        """Exact upper bound for the rational kernel dimension."""
+        return self.ncols - max(len(piv) for piv in self._pivots)
+
+    def _structure(self) -> tuple[int, list[int], list[int]]:
+        """Index of the prime of largest rank (the first among equals), its
+        pivot columns and its free columns."""
+        k = max(range(len(self._primes)), key=lambda i: len(self._pivots[i]))
+        pivset = set(self._pivots[k])
+        free = [c for c in range(self.ncols) if c not in pivset]
+        return k, self._pivots[k], free
+
+    def _by_block(self, cols: list[int]) -> dict[int, list[int]]:
+        """Positions in `cols` grouped by the block of their column."""
+        groups: dict[int, list[int]] = {}
+        for j, c in enumerate(cols):
+            groups.setdefault(int(self._block_of[c]), []).append(j)
+        return groups
+
+    def _lucky(self, base_pivots: list[int]) -> list[int]:
+        """Indices of the primes whose pivots are the base pivots; the
+        others are unlucky (rank dropped or structure shifted)."""
+        ks = [k for k, piv in enumerate(self._pivots) if piv == base_pivots]
+        if not ks:
+            raise RuntimeError("no prime with the base pivots to reconstruct from")
+        return ks
+
+    def _grow(self, base_pivots: list[int]) -> None:
+        """Add a prime after a failed candidate, keeping the structure."""
+        if len(self._primes) >= self.max_primes:
+            raise ReconstructionError(
+                "kernel vector did not reconstruct from "
+                f"{len(self._primes)} primes"
+            )
+        self._add_prime()
+        if self._structure()[1] != base_pivots:
+            raise ReconstructionError("unstable pivot structure")
 
     def candidate_residues(
         self, columns: list[int] | None = None
     ) -> tuple[list[int], list[int], np.ndarray, int]:
-        """Mod-p data of canonical kernel vectors in one backsubstitution:
-        the pivot columns, the free columns, the pivot-coordinate block
-        (column k belongs to the vector with 1 at the k-th requested free
-        column and 0 at the others), and the prime used.  `columns`
+        """Mod-p data of canonical kernel vectors in one backsubstitution
+        per block: the pivot columns, the free columns, the pivot-coordinate
+        block (column k belongs to the vector with 1 at the k-th requested
+        free column and 0 at the others), and the prime used.  `columns`
         restricts the computation to the given free columns."""
-        ech, pivots, free, p = self._structure()
+        k, pivots, free = self._structure()
         cols = free if columns is None else columns
-        return pivots, free, _kernel_coords_mod_p(ech, pivots, cols, p), p
+        p = self._primes[k]
+        coords = np.zeros((len(pivots), len(cols)), dtype=np.float64)
+        row_of = np.searchsorted(pivots, np.arange(self.ncols))
+        for bi, pos in self._by_block(cols).items():
+            b = self._blocks[bi]
+            ech, piv = b.echelons[k]
+            if piv:
+                local = [int(self._local[cols[j]]) for j in pos]
+                coords[np.ix_(row_of[b.cols[piv]], pos)] = _kernel_coords_mod_p(
+                    ech, piv, local, p
+                )
+        return pivots, free, coords, p
 
     def exact_vectors(
         self,
@@ -327,7 +465,7 @@ class ModKernel:
         to the given free `columns`.  Yields at most `count` vectors, at
         most dim_upper_bound in total; if all dim_upper_bound vectors verify
         they form a full kernel basis."""
-        _, base_pivots, free, _ = self._structure()
+        _, base_pivots, free = self._structure()
         if columns is not None:
             freeset = set(free)
             free = [f for f in columns if f in freeset]
@@ -339,62 +477,48 @@ class ModKernel:
             free = [free[(i * step) % n] for i in range(n)]
         total = len(free) if count is None else min(count, len(free))
         sel = free[:total]
-        coord_cache: dict[int, np.ndarray] = {}
+        groups = self._by_block(sel)
+        slot = {j: s for pos in groups.values() for s, j in enumerate(pos)}
+        coord_cache: dict[tuple[int, int], np.ndarray] = {}
 
-        def candidate(idx: int) -> list[Fraction] | None:
-            """CRT residues of one kernel vector across the current primes,
-            rationally reconstructed; None if reconstruction fails (the
-            caller should add a prime and retry).  Backsubstitution runs
-            once per prime for the whole selection."""
-            res: list[int] | None = None
-            mod = 1
-            for p, ech, pivots in self._echelons:
-                if pivots != base_pivots:
-                    # unlucky prime: rank dropped or structure shifted
-                    continue
-                coords = coord_cache.get(p)
+        def candidate(idx: int, bi: int) -> list[Fraction] | None:
+            """CRT residues of one kernel vector across the lucky primes,
+            restricted to its block and rationally reconstructed; None if
+            reconstruction fails (the caller should add a prime and retry).
+            Backsubstitution runs once per block and prime for the block's
+            whole selection."""
+            b = self._blocks[bi]
+            residues: list[list[int]] = []
+            primes: list[int] = []
+            for k in self._lucky(base_pivots):
+                ech, piv = b.echelons[k]
+                p = self._primes[k]
+                coords = coord_cache.get((bi, k))
                 if coords is None:
-                    coords = _kernel_coords_mod_p(ech, pivots, sel, p)
-                    coord_cache[p] = coords
-                vec = [0] * self.ncols
-                vec[sel[idx]] = 1
-                for i, c in enumerate(pivots):
-                    vec[c] = int(coords[i, idx])
-                if res is None:
-                    res, mod = vec, p
-                else:
-                    res = [
-                        _crt_pair(r1, mod, r2, p)[0]
-                        for r1, r2 in zip(res, vec)
-                    ]
-                    mod *= p
-            if res is None:
-                raise RuntimeError("no prime with the base pivots to reconstruct from")
-            zero = Fraction(0)
-            out = [zero] * self.ncols
-            for i, u in enumerate(res):
-                if u:
-                    fr = _rational_reconstruct(u, mod)
-                    if fr is None:
-                        return None
-                    out[i] = fr
-            return out
+                    local = [int(self._local[sel[j]]) for j in groups[bi]]
+                    coords = _kernel_coords_mod_p(ech, piv, local, p)
+                    coord_cache[(bi, k)] = coords
+                vec = [0] * len(b.cols)
+                vec[self._local[sel[idx]]] = 1
+                for i, c in enumerate(piv):
+                    vec[c] = int(coords[i, slot[idx]])
+                residues.append(vec)
+                primes.append(p)
+            return _reconstructed(residues, primes)
 
+        zero = Fraction(0)
         for idx in range(total):
+            bi = int(self._block_of[sel[idx]])
+            b = self._blocks[bi]
             while True:
-                vec = candidate(idx)
-                if vec is not None and self._verified(vec):
-                    yield vec
+                part = candidate(idx, bi)
+                if part is not None and b.verified(part):
+                    out = [zero] * self.ncols
+                    for c, e in zip(b.cols.tolist(), part):
+                        out[c] = e
+                    yield out
                     break
-                if len(self._echelons) >= self.max_primes:
-                    raise ReconstructionError(
-                        "kernel vector did not reconstruct from "
-                        f"{len(self._echelons)} primes"
-                    )
-                self._add_prime()
-                if self._structure()[1] != base_pivots:
-                    raise ReconstructionError("unstable pivot structure")
-
+                self._grow(base_pivots)
 
     def exact_random_vectors(
         self, count: int, seed: int = 0, bound: int = 1
@@ -405,37 +529,43 @@ class ModKernel:
         per-free-column vectors of `exact_vectors` are too structured; the
         random signs keep numerator heights close to canonical, so the prime
         schedule rarely needs to grow."""
-        _, base_pivots, free, _ = self._structure()
+        _, base_pivots, free = self._structure()
         if not free:
             return
         rng = random.Random(seed)
+        groups = self._by_block(free)
 
         def candidate(w: list[int]) -> list[Fraction] | None:
-            res: list[int] | None = None
-            mod = 1
-            for p, ech, pivots in self._echelons:
-                if pivots != base_pivots:
-                    continue
-                x = _kernel_combo_mod_p(ech, pivots, free, w, p)
-                if res is None:
-                    res, mod = [int(v) for v in x], p
-                else:
-                    res = [
-                        _crt_pair(r1, mod, int(r2), p)[0]
-                        for r1, r2 in zip(res, x)
-                    ]
-                    mod *= p
-            if res is None:
-                raise RuntimeError("no prime with the base pivots to reconstruct from")
+            """The kernel vector with free coordinates w, block by block;
+            None if some block does not reconstruct or verify.  A block
+            whose free coordinates are all 0 contributes 0."""
+            lucky = self._lucky(base_pivots)
             out = [Fraction(0)] * self.ncols
             for j, c in enumerate(free):
                 out[c] = Fraction(w[j])
-            for i, c in enumerate(base_pivots):
-                if res[i]:
-                    fr = _rational_reconstruct(res[i], mod)
-                    if fr is None:
-                        return None
+            for bi, pos in groups.items():
+                wb = [w[j] for j in pos]
+                b = self._blocks[bi]
+                if not any(wb) or not b.base.shape[0]:
+                    continue
+                local = [int(self._local[free[j]]) for j in pos]
+                residues = [
+                    [
+                        int(v)
+                        for v in _kernel_combo_mod_p(
+                            *b.echelons[k], local, wb, self._primes[k]
+                        )
+                    ]
+                    for k in lucky
+                ]
+                vals = _reconstructed(residues, [self._primes[k] for k in lucky])
+                if vals is None:
+                    return None
+                piv = b.echelons[lucky[0]][1]
+                for c, fr in zip(b.cols[piv].tolist(), vals):
                     out[c] = fr
+                if not b.verified([out[c] for c in b.cols.tolist()]):
+                    return None
             return out
 
         for _ in range(count):
@@ -444,18 +574,7 @@ class ModKernel:
                 w[0] = 1
             while True:
                 vec = candidate(w)
-                if vec is not None and self._verified(vec):
+                if vec is not None:
                     yield vec
                     break
-                if len(self._echelons) >= self.max_primes:
-                    raise ReconstructionError(
-                        "kernel vector did not reconstruct from "
-                        f"{len(self._echelons)} primes"
-                    )
-                self._add_prime()
-                if self._structure()[1] != base_pivots:
-                    raise ReconstructionError("unstable pivot structure")
-
-
-def kernel_dim_upper_bound(rows: list[list[int]], ncols: int) -> int:
-    return ModKernel(rows, ncols).dim_upper_bound
+                self._grow(base_pivots)

@@ -25,6 +25,8 @@ from .modkernel import (
     ModKernel,
     ReconstructionError,
     echelon_mod_p,
+    int_array,
+    max_abs,
 )
 from .quiver import Quiver, QuiverError, opposite
 
@@ -353,7 +355,6 @@ class ExtGroup:
         if z.is_zero():
             self.presentation = None
             self.hom_k: list[Morphism] = []
-            self._coords = Matrix.zero(0, 0)
             self._image = Matrix.zero(0, 0)
             self.dimension = 0
             self.cocycles: list[Morphism] = []
@@ -361,22 +362,35 @@ class ExtGroup:
         self.presentation = presentation or projective_presentation(z)
         pres = self.presentation
         self.hom_k = hom_basis(pres.kernel, x)
+        # hom_k is the kernel_basis of the hom_basis system, whose variables
+        # are ordered as _flatten orders entries: each element is 1 at its
+        # own free variable, 0 at the others and non-zero elsewhere only at
+        # pivot variables before its own, so its free variable is its last
+        # non-zero entry, and the hom_k coordinates of any f in Hom(K, X)
+        # are the entries of f at the free variables
         flat = [self._flatten(f) for f in self.hom_k]
-        nent = len(flat[0]) if flat else sum(
-            x.dims[v] * pres.kernel.dims[v] for v in range(x.quiver.n)
+        free = [max(i for i, e in enumerate(v) if e) for v in flat]
+        if any(
+            v[i] != (a == b) for a, v in enumerate(flat) for b, i in enumerate(free)
+        ):
+            raise RuntimeError("Hom(K, X) basis is not a canonical kernel basis")
+        entries = [
+            (v, i, j)
+            for v in range(x.quiver.n)
+            for i in range(x.dims[v])
+            for j in range(pres.kernel.dims[v])
+        ]
+        self._free = [entries[i] for i in free]
+        self._kmaps = [_int_form(m) for m in pres.kernel.arrow_maps]
+        self._xmaps = [_int_form(m) for m in x.arrow_maps]
+        incl = [_int_form(m) for m in pres.incl]
+        restricted = (
+            [(a @ b, da * db) for (a, da), (b, db) in zip(map(_int_form, f), incl)]
+            for f in hom_basis(pres.p0, x)
         )
-        self._coords = Matrix.from_columns(flat, nrows=nent)
-        restricted = Matrix.from_columns(
-            [self._flatten(compose(f, pres.incl)) for f in hom_basis(pres.p0, x)],
-            nrows=nent,
+        self._image = Matrix.from_columns(
+            [self._coordinates(g) for g in restricted], nrows=len(self.hom_k)
         )
-        # hom_k coordinates of every restriction from one RREF; the hom_k
-        # columns are independent, so all pivots must fall among them
-        k = len(self.hom_k)
-        red, pivots, _ = Matrix.hstack([self._coords, restricted]).rref()
-        if pivots != tuple(range(k)):
-            raise RuntimeError("morphism outside Hom(K, X)")
-        self._image = red.submatrix(range(k), range(k, red.cols))
         # cocycle representatives: hom_k elements completing the image
         self.cocycles = [self.hom_k[i] for i in complement_indices(self._image)]
         self.dimension = len(self.cocycles)
@@ -384,12 +398,23 @@ class ExtGroup:
     def _flatten(self, f: Morphism) -> list[Fraction]:
         return [e for m in f for e in m.entries()]
 
+    def _coordinates(self, g: list[tuple[np.ndarray, int]]) -> list[Fraction]:
+        """hom_k coordinates of a map K -> X in integer form (`_int_form`
+        per vertex), after an exact check that it lies in Hom(K, X)."""
+        for a, (s, t) in enumerate(self.x.quiver.arrows):
+            (xa, dx), (ka, dk) = self._xmaps[a], self._kmaps[a]
+            (gs, ds), (gt, dt) = g[s - 1], g[t - 1]
+            # x_a g_s = g_t k_a with the denominators cross-multiplied
+            if not ((xa @ gs) * (dt * dk) == (gt @ ka) * (dx * ds)).all():
+                raise RuntimeError("morphism outside Hom(K, X)")
+        return [Fraction(int(g[v][0][i, j]), g[v][1]) for v, i, j in self._free]
+
     def is_coboundary(self, cocycle: Morphism) -> bool:
         """True iff the class of the cocycle vanishes, i.e. the extension
         it realizes splits."""
-        coords = self._coords.solve(self._flatten(cocycle))
-        if coords is None:
-            raise RuntimeError("morphism outside Hom(K, X)")
+        if self.presentation is None:
+            return True
+        coords = self._coordinates([_int_form(m) for m in cocycle])
         if self._image.cols == 0:
             return all(c == 0 for c in coords)
         return self._image.solve(coords) is not None
@@ -640,6 +665,17 @@ def _den_lcm(m: Matrix) -> int:
     return d
 
 
+def _int_form(m: Matrix) -> tuple[np.ndarray, int]:
+    """m as (a, d) with m = a / d: d the lcm of the denominators and a an
+    object array of Python ints, so products stay exact without Fraction
+    arithmetic."""
+    d = _den_lcm(m)
+    a = np.empty((m.rows, m.cols), dtype=object)
+    for i in range(m.rows):
+        a[i, :] = [e.numerator * (d // e.denominator) for e in m.row(i)]
+    return a, d
+
+
 def _integer_form(x: Rep) -> Rep:
     return x._rescaled or x
 
@@ -691,9 +727,7 @@ def _np_path_map(x: Rep, path: tuple[int, ...], start: int) -> np.ndarray:
     else:
         prev = _np_path_map(x, path[:-1], start)
         arr = _np_int(x.arrow_maps[path[-1]])
-        max_a = max((abs(int(v)) for v in arr.flat), default=0)
-        max_p = max((abs(int(v)) for v in prev.flat), default=0)
-        if max_a * max_p * max(arr.shape[1], 1) < 2**62:
+        if max_abs(arr) * max_abs(prev) * max(arr.shape[1], 1) < 2**62:
             pm = arr.astype(np.int64) @ prev.astype(np.int64)
         else:
             pm = arr @ prev.astype(object)
@@ -756,8 +790,8 @@ def _certified_int_kernel(mat: np.ndarray) -> np.ndarray:
         )
         cols = [_scaled_int_vector(vec) for vec in exact.kernel_basis()]
     if not cols:
-        return np.zeros((n, 0), dtype=object)
-    return np.array(cols, dtype=object).T
+        return np.zeros((n, 0), dtype=np.int64)
+    return int_array(cols).T
 
 
 @dataclass
@@ -794,9 +828,9 @@ def _top_presentation(x: Rep) -> _TopPresentation:
                 cols.append([int(e) for e in pm[:, c]])
         path_counts.append(counts)
         if cols:
-            epi = np.array(cols, dtype=object).T.reshape(x.dim(w), len(cols))
+            epi = int_array(cols).T.reshape(x.dim(w), len(cols))
         else:
-            epi = np.zeros((x.dim(w), 0), dtype=object)
+            epi = np.zeros((x.dim(w), 0), dtype=np.int64)
         kernels.append(_certified_int_kernel(epi))
     return _TopPresentation(summands, paths, kernels, path_counts)
 
@@ -806,9 +840,7 @@ def _weighted_blocks(ks: np.ndarray, pmats: list[np.ndarray]) -> np.ndarray:
     einsum when an a-priori magnitude bound allows, exact object arithmetic
     otherwise."""
     stack = np.stack(pmats)
-    max_k = max((abs(int(v)) for v in ks.flat), default=0)
-    max_p = max((abs(int(v)) for v in stack.flat), default=0)
-    if max_k * max_p * len(pmats) < 2**62:
+    if max_abs(ks) * max_abs(stack) * len(pmats) < 2**62:
         return np.einsum(
             "bq,bec->qec",
             ks.astype(np.int64),
@@ -902,8 +934,7 @@ def _hom_rows(
             k_w = kmat.shape[1]
             if k_w == 0 or e_w == 0:
                 continue
-            block = np.zeros((k_w * e_w, ncols), dtype=object)
-            int64_only = True
+            block = np.zeros((k_w * e_w, ncols), dtype=np.int64)
             roff = 0
             for j, (v, _) in enumerate(pres.summands):
                 b = pres.path_counts[w - 1][j]
@@ -913,12 +944,14 @@ def _hom_rows(
                         kmat[roff : roff + b, :],
                         [ynp[(v, pth)] for pth in pres.paths[v][w]],
                     )
+                    if contrib.dtype == object and block.dtype != object:
+                        # a magnitude bound failed: exact object arithmetic
+                        block = block.astype(object)
                     block[:, offsets[j] : offsets[j] + c_j] = contrib.reshape(
                         k_w * e_w, c_j
                     )
-                    int64_only = int64_only and contrib.dtype == np.int64
                 roff += b
-            blocks.append(block.astype(np.int64) if int64_only else block)
+            blocks.append(block)
     if blocks:
         rows = np.vstack(blocks)
     else:
@@ -1222,9 +1255,7 @@ def _fast_gen_contains(g: Rep, t: Rep) -> bool:
     buffers: list[list[np.ndarray]] = [[] for _ in range(q.n)]
     full = [d == 0 for d in ti.dims]
 
-    ynp_max = max(
-        (abs(int(v)) for m in sys.ynp.values() for v in m.flat), default=0
-    )
+    ynp_max = max((max_abs(m) for m in sys.ynp.values()), default=0)
     ydim_max = max(ti.dims, default=0)
 
     def absorb(u: list[Fraction]) -> None:

@@ -166,9 +166,11 @@ def _per_column_image(ext: ExtGroup) -> Matrix:
     """Reference: the hom_k coordinates of each restriction of a
     Hom(P0, X) basis element, one solve of the coordinate system each."""
     pres = ext.presentation
+    nent = sum(ext.x.dims[v] * pres.kernel.dims[v] for v in range(ext.x.quiver.n))
+    coords = Matrix.from_columns([ext._flatten(f) for f in ext.hom_k], nrows=nent)
     cols = []
     for f in hom_basis(pres.p0, ext.x):
-        sol = ext._coords.solve(ext._flatten(compose(f, pres.incl)))
+        sol = coords.solve(ext._flatten(compose(f, pres.incl)))
         assert sol is not None
         cols.append(sol)
     return Matrix.from_columns(cols, nrows=len(ext.hom_k))
@@ -197,6 +199,29 @@ class TestCocycleOracle:
         for x in (w.m, w.n):
             for z in (w.m, w.n):
                 self._check(x, z)
+
+
+def test_is_coboundary_rejects_a_non_morphism():
+    x = projective_rep(A3, 2)
+    ext = ExtGroup(x, simple_rep(A3, 1))
+    kernel = ext.presentation.kernel
+    zero = tuple(Matrix.zero(x.dims[v], kernel.dims[v]) for v in range(3))
+    assert ext.is_coboundary(zero)
+    cells = [
+        (v, i, j)
+        for v, m in enumerate(zero)
+        for i in range(m.rows)
+        for j in range(m.cols)
+    ]
+    for v, i, j in cells:
+        m = zero[v]
+        unit = [[int((r, c) == (i, j)) for c in range(m.cols)] for r in range(m.rows)]
+        bad = zero[:v] + (Matrix(m.rows, m.cols, unit),) + zero[v + 1 :]
+        if not _is_morphism(bad, kernel, x):
+            with pytest.raises(RuntimeError, match="outside Hom"):
+                ext.is_coboundary(bad)
+            return
+    pytest.fail("no single-entry map breaks the intertwining equations")
 
 
 def _cokernel_source_reflection(x, vertex):
