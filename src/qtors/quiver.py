@@ -11,7 +11,6 @@ cross-check in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .linalg import Matrix, symmetric_definiteness
 
@@ -333,17 +332,31 @@ def find_witness_subquiver(q: Quiver) -> tuple[frozenset[int], QuiverClass] | No
     """Smallest full subquiver that is extended Dynkin with >= 3 vertices or
     wild with exactly 3 vertices; None iff q is Dynkin or has <= 2 vertices.
 
-    Ties are broken by lexicographic vertex order.
+    Among the witnesses of smallest size the lexicographically first sorted
+    vertex tuple is returned.  Only connected vertex sets can be witnesses,
+    and only those are built: level s + 1 holds S + {w} for every connected
+    S of size s and every neighbour w of S outside S, which reaches every
+    connected set, since each has a vertex whose removal leaves it
+    connected.  From size 3 on, each level is classified in sorted-tuple
+    order, so the sets tested and their order are those of a scan of all
+    subsets by size and then lexicographically that skips the disconnected
+    ones.  Below the witness size every connected full subquiver is Dynkin,
+    which keeps each level polynomial in the number of vertices (README,
+    "Witness subquivers").
     """
     if not q.is_connected():
         raise QuiverError("witness search requires a connected quiver")
     if q.n <= 2 or classify(q).tag == "Dynkin":
         return None
+    adj: dict[int, set[int]] = {v: set() for v in range(1, q.n + 1)}
+    for s, t in q.arrows:
+        adj[s].add(t)
+        adj[t].add(s)
+    level = {frozenset(edge) for edge in q.edge_multiplicities()}
     for size in range(3, q.n + 1):
-        for vs in combinations(range(1, q.n + 1), size):
+        level = {vs | {w} for vs in level for u in vs for w in adj[u] - vs}
+        for vs in sorted(tuple(sorted(vs)) for vs in level):
             sub, _ = full_subquiver(q, set(vs))
-            if not sub.is_connected():
-                continue
             cls = classify(sub)
             if cls.tag == "ExtendedDynkin":
                 return frozenset(vs), cls

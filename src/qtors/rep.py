@@ -283,12 +283,14 @@ def is_tau_rigid(x: Rep) -> bool:
 
 @dataclass(frozen=True)
 class PresentationData:
-    """Minimal projective presentation 0 -> K -> P0 -> Z -> 0."""
+    """Minimal projective presentation 0 -> K -> P0 -> Z -> 0, with
+    P0 = P(tops[0]) + P(tops[1]) + ... in that summand order."""
 
     p0: Rep
     epi: Morphism
     kernel: Rep
     incl: Morphism
+    tops: tuple[int, ...]
 
 
 def radical_generators(z: Rep, v: int) -> Matrix:
@@ -340,7 +342,37 @@ def projective_presentation(z: Rep) -> PresentationData:
             cols.append(sol)
         kmaps.append(Matrix.from_columns(cols, nrows=kdims[t - 1]))
     kernel = Rep(q, kdims, tuple(kmaps))
-    return PresentationData(p0, tuple(epi), kernel, tuple(incl))
+    tops = tuple(v for v, _ in summands)
+    return PresentationData(p0, tuple(epi), kernel, tuple(incl), tops)
+
+
+def _projective_hom_basis(pres: PresentationData, x: Rep) -> list[Morphism]:
+    """Basis of Hom(P0, X): a morphism is fixed by the image of the top of
+    each summand P(v_i), any vector of X_{v_i}.  The element for (i, j) sends
+    the top of summand i to the j-th standard basis vector of X_{v_i} and the
+    other tops to 0; at w it sends the path p of P(v_i)_w to column j of
+    x.path_map(p, v_i), in the column order of `projective_presentation`."""
+    q = x.quiver
+    paths = {v: _paths_from(q, v) for v in set(pres.tops)}
+    blocks = {
+        (v, w): [x.path_map(p, v) for p in paths[v][w]]
+        for v in paths
+        for w in range(1, q.n + 1)
+    }
+    basis = []
+    for i, v in enumerate(pres.tops):
+        for j in range(x.dim(v)):
+            f = []
+            for w in range(1, q.n + 1):
+                zero = [Fraction(0)] * x.dim(w)
+                cols = [
+                    m.col(j) if k == i else zero
+                    for k, u in enumerate(pres.tops)
+                    for m in blocks[u, w]
+                ]
+                f.append(Matrix.from_columns(cols, nrows=x.dim(w)))
+            basis.append(tuple(f))
+    return basis
 
 
 class ExtGroup:
@@ -386,7 +418,7 @@ class ExtGroup:
         incl = [_int_form(m) for m in pres.incl]
         restricted = (
             [(a @ b, da * db) for (a, da), (b, db) in zip(map(_int_form, f), incl)]
-            for f in hom_basis(pres.p0, x)
+            for f in _projective_hom_basis(pres, x)
         )
         self._image = Matrix.from_columns(
             [self._coordinates(g) for g in restricted], nrows=len(self.hom_k)

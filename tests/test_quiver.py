@@ -1,4 +1,10 @@
+import json
+import time
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtors import (
     Quiver,
@@ -15,6 +21,8 @@ from qtors import (
     tits_matrix,
     triple_quiver,
 )
+from qtors import quiver
+from qtors.cli import main
 
 from conftest import linear_quiver, star_quiver
 
@@ -173,3 +181,149 @@ class TestSubquiversAndDecision:
     def test_decision_requires_connected(self):
         with pytest.raises(QuiverError):
             theorem_main_decision(Quiver(3, ((1, 2),)))
+
+
+def _exhaustive_witness(q):
+    """Reference: every vertex subset by size, then lexicographically,
+    skipping the disconnected ones."""
+    if q.n <= 2 or classify(q).tag == "Dynkin":
+        return None
+    for size in range(3, q.n + 1):
+        for vs in combinations(range(1, q.n + 1), size):
+            sub, _ = full_subquiver(q, set(vs))
+            if not sub.is_connected():
+                continue
+            cls = classify(sub)
+            if cls.tag == "ExtendedDynkin" or (cls.tag == "Wild" and size == 3):
+                return frozenset(vs), cls
+    raise AssertionError("no witness for a non-Dynkin quiver")
+
+
+def _from_edges(n, edges, label=None):
+    """Quiver with each undirected edge (a, b) pointing from its smaller end
+    to its larger one, after relabelling vertex v as label[v - 1]."""
+    label = label or list(range(1, n + 1))
+    return Quiver(n, tuple((label[a - 1], label[b - 1]) for a, b in edges))
+
+
+def _cycle(n):
+    return _from_edges(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+
+
+def _star_of_paths(branches):
+    """Tree with one centre (vertex 1) and paths of the given lengths."""
+    edges, n = [], 1
+    for length in branches:
+        prev = 1
+        for _ in range(length):
+            n += 1
+            edges.append((prev, n))
+            prev = n
+    return _from_edges(n, edges)
+
+
+def _affine_d(n):
+    """D~_n on n + 1 vertices: the path 1..n-3 with leaves n-2 and n-1 at
+    vertex 1 and leaves n and n+1 at vertex n-3."""
+    edges = [(i, i + 1) for i in range(1, n - 3)]
+    edges += [(1, n - 2), (1, n - 1), (n - 3, n), (n - 3, n + 1)]
+    return _from_edges(n + 1, edges)
+
+
+@st.composite
+def connected_quivers(draw):
+    """A random connected acyclic quiver on at most 10 vertices: a random
+    spanning tree plus a few chords, edge multiplicities up to 3, arrows
+    oriented along a random vertex order.  Half the tree vertices hang off
+    the previous one and half the quivers are trees, so long paths, and
+    with them large witnesses, are common."""
+    n = draw(st.integers(1, 10))
+    label = draw(st.permutations(range(1, n + 1)))
+    edges = [
+        (v - 1 if draw(st.booleans()) else draw(st.integers(1, v - 1)), v)
+        for v in range(2, n + 1)
+    ]
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    if pairs and draw(st.booleans()):
+        edges += draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2))
+    arrows = []
+    for a, b in edges:
+        mult = draw(st.sampled_from([1] * 20 + [2, 3]))
+        s, t = sorted((label[a - 1], label[b - 1]))
+        arrows += [(s, t)] * mult
+    return Quiver(n, tuple(arrows))
+
+
+class TestWitnessSearch:
+    @settings(max_examples=400, deadline=None)
+    @given(connected_quivers())
+    def test_matches_exhaustive_search(self, q):
+        assert find_witness_subquiver(q) == _exhaustive_witness(q)
+
+    @pytest.mark.parametrize(
+        "q, vertices, type_name",
+        [
+            # cycles with a chord: the shorter cycle, or on a tie the
+            # lexicographically first one
+            (_from_edges(8, [(i, i + 1) for i in range(1, 8)] + [(1, 8), (1, 5)]),
+             {1, 2, 3, 4, 5}, "A~4"),
+            (_from_edges(9, [(i, i + 1) for i in range(1, 9)] + [(1, 9), (3, 6)]),
+             {3, 4, 5, 6}, "A~3"),
+            (_from_edges(7, [(i, i + 1) for i in range(1, 7)] + [(1, 7), (2, 7)]),
+             {1, 2, 7}, "A~2"),
+            (_star_of_paths([2, 2, 2]), set(range(1, 8)), "E~6"),
+            (_star_of_paths([1, 3, 3]), set(range(1, 9)), "E~7"),
+            (_star_of_paths([1, 2, 5]), set(range(1, 10)), "E~8"),
+            (_affine_d(9), set(range(1, 11)), "D~9"),
+            # a long path ending in a double arrow: the double arrow and
+            # its neighbour form a wild 3-vertex subquiver
+            (_from_edges(9, [(i, i + 1) for i in range(1, 9)] + [(8, 9)]),
+             {7, 8, 9}, None),
+            # two 4-cycles, {2, 5, 7, 9} and {1, 3, 8, 10}, joined by the
+            # edge 9-10: lexicographic order picks the second
+            (_from_edges(10, [(2, 5), (5, 7), (7, 9), (2, 9), (1, 3), (3, 8),
+                              (8, 10), (1, 10), (9, 10), (4, 6), (4, 5), (6, 8)]),
+             {1, 3, 8, 10}, "A~3"),
+        ],
+        ids=["chord-tie", "chord-short", "chord-triangle", "E~6", "E~7", "E~8",
+             "D~9-long-middle", "path-double-end", "two-4-cycles"],
+    )
+    def test_explicit_cases(self, q, vertices, type_name):
+        witness = find_witness_subquiver(q)
+        assert witness == _exhaustive_witness(q)
+        vs, cls = witness
+        assert vs == frozenset(vertices)
+        assert cls.type_name == type_name
+
+    def test_builds_polynomially_many_subquivers(self, monkeypatch):
+        calls = 0
+        real = quiver.full_subquiver
+
+        def counting(q, vs):
+            nonlocal calls
+            calls += 1
+            return real(q, vs)
+
+        monkeypatch.setattr(quiver, "full_subquiver", counting)
+        n = 14
+        vs, cls = find_witness_subquiver(_cycle(n))
+        assert vs == frozenset(range(1, n + 1)) and cls.tag == "ExtendedDynkin"
+        # the n-cycle has n connected sets of each size below n; a scan of
+        # all subsets builds about 2^n subquivers
+        assert calls <= n * n
+
+    @pytest.mark.parametrize(
+        "q", [_cycle(24), _affine_d(23)], ids=["cycle-24", "D~23"]
+    )
+    def test_check_lattice_on_large_affine_quivers(self, capsys, tmp_path, q):
+        f = tmp_path / "q.quiver"
+        f.write_text(q.to_dsl())
+        started = time.perf_counter()
+        code = main(["check-lattice", str(f)])
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["theorem_decision"] is False
+        assert data["certificate"]["vertices"] == list(range(1, q.n + 1))
+        assert data["certificate"]["class"]["tag"] == "ExtendedDynkin"
+        assert elapsed < 10, f"check-lattice took {elapsed:.1f}s of 10s"

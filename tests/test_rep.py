@@ -30,8 +30,13 @@ from qtors import (
     simple_rep,
     zero_rep,
 )
-from qtors.linalg import extend_to_basis
-from qtors.rep import ExtGroup, compose, gen_contains_exact_fallback
+from qtors.linalg import complement_indices, extend_to_basis
+from qtors.rep import (
+    ExtGroup,
+    _projective_hom_basis,
+    compose,
+    gen_contains_exact_fallback,
+)
 
 from conftest import linear_quiver, star_quiver
 
@@ -162,24 +167,45 @@ def _greedy_cocycles(ext: ExtGroup) -> list:
     return chosen
 
 
-def _per_column_image(ext: ExtGroup) -> Matrix:
-    """Reference: the hom_k coordinates of each restriction of a
-    Hom(P0, X) basis element, one solve of the coordinate system each."""
+def _per_column_image(ext: ExtGroup, basis: list) -> Matrix:
+    """Reference: the hom_k coordinates of the restriction of each element
+    of a Hom(P0, X) basis, one solve of the coordinate system each."""
     pres = ext.presentation
     nent = sum(ext.x.dims[v] * pres.kernel.dims[v] for v in range(ext.x.quiver.n))
     coords = Matrix.from_columns([ext._flatten(f) for f in ext.hom_k], nrows=nent)
     cols = []
-    for f in hom_basis(pres.p0, ext.x):
+    for f in basis:
         sol = coords.solve(ext._flatten(compose(f, pres.incl)))
         assert sol is not None
         cols.append(sol)
     return Matrix.from_columns(cols, nrows=len(ext.hom_k))
 
 
+def _same_span(a: Matrix, b: Matrix) -> bool:
+    return a.rank() == b.rank() == Matrix.hstack([a, b]).rank()
+
+
 class TestCocycleOracle:
     def _check(self, x, z):
         ext = ExtGroup(x, z)
-        assert ext._image == _per_column_image(ext)
+        pres = ext.presentation
+        # the Hom(P0, X) basis read off the projective tops spans what the
+        # dense intertwining system gives
+        tops = _projective_hom_basis(pres, x)
+        dense = hom_basis(pres.p0, x)
+        assert len(tops) == len(dense)
+        assert all(_is_morphism(f, pres.p0, x) for f in tops)
+        nent = sum(x.dims[v] * pres.p0.dims[v] for v in range(x.quiver.n))
+        assert _same_span(
+            Matrix.from_columns([ext._flatten(f) for f in tops], nrows=nent),
+            Matrix.from_columns([ext._flatten(f) for f in dense], nrows=nent),
+        )
+        assert ext._image == _per_column_image(ext, tops)
+        # so the image has the column span, and the cocycles are the ones,
+        # that the dense basis gives
+        dense_image = _per_column_image(ext, dense)
+        assert _same_span(ext._image, dense_image)
+        assert ext.cocycles == [ext.hom_k[i] for i in complement_indices(dense_image)]
         assert ext.cocycles == _greedy_cocycles(ext)
         assert ext.dimension == len(ext.hom_k) - ext._image.rank()
 
