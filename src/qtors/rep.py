@@ -7,7 +7,6 @@ realization."""
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import weakref
 from dataclasses import dataclass
@@ -20,7 +19,6 @@ import numpy as np
 from .forms import forms_context
 from .linalg import Matrix, complement_indices, extend_to_basis
 from .modkernel import (
-    _MAX_COLS,
     PRIMES,
     ModKernel,
     ReconstructionError,
@@ -30,7 +28,7 @@ from .modkernel import (
 )
 from .quiver import Quiver, QuiverError, opposite
 
-DEFAULT_SEED = int(os.environ.get("QTORS_SEED", "0"))
+DEFAULT_SEED = 0
 
 # randomized-search policy: Zariski-open conditions (surjectivity,
 # invertibility) are tried on random combinations first, then on a
@@ -226,16 +224,20 @@ def hom_basis(x: Rep, y: Rep) -> list[Morphism]:
 
 
 def hom_dim(x: Rep, y: Rep) -> int:
-    """dim Hom(x, y), kept on x for the pair (`_pair_memo`) whichever engine
-    computed it."""
+    """dim Hom(x, y) from the reduced Hom system, kept on x for the pair
+    (`_pair_memo`).  The modular upper bound meets the Euler-form lower
+    bound (dim Hom >= <dim x, dim y> over a hereditary algebra) in the
+    common rigid cases; otherwise every solution of the reduced system is
+    lifted and verified, which pins the dimension exactly."""
     if x.quiver != y.quiver:
         raise ValueError("Hom requires representations of the same quiver")
     memo = _pair_memo(x, y)
     if "dim" not in memo:
-        if _intertwining_vars(x, y) <= _FAST_VARS:
-            memo["dim"] = len(hom_basis(x, y))
-        else:
-            memo["dim"] = _fast_hom_dim(x, y)
+        lower = max(forms_context(x.quiver).euler_form(list(x.dims), list(y.dims)), 0)
+        sys = _best_dim_system(_integer_form(x), _integer_form(y))
+        if sys.upper != lower:
+            sys.refine()
+        memo["dim"] = lower if sys.upper == lower else sum(1 for _ in sys.solutions())
     return memo["dim"]
 
 
@@ -568,18 +570,7 @@ def ar_translate_inverse(x: Rep) -> Rep:
     return cur
 
 
-# -- Gen-membership, surjections, isomorphism --------------------------------
-
-
-def gen_contains(m: Rep, x: Rep) -> bool:
-    """True iff x lies in Fac(m): the trace of m in x fills x vertexwise."""
-    if m.quiver != x.quiver:
-        raise ValueError("Gen test requires a common quiver")
-    if x.is_zero():
-        return True
-    if _intertwining_vars(m, x) > _FAST_VARS:
-        return _fast_gen_contains(m, x)
-    return gen_contains_exact_fallback(m, x)
+# -- surjections and isomorphism ---------------------------------------------
 
 
 def _search_combination(basis: list[Morphism], accept, seed: int) -> bool:
@@ -664,10 +655,11 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
     return reps
 
 
-# -- certified fast paths for large Hom problems ------------------------------
+# -- the reduced Hom system: Hom dimensions and Gen-membership ---------------
 #
-# For representations with many intertwining variables the dense Hom system
-# is replaced by a far smaller one.  Fixing a projective presentation
+# Every Hom dimension and Gen test runs on a reduced linear system, never on
+# the dense intertwining system of `hom_basis`, which only supplies morphism
+# matrices to the callers that need them.  Fixing a projective presentation
 # P1 -> P0 -> x -> 0, a morphism x -> y is a choice of images in y for the
 # top generators of x, subject to one linear condition per kernel column of
 # the presentation; the trace of x in y is then spanned by the path images
@@ -681,13 +673,8 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
 # describe; Hom systems and dimensions on the first argument, keyed by a
 # weak reference to the second (`_pair_memo`).
 
-_FAST_VARS = 64  # intertwining-variable count where the reduced path engages
 _GEN_LIFT_CAP = 24  # morphisms lifted before trying a quotient certificate
 _GEN_RANDOM_TRIES = 6  # generic solutions absorbed before the column screen
-
-
-def _intertwining_vars(x: Rep, y: Rep) -> int:
-    return sum(a * b for a, b in zip(x.dims, y.dims))
 
 
 def _den_lcm(m: Matrix) -> int:
@@ -1033,43 +1020,21 @@ def _system_shape(x: Rep, y: Rep) -> tuple[int, int]:
     return rows, cols
 
 
-def _best_dim_system(xi: Rep, yi: Rep) -> _HomSystem | None:
+def _best_dim_system(xi: Rep, yi: Rep) -> _HomSystem:
     """Smaller of the two presentations of Hom(x, y): via a presentation of
-    x, or of the dual of y (Hom(x, y) and Hom(Dy, Dx) agree in dimension).
-    None when the unknown count of both routes exceeds the elimination
-    bound."""
-    candidates: list[tuple[int, Rep, Rep]] = []
-    for a, b in ((xi, yi), (yi._dual, xi._dual)):
-        rows, cols = _system_shape(a, b)
-        if cols <= _MAX_COLS:
-            candidates.append((max(rows, 1) * cols * cols, a, b))
-    if not candidates:
-        return None
-    _, a, b = min(candidates, key=lambda t: t[0])
-    return _hom_system(a, b)
+    x, or of the dual of y (Hom(x, y) and Hom(Dy, Dx) agree in dimension)."""
 
+    def cost(pair: tuple[Rep, Rep]) -> int:
+        rows, cols = _system_shape(*pair)
+        return max(rows, 1) * cols * cols
 
-def _fast_hom_dim(x: Rep, y: Rep) -> int:
-    """Exact dim Hom(x, y): the modular upper bound meets the Euler-form
-    lower bound (dim Hom >= <dim x, dim y> over a hereditary algebra) in
-    the common rigid cases; otherwise every solution of the reduced system
-    is lifted and verified, which pins the dimension exactly."""
-    ctx = forms_context(x.quiver)
-    lower = max(ctx.euler_form(list(x.dims), list(y.dims)), 0)
-    sys = _best_dim_system(_integer_form(x), _integer_form(y))
-    if sys is None:
-        return len(hom_basis(x, y))
-    if sys.upper != lower:
-        sys.refine()
-    return lower if sys.upper == lower else sum(1 for _ in sys.solutions())
+    return _hom_system(*min(((xi, yi), (yi._dual, xi._dual)), key=cost))
 
 
 def _hom_vanishes_certified(xi: Rep, yi: Rep) -> bool:
     """True only with a certificate that Hom(xi, yi) = 0; False means
     unknown."""
     sys = _best_dim_system(xi, yi)
-    if sys is None:
-        return False
     if sys.upper == 0:
         return True
     sys.refine()
@@ -1077,9 +1042,10 @@ def _hom_vanishes_certified(xi: Rep, yi: Rep) -> bool:
 
 
 def _columns_mod_p(columns: list[np.ndarray], dim: int, p: int) -> np.ndarray:
+    """Residues of integer columns (int64 or object), shape (dim, count)."""
     if all(c.dtype == np.int64 for c in columns):
-        return (np.stack(columns, axis=1) % p).astype(np.float64)
-    arr = np.empty((dim, len(columns)), dtype=np.float64)
+        return np.stack(columns, axis=1) % p
+    arr = np.empty((dim, len(columns)), dtype=np.int64)
     for j, c in enumerate(columns):
         for i in range(dim):
             arr[i, j] = int(c[i]) % p
@@ -1089,25 +1055,17 @@ def _columns_mod_p(columns: list[np.ndarray], dim: int, p: int) -> np.ndarray:
 def _modp_full(columns: list[np.ndarray], dim: int) -> bool:
     """True only with a certificate: full rank modulo a prime implies full
     rational rank (the converse can fail, so False means unknown)."""
-    if dim == 0:
-        return True
-    if len(columns) < dim:
-        return False
-    p = PRIMES[0]
-    arr = _columns_mod_p(columns, dim, p)
-    _, piv = echelon_mod_p(arr, p)
-    return len(piv) == dim
+    return len(columns) >= dim and len(_modp_pivot_columns(columns, dim)) == dim
 
 
 def _modp_pivot_columns(columns: list[np.ndarray], dim: int) -> list[int]:
     """Indices of a mod-p independent (hence exactly independent) column
-    subset spanning all columns mod p."""
+    subset spanning all columns mod p: the greedy pivot columns, for any
+    number of columns."""
     if dim == 0 or not columns:
         return []
     p = PRIMES[0]
-    arr = _columns_mod_p(columns, dim, p)
-    _, piv = echelon_mod_p(arr, p)
-    return piv
+    return _ModSpan(dim, p).extend(_columns_mod_p(columns, dim, p))
 
 
 def _exact_column_span_full(columns: list[np.ndarray], dim: int) -> bool:
@@ -1202,6 +1160,27 @@ class _ModSpan:
         self.pivs.append(i)
         return True
 
+    def extend(self, cols: np.ndarray) -> list[int]:
+        """Insert the columns of an int64 residue array in order, stopping
+        at full rank; the indices of those that added a new direction, i.e.
+        the greedy pivot columns.  Each chunk of dim columns is first
+        reduced against the span in one product, so columns already in it
+        cost no insert."""
+        dim = self.cols.shape[0]
+        added: list[int] = []
+        for start in range(0, cols.shape[1], max(dim, 1)):
+            if self.rank == dim:
+                break
+            chunk = cols[:, start : start + dim]
+            if self.pivs:
+                chunk = (chunk - self.cols @ chunk[self.pivs]) % self.p
+            for j in np.flatnonzero(chunk.any(axis=0)).tolist():
+                if self.insert(chunk[:, j]):
+                    added.append(start + j)
+                    if self.rank == dim:
+                        break
+        return added
+
 
 def _screen_gen_columns(sys: _HomSystem, ti: Rep) -> list[int] | None:
     """Free columns of the Hom system whose canonical solutions jointly
@@ -1262,17 +1241,20 @@ def _screen_gen_columns(sys: _HomSystem, ti: Rep) -> list[int] | None:
     return chosen if all(full) else None
 
 
-def _fast_gen_contains(g: Rep, t: Rep) -> bool:
-    """Gen-membership via the reduced Hom system.  The trace of g in t is
-    spanned by the path images of the lifted generator images, so it grows
-    by verified exact columns only; vertexwise fullness (certified mod p)
-    decides True, a certified vanishing Hom into the quotient by an
-    arrow-stable part of the trace decides False, and exhausting a full
-    verified solution basis decides either way exactly."""
-    gi, ti = _integer_form(g), _integer_form(t)
-    _, cols = _system_shape(gi, ti)
-    if cols > _MAX_COLS:
-        return gen_contains_exact_fallback(g, t)
+def gen_contains(m: Rep, x: Rep) -> bool:
+    """True iff x lies in Fac(m): the trace of m in x fills x vertexwise.
+
+    Decided on the reduced Hom system.  The trace is spanned by the path
+    images of the lifted generator images, so it grows by verified exact
+    columns only; vertexwise fullness (certified mod p) decides True, a
+    certified vanishing Hom into the quotient by an arrow-stable part of
+    the trace decides False, and exhausting a full verified solution basis
+    decides either way exactly."""
+    if m.quiver != x.quiver:
+        raise ValueError("Gen test requires a common quiver")
+    if x.is_zero():
+        return True
+    gi, ti = _integer_form(m), _integer_form(x)
     sys = _hom_system(gi, ti)
     if sys.upper == 0:
         return False
@@ -1287,7 +1269,7 @@ def _fast_gen_contains(g: Rep, t: Rep) -> bool:
     buffers: list[list[np.ndarray]] = [[] for _ in range(q.n)]
     full = [d == 0 for d in ti.dims]
 
-    ynp_max = max((max_abs(m) for m in sys.ynp.values()), default=0)
+    ynp_max = max((max_abs(a) for a in sys.ynp.values()), default=0)
     ydim_max = max(ti.dims, default=0)
 
     def absorb(u: list[Fraction]) -> None:
@@ -1328,29 +1310,28 @@ def _fast_gen_contains(g: Rep, t: Rep) -> bool:
                 full[v] = _modp_full(buffers[v], ti.dims[v])
         return all(full)
 
-    if sys.ncols > 64:
-        # generic solutions first: a few kernel vectors with dense random
-        # small free coordinates have jointly full trace images unless the
-        # trace is genuinely deficient, and they are exact, so mod-p
-        # fullness of their images certifies membership outright
-        try:
-            for u in sys.solutions(generic=True, count=_GEN_RANDOM_TRIES):
-                absorb(u)
-                if saturated():
-                    return True
-        except ReconstructionError:
-            pass
-        # single-prime screen: a small set of solutions whose images are
-        # jointly full mod p; their exact lifts then certify fullness
-        chosen = _screen_gen_columns(sys, ti)
-        if chosen is not None:
-            try:
-                for u in sys.solutions(columns=chosen):
-                    absorb(u)
-            except ReconstructionError:
-                pass
+    # generic solutions first: a few kernel vectors with dense random small
+    # free coordinates have jointly full trace images unless the trace is
+    # genuinely deficient, and they are exact, so mod-p fullness of their
+    # images certifies membership outright
+    try:
+        for u in sys.solutions(generic=True, count=_GEN_RANDOM_TRIES):
+            absorb(u)
             if saturated():
                 return True
+    except ReconstructionError:
+        pass
+    # single-prime screen: a small set of solutions whose images are jointly
+    # full mod p; their exact lifts then certify fullness
+    chosen = _screen_gen_columns(sys, ti)
+    if chosen is not None:
+        try:
+            for u in sys.solutions(columns=chosen):
+                absorb(u)
+        except ReconstructionError:
+            pass
+        if saturated():
+            return True
 
     lifted = 0
     capped = False
@@ -1375,7 +1356,7 @@ def _fast_gen_contains(g: Rep, t: Rep) -> bool:
         [buffers[v][j] for j in _modp_pivot_columns(buffers[v], ti.dims[v])]
         for v in range(q.n)
     ]
-    tnp = [_np_int(m) for m in ti.arrow_maps]
+    tnp = [_np_int(a) for a in ti.arrow_maps]
     changed = True
     while changed:
         changed = False
@@ -1405,14 +1386,3 @@ def _fast_gen_contains(g: Rep, t: Rep) -> bool:
     return all(
         _exact_column_span_full(buffers[v], ti.dims[v]) for v in range(q.n)
     )
-
-
-def gen_contains_exact_fallback(m: Rep, x: Rep) -> bool:
-    basis = hom_basis(m, x)
-    for v in range(m.quiver.n):
-        if x.dims[v] == 0:
-            continue
-        cols = [phi[v] for phi in basis if phi[v].cols > 0]
-        if not cols or Matrix.hstack(cols).rank() < x.dims[v]:
-            return False
-    return True

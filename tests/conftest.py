@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtors import Quiver
+from qtors import Matrix, Quiver, hom_basis
 
 
 def linear_quiver(n: int) -> Quiver:
@@ -32,8 +32,6 @@ def star_quiver(leaves: int) -> Quiver:
 
 
 def random_fraction_matrix(rng: random.Random, rows: int, cols: int, bound: int = 5):
-    from qtors import Matrix
-
     return Matrix(
         rows,
         cols,
@@ -45,6 +43,19 @@ def random_fraction_matrix(rng: random.Random, rows: int, cols: int, bound: int 
             for _ in range(rows)
         ],
     )
+
+
+def dense_gen_contains(m, x) -> bool:
+    """Gen oracle: x lies in Fac(m) iff at every vertex the maps of a dense
+    Hom(m, x) basis jointly have full rank."""
+    basis = hom_basis(m, x)
+    for v in range(m.quiver.n):
+        if x.dims[v] == 0:
+            continue
+        cols = [phi[v] for phi in basis if phi[v].cols > 0]
+        if not cols or Matrix.hstack(cols).rank() < x.dims[v]:
+            return False
+    return True
 
 
 @pytest.fixture
