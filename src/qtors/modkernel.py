@@ -21,7 +21,8 @@ import numpy as np
 
 # primes just below 2**19: with p**2 < 2**38, up to ~2**14 accumulated
 # products of reduced values fit in float64 exactly, so reductions mod p can
-# be deferred across the whole elimination of a matrix with <= 8192 columns
+# be deferred across the whole elimination of a matrix with <= 8192 rows or
+# columns, and a dot product of reduced vectors over <= 8192 entries is exact
 PRIMES = (
     524287, 524269, 524261, 524257, 524243, 524231, 524221, 524219,
     524203, 524201, 524197, 524189, 524171, 524149, 524123, 524119,
@@ -65,14 +66,15 @@ def echelon_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     Two-level blocked right-looking elimination.  Reductions mod p are
     deferred: with p < 2**19 every intermediate value is a sum of at most
     ~2**14 products of reduced residues plus an initial residue, which
-    float64 holds exactly.  Pivot rows are reduced and normalized when
-    promoted; rows below a pivot only ever have their current sub-panel
-    reduced, the rest is updated by one small matmul per sub-panel and one
-    large matmul per panel.
+    float64 holds exactly; each entry accumulates at most one product per
+    pivot, so the bound applies to min(rows, cols).  Pivot rows are reduced
+    and normalized when promoted; rows below a pivot only ever have their
+    current sub-panel reduced, the rest is updated by one small matmul per
+    sub-panel and one large matmul per panel.
     """
     m, n = a.shape
-    if n > _MAX_COLS:
-        raise ValueError("matrix too wide for exact deferred reduction")
+    if min(m, n) > _MAX_COLS:
+        raise ValueError("matrix too large for exact deferred reduction")
     r = 0
     pivots: list[int] = []
     c0 = 0
@@ -165,9 +167,12 @@ def _kernel_combo_mod_p(
     """Pivot-coordinate vector of the kernel element with the given integer
     free coordinates, by one back-substitution on the echelon rows."""
     r = len(pivots)
-    wfull = np.zeros(ech.shape[1], dtype=np.float64)
+    n = ech.shape[1]
+    wfull = np.zeros(n, dtype=np.float64)
     wfull[free] = [wi % p for wi in w]
-    base = (ech[:r] @ wfull) % p
+    base = np.zeros(r, dtype=np.float64)
+    for c in range(0, n, _MAX_COLS):  # exact dot products at any width
+        base = (base + ech[:r, c : c + _MAX_COLS] @ wfull[c : c + _MAX_COLS]) % p
     x = np.zeros(r, dtype=np.float64)
     for i in range(r - 1, -1, -1):
         rhs = base[i]
@@ -219,13 +224,25 @@ def max_abs(a: np.ndarray) -> int:
     return int(np.abs(a).max()) if a.size else 0
 
 
-def _components(base: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def nonzero_triples(
+    a: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """The ModKernel input of a dense integer matrix (int64 or object): the
+    row indices, column indices and values of its non-zero entries, and its
+    shape."""
+    ri, ci = np.nonzero(a)
+    return ri, ci, a[ri, ci], a.shape
+
+
+def _components(
+    ri: np.ndarray, ci: np.ndarray, shape: tuple[int, int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Row and column indices, both ascending, of the connected components
-    of the bipartite graph joining row i to column j where base[i, j] != 0.
-    Columns without a non-zero entry form one last component with no rows;
-    zero rows belong to no component."""
-    m, n = base.shape
-    ri, ci = np.nonzero(base)
+    of the bipartite graph joining row ri[k] to column ci[k] for every
+    non-zero entry k of a matrix of the given shape.  Columns without a
+    non-zero entry form one last component with no rows; zero rows belong
+    to no component."""
+    m, n = shape
     # min-label propagation with pointer jumping: each column's label is a
     # column of its component no larger than itself, and labels only fall,
     # so the loop ends; at its fixed point every row sees a single label
@@ -256,13 +273,13 @@ def _components(base: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-class _Block:
-    """One connected component of a ModKernel matrix: its columns
-    (ascending), its integer sub-matrix and one echelon per prime of the
-    schedule."""
+class _BlockMatrix:
+    """Integer sub-matrix of one or more connected components of a ModKernel
+    matrix (components with identical entries share it), with one echelon
+    per prime of the schedule and the residues of its verification
+    primes."""
 
-    def __init__(self, cols: np.ndarray, base: np.ndarray):
-        self.cols = cols
+    def __init__(self, base: np.ndarray):
         self.base = base
         self.max_abs = max_abs(base)
         self.echelons: list[tuple[np.ndarray, list[int]]] = []
@@ -299,11 +316,13 @@ class _Block:
                 self.verify_residues[q] = rq
             if sparse:
                 wq = np.array([w[j] % q for j in nzi], dtype=np.int64)
-                prod = rq[:, nzi] @ wq
+                rq = rq[:, nzi]
             else:
                 wq = np.array([c % q for c in w], dtype=np.int64)
-                prod = rq @ wq
-            if (prod % q).any():
+            prod = np.zeros(rq.shape[0], dtype=np.int64)
+            for c in range(0, len(wq), _MAX_COLS):  # no int64 overflow
+                prod = (prod + rq[:, c : c + _MAX_COLS] @ wq[c : c + _MAX_COLS]) % q
+            if prod.any():
                 return False
             modulus *= q
         # the candidate's entries are too tall for the prime pool; fall back
@@ -341,36 +360,58 @@ class ModKernel:
     structure, more primes refine CRT residues until rational kernel
     vectors reconstruct and verify.
 
-    The matrix is split once into the connected components of its
-    row-column graph and every prime eliminates each component on its own.
-    The greedy pivot columns of an echelon form are the columns outside the
-    span of the columns before them, and that span splits along the
-    components, so the pivots are those of one elimination of the whole
-    matrix; the canonical kernel vector of a free column is non-zero only
-    inside that column's component."""
+    The matrix is given by its non-zero entries (see `nonzero_triples`):
+    row indices, column indices and integer values (int64 or Python ints in
+    an object array), each position at most once, and its shape.  It is
+    split once into the connected components of its row-column graph and
+    every prime eliminates each component on its own.  The greedy pivot
+    columns of an echelon form are the columns outside the span of the
+    columns before them, and that span splits along the components, so the
+    pivots are those of one elimination of the whole matrix; the canonical
+    kernel vector of a free column is non-zero only inside that column's
+    component.  Components with the same shape, dtype and entries share one
+    `_BlockMatrix`: equal integer matrices have equal echelons, kernel
+    vectors and verification results, so each is eliminated once per
+    prime."""
 
     def __init__(
         self,
-        rows: list[list[int]] | np.ndarray,
-        ncols: int,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        shape: tuple[int, int],
         max_primes: int = 8,
     ):
-        self.ncols = ncols
+        m, n = shape
+        self.ncols = n
         self.max_primes = max_primes
-        if isinstance(rows, np.ndarray):
-            base = rows if rows.size else np.zeros((0, ncols), dtype=np.int64)
-        elif rows:
-            base = int_array(rows)
-        else:
-            base = np.zeros((0, ncols), dtype=np.int64)
-        self._blocks = [
-            _Block(c, base[np.ix_(r, c)]) for r, c in _components(base)
-        ]
-        self._block_of = np.zeros(ncols, dtype=np.intp)
-        self._local = np.zeros(ncols, dtype=np.intp)
-        for bi, b in enumerate(self._blocks):
-            self._block_of[b.cols] = bi
-            self._local[b.cols] = np.arange(len(b.cols))
+        comps = _components(rows, cols, shape)
+        # block index and local position of every column, local position of
+        # every row of a block; each block is scattered from its own entries
+        self._block_of = np.zeros(n, dtype=np.intp)
+        self._local = np.zeros(n, dtype=np.intp)
+        local_row = np.zeros(m, dtype=np.intp)
+        for bi, (r, c) in enumerate(comps):
+            self._block_of[c] = bi
+            self._local[c] = np.arange(len(c))
+            local_row[r] = np.arange(len(r))
+        entry_block = self._block_of[cols]
+        order = np.argsort(entry_block, kind="stable")
+        cuts = np.searchsorted(entry_block[order], np.arange(1, len(comps)))
+        shared: dict[tuple, _BlockMatrix] = {}
+        self._blocks: list[tuple[np.ndarray, _BlockMatrix]] = []
+        for (r, c), ent in zip(comps, np.split(order, cuts)):
+            sub = np.zeros((len(r), len(c)), dtype=vals.dtype)
+            sub[local_row[rows[ent]], self._local[cols[ent]]] = vals[ent]
+            content = (
+                tuple(sub.ravel().tolist()) if sub.dtype == object else sub.tobytes()
+            )
+            key = (sub.shape, sub.dtype.str, content)
+            bm = shared.get(key)
+            if bm is None:
+                bm = shared[key] = _BlockMatrix(sub)
+            self._blocks.append((c, bm))
+        self._matrices = list(shared.values())
         self._primes: list[int] = []
         self._pivots: list[list[int]] = []  # whole-matrix pivots per prime
         self._add_prime()
@@ -381,11 +422,11 @@ class ModKernel:
                 break
         else:
             raise ReconstructionError("prime schedule exhausted")
+        for bm in self._matrices:
+            bm.echelons.append(echelon_mod_p((bm.base % p).astype(np.float64), p))
         pivots: list[int] = []
-        for b in self._blocks:
-            ech, piv = echelon_mod_p((b.base % p).astype(np.float64), p)
-            b.echelons.append((ech, piv))
-            pivots.extend(b.cols[piv].tolist())
+        for c, bm in self._blocks:
+            pivots.extend(c[bm.echelons[-1][1]].tolist())
         self._primes.append(p)
         self._pivots.append(sorted(pivots))
 
@@ -442,11 +483,11 @@ class ModKernel:
         coords = np.zeros((len(pivots), len(cols)), dtype=np.float64)
         row_of = np.searchsorted(pivots, np.arange(self.ncols))
         for bi, pos in self._by_block(cols).items():
-            b = self._blocks[bi]
-            ech, piv = b.echelons[k]
+            bc, bm = self._blocks[bi]
+            ech, piv = bm.echelons[k]
             if piv:
                 local = [int(self._local[cols[j]]) for j in pos]
-                coords[np.ix_(row_of[b.cols[piv]], pos)] = _kernel_coords_mod_p(
+                coords[np.ix_(row_of[bc[piv]], pos)] = _kernel_coords_mod_p(
                     ech, piv, local, p
                 )
         return pivots, free, coords, p
@@ -487,18 +528,18 @@ class ModKernel:
             reconstruction fails (the caller should add a prime and retry).
             Backsubstitution runs once per block and prime for the block's
             whole selection."""
-            b = self._blocks[bi]
+            bc, bm = self._blocks[bi]
             residues: list[list[int]] = []
             primes: list[int] = []
             for k in self._lucky(base_pivots):
-                ech, piv = b.echelons[k]
+                ech, piv = bm.echelons[k]
                 p = self._primes[k]
                 coords = coord_cache.get((bi, k))
                 if coords is None:
                     local = [int(self._local[sel[j]]) for j in groups[bi]]
                     coords = _kernel_coords_mod_p(ech, piv, local, p)
                     coord_cache[(bi, k)] = coords
-                vec = [0] * len(b.cols)
+                vec = [0] * len(bc)
                 vec[self._local[sel[idx]]] = 1
                 for i, c in enumerate(piv):
                     vec[c] = int(coords[i, slot[idx]])
@@ -509,12 +550,12 @@ class ModKernel:
         zero = Fraction(0)
         for idx in range(total):
             bi = int(self._block_of[sel[idx]])
-            b = self._blocks[bi]
+            bc, bm = self._blocks[bi]
             while True:
                 part = candidate(idx, bi)
-                if part is not None and b.verified(part):
+                if part is not None and bm.verified(part):
                     out = [zero] * self.ncols
-                    for c, e in zip(b.cols.tolist(), part):
+                    for c, e in zip(bc.tolist(), part):
                         out[c] = e
                     yield out
                     break
@@ -545,15 +586,15 @@ class ModKernel:
                 out[c] = Fraction(w[j])
             for bi, pos in groups.items():
                 wb = [w[j] for j in pos]
-                b = self._blocks[bi]
-                if not any(wb) or not b.base.shape[0]:
+                bc, bm = self._blocks[bi]
+                if not any(wb) or not bm.base.shape[0]:
                     continue
                 local = [int(self._local[free[j]]) for j in pos]
                 residues = [
                     [
                         int(v)
                         for v in _kernel_combo_mod_p(
-                            *b.echelons[k], local, wb, self._primes[k]
+                            *bm.echelons[k], local, wb, self._primes[k]
                         )
                     ]
                     for k in lucky
@@ -561,10 +602,10 @@ class ModKernel:
                 vals = _reconstructed(residues, [self._primes[k] for k in lucky])
                 if vals is None:
                     return None
-                piv = b.echelons[lucky[0]][1]
-                for c, fr in zip(b.cols[piv].tolist(), vals):
+                piv = bm.echelons[lucky[0]][1]
+                for c, fr in zip(bc[piv].tolist(), vals):
                     out[c] = fr
-                if not b.verified([out[c] for c in b.cols.tolist()]):
+                if not bm.verified([out[c] for c in bc.tolist()]):
                     return None
             return out
 

@@ -25,6 +25,7 @@ from .modkernel import (
     echelon_mod_p,
     int_array,
     max_abs,
+    nonzero_triples,
 )
 from .quiver import Quiver, QuiverError, opposite
 
@@ -93,7 +94,11 @@ class Rep:
         return dualize(self)
 
     @cached_property
-    def _presentation(self) -> _TopPresentation:
+    def _tops(self) -> _Tops:
+        return _top_generators(self)
+
+    @cached_property
+    def _presentation(self) -> list[np.ndarray]:
         return _top_presentation(self)
 
     @cached_property
@@ -746,7 +751,9 @@ def _np_path_map(x: Rep, path: tuple[int, ...], start: int) -> np.ndarray:
     else:
         prev = _np_path_map(x, path[:-1], start)
         arr = _np_int(x.arrow_maps[path[-1]])
-        if max_abs(arr) * max_abs(prev) * max(arr.shape[1], 1) < 2**62:
+        # each factor at least 1, so that a zero matrix cannot hide a tall one
+        bound = max(max_abs(arr), 1) * max(max_abs(prev), 1) * max(arr.shape[1], 1)
+        if bound < 2**62:
             pm = arr.astype(np.int64) @ prev.astype(np.int64)
         else:
             pm = arr @ prev.astype(object)
@@ -756,25 +763,25 @@ def _np_path_map(x: Rep, path: tuple[int, ...], start: int) -> np.ndarray:
 
 def _complement_coords(r: Matrix) -> list[int]:
     """Indices of standard basis vectors completing the column space of an
-    integer matrix, read off a mod-p echelon of [r | I].  The echelon always
-    finds a full pivot set there, and full mod-p rank certifies full
-    rational rank, so the chosen vectors provably complete the span; an
-    unlucky prime can only make the choice non-minimal, never wrong."""
+    integer matrix: e_i is taken exactly when row i of r lies in the span of
+    the rows below it, tested mod p by the pivots of an echelon of the
+    reversed transpose of r (as wide as r is tall).  These are the identity
+    pivots of an echelon of [r | I] at the same prime.  The rows of r at the
+    indices not taken are independent mod p, hence over the rationals, so
+    the chosen vectors provably complete the span; an unlucky prime can
+    only make the choice non-minimal, never wrong."""
     d = r.rows
     if d == 0:
         return []
     if r.cols == 0:
         return list(range(d))
     p = PRIMES[0]
-    arr = np.zeros((d, r.cols + d), dtype=np.float64)
+    arr = np.zeros((r.cols, d), dtype=np.float64)
     for i in range(d):
-        for j, e in enumerate(r.row(i)):
-            arr[i, j] = int(e) % p
-        arr[i, r.cols + i] = 1.0
+        arr[:, d - 1 - i] = [int(e) % p for e in r.row(i)]
     _, piv = echelon_mod_p(arr, p)
-    if len(piv) != d:
-        raise RuntimeError("augmented identity lost rank")
-    return [c - r.cols for c in piv if c >= r.cols]
+    independent = {d - 1 - j for j in piv}
+    return [i for i in range(d) if i not in independent]
 
 
 def _scaled_int_vector(vec: list[Fraction]) -> list[int]:
@@ -801,7 +808,7 @@ def _certified_int_kernel(mat: np.ndarray) -> np.ndarray:
     lifting fails the exact fallback runs instead."""
     m, n = mat.shape
     try:
-        mk = ModKernel(mat, n)
+        mk = ModKernel(*nonzero_triples(mat))
         cols = [_scaled_int_vector(vec) for vec in mk.exact_vectors()]
     except ReconstructionError:
         exact = Matrix(
@@ -814,66 +821,48 @@ def _certified_int_kernel(mat: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _TopPresentation:
-    """Vertexwise data of a projective presentation of an integer
-    representation: top generators (standard coordinates completing the
-    radical), the paths out of their vertices, the number of paths each
-    generator contributes to each vertex, and an integer basis of the
-    presentation kernel at each vertex."""
+class _Tops:
+    """Top generators of an integer representation (standard coordinates
+    completing the radical at each vertex), the paths out of their vertices
+    and the dimension at each vertex of the projective P0 they span.  The
+    generators map P0 onto the representation, so the presentation kernel
+    at w has p0_dims[w - 1] - dim x_w columns."""
 
     summands: list[tuple[int, int]]
     paths: dict[int, dict[int, list[tuple[int, ...]]]]
-    kernels: list[np.ndarray]
-    path_counts: list[list[int]]
+    p0_dims: list[int]
 
 
-def _top_presentation(x: Rep) -> _TopPresentation:
+def _top_generators(x: Rep) -> _Tops:
     q = x.quiver
     summands: list[tuple[int, int]] = []
     for v in range(1, q.n + 1):
         for c in _complement_coords(radical_generators(x, v)):
             summands.append((v, c))
     paths = {v: _paths_from(q, v) for v in sorted({v for v, _ in summands})}
+    p0_dims = [
+        sum(len(paths[v][w]) for v, _ in summands) for w in range(1, q.n + 1)
+    ]
+    return _Tops(summands, paths, p0_dims)
+
+
+def _top_presentation(x: Rep) -> list[np.ndarray]:
+    """Integer basis of the kernel of the top presentation at each
+    vertex."""
+    tops = x._tops
     kernels: list[np.ndarray] = []
-    path_counts: list[list[int]] = []
-    for w in range(1, q.n + 1):
+    for w in range(1, x.quiver.n + 1):
         cols: list[list[int]] = []
-        counts: list[int] = []
-        for v, c in summands:
-            pths = paths[v][w]
-            counts.append(len(pths))
-            for pth in pths:
+        for v, c in tops.summands:
+            for pth in tops.paths[v][w]:
                 pm = _np_path_map(x, pth, v)
                 cols.append([int(e) for e in pm[:, c]])
-        path_counts.append(counts)
         if cols:
             epi = int_array(cols).T.reshape(x.dim(w), len(cols))
         else:
             epi = np.zeros((x.dim(w), 0), dtype=np.int64)
         kernels.append(_certified_int_kernel(epi))
-    return _TopPresentation(summands, paths, kernels, path_counts)
-
-
-def _weighted_blocks(ks: np.ndarray, pmats: list[np.ndarray]) -> np.ndarray:
-    """sum_b ks[b, q] * pmats[b] for each q, laid out as (q, e, c); int64
-    einsum when an a-priori magnitude bound allows, exact object arithmetic
-    otherwise."""
-    stack = np.stack(pmats)
-    if max_abs(ks) * max_abs(stack) * len(pmats) < 2**62:
-        return np.einsum(
-            "bq,bec->qec",
-            ks.astype(np.int64),
-            stack.astype(np.int64),
-        )
-    out = np.zeros((ks.shape[1],) + pmats[0].shape, dtype=object)
-    for qi in range(ks.shape[1]):
-        acc = np.zeros(pmats[0].shape, dtype=object)
-        for bi in range(len(pmats)):
-            coeff = int(ks[bi, qi])
-            if coeff:
-                acc = acc + coeff * stack[bi]
-        out[qi] = acc
-    return out
+    return kernels
 
 
 @dataclass
@@ -923,59 +912,85 @@ class _HomSystem:
 def _hom_rows(
     x: Rep, y: Rep
 ) -> tuple[
-    _TopPresentation,
     list[int],
     int,
     dict[tuple[int, tuple[int, ...]], np.ndarray],
-    np.ndarray,
+    tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]],
 ]:
-    """Assembled equation rows of the reduced Hom system, without the
-    modular elimination; x and y must be integer representations of the
-    same quiver."""
-    pres = x._presentation
+    """Column offsets, column count, path maps of y and the non-zero
+    entries of the reduced Hom system as (rows, cols, values, shape),
+    without the modular elimination; x and y must be integer
+    representations of the same quiver.
+
+    The equations at vertex w come in one group of k_w * e_w rows (k_w
+    kernel columns of the presentation at w, e_w = dim y_w), skipped when
+    empty; within it, row q * e_w + e and column offsets[j] + c hold
+    sum over the paths b of generator j of kernel[b, q] * ymap_b[e, c].
+    Each term comes from a non-zero kernel entry and a non-zero path map
+    entry; repeated positions are summed and zero sums dropped.  Values are
+    int64 while an a-priori magnitude bound keeps every sum exact, Python
+    ints in an object array otherwise."""
+    tops = x._tops
     q = x.quiver
     offsets: list[int] = []
     ncols = 0
-    for v, _ in pres.summands:
+    for v, _ in tops.summands:
         offsets.append(ncols)
         ncols += y.dim(v)
     ynp: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-    for v in pres.paths:
+    for v in tops.paths:
         for w in range(1, q.n + 1):
-            for pth in pres.paths[v][w]:
+            for pth in tops.paths[v][w]:
                 if (v, pth) not in ynp:
                     ynp[(v, pth)] = _np_path_map(y, pth, v)
-    blocks: list[np.ndarray] = []
-    if ncols:
-        for w in range(1, q.n + 1):
-            kmat = pres.kernels[w - 1]
-            e_w = y.dim(w)
-            k_w = kmat.shape[1]
-            if k_w == 0 or e_w == 0:
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    nrows = 0
+    # the kernels are only needed, and built, when there are unknowns
+    for w in range(1, q.n + 1) if ncols else ():
+        kmat = x._presentation[w - 1]
+        e_w = y.dim(w)
+        k_w = kmat.shape[1]
+        if k_w == 0 or e_w == 0:
+            continue
+        roff = 0
+        for j, (v, _) in enumerate(tops.summands):
+            pths = tops.paths[v][w]
+            ks = kmat[roff : roff + len(pths)]
+            roff += len(pths)
+            if not pths or not y.dim(v):
                 continue
-            block = np.zeros((k_w * e_w, ncols), dtype=np.int64)
-            roff = 0
-            for j, (v, _) in enumerate(pres.summands):
-                b = pres.path_counts[w - 1][j]
-                c_j = y.dim(v)
-                if b and c_j:
-                    contrib = _weighted_blocks(
-                        kmat[roff : roff + b, :],
-                        [ynp[(v, pth)] for pth in pres.paths[v][w]],
+            ymaps = [ynp[(v, pth)] for pth in pths]
+            exact = max_abs(ks) * max(map(max_abs, ymaps)) * len(pths) < 2**62
+            for kb, ym in zip(ks, ymaps):
+                qi = np.flatnonzero(kb)
+                ei, ci = np.nonzero(ym)
+                if not qi.size or not ei.size:
+                    continue
+                kv, yv = kb[qi], ym[ei, ci]
+                if exact:
+                    kv, yv = kv.astype(np.int64), yv.astype(np.int64)
+                else:
+                    kv, yv = kv.astype(object), yv.astype(object)
+                parts.append(
+                    (
+                        (nrows + qi[:, None] * e_w + ei).ravel(),
+                        np.broadcast_to(offsets[j] + ci, (qi.size, ci.size)).ravel(),
+                        np.multiply.outer(kv, yv).ravel(),
                     )
-                    if contrib.dtype == object and block.dtype != object:
-                        # a magnitude bound failed: exact object arithmetic
-                        block = block.astype(object)
-                    block[:, offsets[j] : offsets[j] + c_j] = contrib.reshape(
-                        k_w * e_w, c_j
-                    )
-                roff += b
-            blocks.append(block)
-    if blocks:
-        rows = np.vstack(blocks)
-    else:
-        rows = np.zeros((0, ncols), dtype=np.int64)
-    return pres, offsets, ncols, ynp, rows
+                )
+        nrows += k_w * e_w
+    if not parts:
+        empty = np.zeros(0, dtype=np.intp)
+        return offsets, ncols, ynp, (empty, empty, empty.astype(np.int64), (nrows, ncols))
+    keys = np.concatenate([r * ncols + c for r, c, _ in parts])
+    vals = np.concatenate([v for _, _, v in parts])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(vals[order], starts)
+    keep = sums != 0
+    keys = keys[starts[keep]]
+    return offsets, ncols, ynp, (keys // ncols, keys % ncols, sums[keep], (nrows, ncols))
 
 
 def _pair_memo(x: Rep, y: Rep) -> dict:
@@ -1003,19 +1018,22 @@ def _hom_system(x: Rep, y: Rep) -> _HomSystem:
     """x and y must be integer representations of the same quiver."""
     memo = _pair_memo(x, y)
     if "system" not in memo:
-        pres, offsets, ncols, ynp, rows = _hom_rows(x, y)
-        mk = ModKernel(rows, ncols) if ncols else None
+        offsets, ncols, ynp, triples = _hom_rows(x, y)
+        mk = ModKernel(*triples) if ncols else None
+        tops = x._tops
         memo["system"] = _HomSystem(
-            pres.summands, pres.paths, offsets, ncols, mk, ynp
+            tops.summands, tops.paths, offsets, ncols, mk, ynp
         )
     return memo["system"]
 
 
 def _system_shape(x: Rep, y: Rep) -> tuple[int, int]:
-    pres = x._presentation
-    cols = sum(y.dim(v) for v, _ in pres.summands)
+    """Shape of the reduced Hom system of (x, y), read off the tops of x
+    without building its presentation kernels."""
+    tops = x._tops
+    cols = sum(y.dim(v) for v, _ in tops.summands)
     rows = sum(
-        pres.kernels[w].shape[1] * y.dims[w] for w in range(x.quiver.n)
+        (tops.p0_dims[w] - x.dims[w]) * y.dims[w] for w in range(x.quiver.n)
     )
     return rows, cols
 
@@ -1082,7 +1100,7 @@ def _exact_column_span_full(columns: list[np.ndarray], dim: int) -> bool:
     for j, c in enumerate(columns):
         rows[j, :] = c
     try:
-        mk = ModKernel(rows, dim)
+        mk = ModKernel(*nonzero_triples(rows))
         if mk.dim_upper_bound == 0:
             return True
         for _ in mk.exact_vectors(1):

@@ -19,6 +19,7 @@ from qtors import (
     gen_contains,
     hom_basis,
     hom_dim,
+    simple_rep,
     zero_rep,
 )
 from qtors.modkernel import PRIMES, _MAX_COLS, echelon_mod_p
@@ -88,6 +89,32 @@ class TestDifferential:
                 _assert_matches_oracles(s, m)
                 _assert_matches_oracles(m, s)
 
+    def test_entries_past_int64(self):
+        # a path through a zero space next to an arrow with entries above
+        # 2**63 once made the int64 path-map product overflow
+        mods = enumerate_indecomposables(QUIVERS["A3"])
+        big = 10**19 + 7
+        tall = [
+            Rep(m.quiver, m.dims, tuple(a.scale(big) for a in m.arrow_maps))
+            for m in mods
+        ]
+        for x in mods + tall:
+            for y in tall:
+                _assert_matches_oracles(x, y)
+
+    def test_route_ranking_builds_one_presentation(self):
+        # the two routes are ranked by shapes read off the top generators;
+        # only the chosen one builds presentation kernels
+        mods = enumerate_indecomposables(QUIVERS["D4"])
+        for m in mods:
+            for n in mods:
+                x = Rep(m.quiver, m.dims, m.arrow_maps)
+                y = Rep(n.quiver, n.dims, n.arrow_maps)
+                assert x._rescaled is None and y._rescaled is None
+                assert hom_dim(x, y) == len(hom_basis(x, y))
+                built = [r for r in (x, y._dual) if "_presentation" in vars(r)]
+                assert len(built) <= 1
+
     def test_no_dense_hom_system_needed(self, monkeypatch):
         q = QUIVERS["D4"]
         mods = enumerate_indecomposables(q)
@@ -143,6 +170,22 @@ def test_random_representations_match_the_oracles(pair):
     xy, xx = direct_sum([x, y]), direct_sum([x, x])
     for a, b in ((x, y), (y, x), (x, x), (xy, y), (x, xx)):
         _assert_matches_oracles(a, b)
+
+
+class TestWideRadical:
+    """A radical wider than one modular elimination: X_2 of the
+    2-Kronecker representation of dims (4100, 1) is the image of 8200
+    columns.  Its top generators come from an echelon one column wide."""
+
+    def test_hom_and_gen_into_the_simple_at_the_sink(self):
+        q = Quiver(2, ((1, 2), (1, 2)))
+        d = 4100
+        ones = Matrix(1, d, [[Fraction(1)] * d])
+        ramp = Matrix(1, d, [[Fraction(j) for j in range(d)]])
+        x = Rep(q, (d, 1), (ones, ramp))
+        s2 = simple_rep(q, 2)
+        assert hom_dim(x, s2) == 0
+        assert not gen_contains(x, s2)
 
 
 class TestWideColumnBuffers:

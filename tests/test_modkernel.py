@@ -13,6 +13,7 @@ from qtors.modkernel import (
     ModKernel,
     ReconstructionError,
     echelon_mod_p,
+    nonzero_triples,
 )
 
 
@@ -45,7 +46,7 @@ def test_upper_bound_matches_exact_nullity():
         rank = rng.randint(0, min(rows, cols))
         data = _rank_deficient_rows(rng, rows, cols, rank)
         exact = cols - Matrix.from_rows(data).rank()
-        assert ModKernel(data, cols).dim_upper_bound == exact
+        assert ModKernel(*nonzero_triples(np.array(data))).dim_upper_bound == exact
 
 
 def test_exact_vectors_are_verified_kernel_members():
@@ -55,7 +56,7 @@ def test_exact_vectors_are_verified_kernel_members():
         cols = rng.randint(2, 7)
         rank = rng.randint(0, min(rows, cols))
         data = _rank_deficient_rows(rng, rows, cols, rank)
-        mk = ModKernel(data, cols)
+        mk = ModKernel(*nonzero_triples(np.array(data)))
         m = Matrix.from_rows(data)
         assert mk.dim_upper_bound == cols - m.rank()
         vecs = list(mk.exact_vectors())
@@ -72,7 +73,7 @@ def test_exact_vectors_are_verified_kernel_members():
 def test_spread_and_column_selection():
     rng = random.Random(17)
     data = _rank_deficient_rows(rng, 4, 10, 2)
-    mk = ModKernel(data, 10)
+    mk = ModKernel(*nonzero_triples(np.array(data)))
     total = mk.dim_upper_bound
     assert total == 8
     spread = list(mk.exact_vectors(count=3, spread=True))
@@ -89,7 +90,7 @@ def test_spread_and_column_selection():
 def test_candidate_residues_match_exact_solutions():
     rng = random.Random(19)
     data = _rank_deficient_rows(rng, 3, 6, 2)
-    mk = ModKernel(data, 6)
+    mk = ModKernel(*nonzero_triples(np.array(data)))
     pivots, free, coords, p = mk.candidate_residues()
     vecs = list(mk.exact_vectors())
     assert len(vecs) == len(free)
@@ -106,7 +107,7 @@ def test_large_entries_still_exact():
     rng = random.Random(23)
     base = _rank_deficient_rows(rng, 4, 5, 3)
     scaled = [[x * (10 ** 12 + 7) for x in row] for row in base]
-    mk = ModKernel(scaled, 5)
+    mk = ModKernel(*nonzero_triples(np.array(scaled)))
     m = Matrix.from_rows(scaled)
     assert mk.dim_upper_bound == 5 - m.rank()
     for v in mk.exact_vectors():
@@ -114,7 +115,7 @@ def test_large_entries_still_exact():
 
 
 def test_zero_matrix():
-    mk = ModKernel([[0, 0, 0]], 3)
+    mk = ModKernel(*nonzero_triples(np.array([[0, 0, 0]])))
     assert mk.dim_upper_bound == 3
     vecs = list(mk.exact_vectors())
     assert sorted(tuple(v) for v in vecs) == [
@@ -127,7 +128,7 @@ def test_zero_matrix():
 def test_random_vectors_are_exact_kernel_vectors():
     rng = random.Random(29)
     data = _rank_deficient_rows(rng, 4, 8, 3)
-    mk = ModKernel(data, 8)
+    mk = ModKernel(*nonzero_triples(np.array(data)))
     m = Matrix.from_rows(data)
     vecs = list(mk.exact_random_vectors(5, seed=7))
     assert len(vecs) == 5
@@ -141,10 +142,28 @@ def test_random_vectors_are_exact_kernel_vectors():
     assert other != vecs
 
 
+def test_random_vectors_of_a_block_wider_than_2_15_columns():
+    # one dense row is one block of 100 000 columns.  Its echelon row holds
+    # p - 2 and its verification residues q - 2, so over random free
+    # coordinates the plain dot products pass 2**53 (float64) and 2**63
+    # (int64): only chunked reduction keeps them exact
+    n = 100_000
+    row = np.full(n, -2, dtype=np.int64)
+    row[0] = 1
+    mk = ModKernel(*nonzero_triples(row[None, :]))
+    assert len(mk._blocks) == 1
+    assert mk.dim_upper_bound == n - 1
+    vecs = list(mk.exact_random_vectors(2, seed=1, bound=10**6))
+    assert len(vecs) == 2
+    for v in vecs:
+        assert sum(1 for e in v if e) > n // 2
+        assert v[0] == 2 * sum(v[1:])
+
+
 def test_random_vectors_full_rank_kernel():
     # injective matrix: the only kernel vector is zero, but the free-column
     # structure is empty, so the generator must yield nothing
-    mk = ModKernel([[1, 0], [0, 1], [1, 1]], 2)
+    mk = ModKernel(*nonzero_triples(np.array([[1, 0], [0, 1], [1, 1]])))
     assert list(mk.exact_random_vectors(3)) == []
 
 
@@ -157,15 +176,13 @@ P0 = PRIMES[0]
 def block_matrices(draw):
     """Random block-diagonal integer matrix under random row and column
     permutations.  Blocks may have no rows or no columns, are often of low
-    rank, and may hold multiples of PRIMES[0] (non-zero in the matrix but
-    zero modulo the first prime)."""
+    rank, may hold multiples of PRIMES[0] (non-zero in the matrix but zero
+    modulo the first prime), and may be repeated, so that several
+    components share one block matrix."""
     shapes = draw(
         st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4)
     )
-    m = sum(r for r, _ in shapes)
-    n = sum(c for _, c in shapes)
-    base = np.zeros((m, n), dtype=np.int64)
-    r0 = c0 = 0
+    blocks = []
     for r, c in shapes:
         k = draw(st.integers(0, min(r, c)))
         small = st.integers(-2, 2)
@@ -175,6 +192,13 @@ def block_matrices(draw):
         if r * c and draw(st.booleans()):
             i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, c - 1))
             block[i, j] = P0 * draw(st.sampled_from([1, -1, 2]))
+        blocks += [block] * draw(st.integers(1, 3))
+    m = sum(b.shape[0] for b in blocks)
+    n = sum(b.shape[1] for b in blocks)
+    base = np.zeros((m, n), dtype=np.int64)
+    r0 = c0 = 0
+    for block in blocks:
+        r, c = block.shape
         base[r0 : r0 + r, c0 : c0 + c] = block
         r0, c0 = r0 + r, c0 + c
     rows = draw(st.permutations(range(m)))
@@ -182,8 +206,8 @@ def block_matrices(draw):
     return base[np.ix_(rows, cols)]
 
 
-def _one_block(base):
-    m, n = base.shape
+def _one_block(rows, cols, shape):
+    m, n = shape
     return [(np.arange(m), np.arange(n))] if n else []
 
 
@@ -222,9 +246,9 @@ def _observe(mk, seed):
 @example(base=np.array([[P0, 0], [0, 1], [0, 0]]), seed=2)
 def test_block_split_matches_one_elimination(base, seed):
     m, n = base.shape
-    mk = ModKernel(base, n)
+    mk = ModKernel(*nonzero_triples(base))
     with mock.patch.object(modkernel, "_components", _one_block):
-        whole = ModKernel(base, n)
+        whole = ModKernel(*nonzero_triples(base))
     assert len(whole._blocks) == (1 if n else 0)
 
     # the single dense elimination at the first prime
@@ -261,11 +285,37 @@ def test_block_split_matches_one_elimination(base, seed):
                 assert v == combo
 
 
+def test_identical_blocks_share_one_elimination():
+    blocks = [np.array([[1, 2, 3], [2, 4, 7]])] * 5 + [np.array([[1, 1], [0, 1]])] * 2
+    base = np.zeros((14, 19), dtype=np.int64)
+    r0 = c0 = 0
+    for block in blocks:
+        base[r0 : r0 + 2, c0 : c0 + block.shape[1]] = block
+        r0, c0 = r0 + 2, c0 + block.shape[1]
+    calls = []
+    orig = modkernel.echelon_mod_p
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return orig(a, p)
+
+    with mock.patch.object(modkernel, "echelon_mod_p", counted):
+        mk = ModKernel(*nonzero_triples(base))
+    assert len(mk._blocks) == 7
+    assert len(mk._matrices) == 2
+    assert calls == [(2, 3), (2, 2)]
+    assert mk.dim_upper_bound == 5
+    exact = Matrix.from_rows(base.tolist())
+    vecs = list(mk.exact_vectors())
+    assert vecs == exact.kernel_basis()
+
+
 def test_kronecker_window_echelon_traffic():
     """The chain check of kronecker_window(3, 6) eliminates its Hom systems
-    block by block: no modular elimination above 100 000 cells and fewer
-    than 2 M cells in all (one dense elimination of its largest system
-    alone has 9.15 M), and the answers still hold."""
+    block by block, and each distinct block once per prime: no modular
+    elimination above 100 000 cells, fewer than 2 M cells in all (one dense
+    elimination of its largest system alone has 9.15 M) and fewer than 1000
+    eliminations (4358 with one per block), and the answers still hold."""
     from qtors import kronecker_chain_check, kronecker_window, rep
 
     sizes = []
@@ -282,3 +332,22 @@ def test_kronecker_window_echelon_traffic():
     assert report.ok()
     assert max(sizes) <= 100_000
     assert sum(sizes) < 2_000_000
+    assert len(sizes) < 1000
+
+
+def test_kronecker_window_memory_peak():
+    """No Hom system of the kronecker_window(3, 6) chain check is held
+    dense: its traced allocation peak stays under 40 MB (the dense 3024 x
+    3025 and 1155 x 7920 systems alone took about 73 MB each)."""
+    import tracemalloc
+
+    from qtors import kronecker_chain_check, kronecker_window
+
+    tracemalloc.start()
+    try:
+        report = kronecker_chain_check(kronecker_window(3, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok()
+    assert peak < 40 * 2**20
