@@ -17,7 +17,7 @@ from .families import (
 )
 from .forms import forms_context, triple_quiver, wild_triple_euler_value
 from .poset import torsion_poset
-from .quiver import QuiverError, classify, parse_quiver, theorem_main_decision
+from .quiver import QuiverError, classify, decide_with_class, parse_quiver
 from .taurig import enumerate_stt, stt_pairs_to_json
 
 EXIT_OK = 0
@@ -104,9 +104,10 @@ def _cmd_poset(args) -> int:
 
 def _cmd_check_lattice(args) -> int:
     q = _load_quiver(args.file)
-    verdict, certificate = theorem_main_decision(q)
+    cls = classify(q)
+    verdict, certificate = decide_with_class(q, cls)
     out = {"theorem_decision": verdict, "certificate": certificate}
-    if classify(q).tag == "Dynkin":
+    if cls.tag == "Dynkin":
         p = torsion_poset(q)
         is_lat, _ = p.is_lattice()
         out["enumerated"] = {

@@ -348,6 +348,12 @@ def find_witness_subquiver(q: Quiver) -> tuple[frozenset[int], QuiverClass] | No
         raise QuiverError("witness search requires a connected quiver")
     if q.n <= 2 or classify(q).tag == "Dynkin":
         return None
+    return _smallest_witness(q)
+
+
+def _smallest_witness(q: Quiver) -> tuple[frozenset[int], QuiverClass]:
+    """The search of `find_witness_subquiver` on a connected quiver already
+    known to be non-Dynkin with at least 3 vertices."""
     adj: dict[int, set[int]] = {v: set() for v in range(1, q.n + 1)}
     for s, t in q.arrows:
         adj[s].add(t)
@@ -372,15 +378,18 @@ def theorem_main_decision(q: Quiver) -> tuple[bool, dict]:
     subquiver on failure."""
     if not q.is_connected():
         raise QuiverError("decision requires a connected quiver")
-    cls = classify(q)
+    return decide_with_class(q, classify(q))
+
+
+def decide_with_class(q: Quiver, cls: QuiverClass) -> tuple[bool, dict]:
+    """`theorem_main_decision` for a connected quiver whose classification
+    `cls` is already known, so that callers which need the class as well
+    classify only once."""
     if cls.tag == "Dynkin":
         return True, {"reason": "Dynkin", "type": cls.type_name}
     if q.n <= 2:
         return True, {"reason": "at most 2 vertices", "vertices": q.n}
-    witness = find_witness_subquiver(q)
-    if witness is None:
-        raise RuntimeError("non-Dynkin quiver without a witness subquiver")
-    vs, wcls = witness
+    vs, wcls = _smallest_witness(q)
     return False, {
         "reason": "witness subquiver",
         "vertices": sorted(vs),

@@ -191,19 +191,23 @@ def hom_basis(x: Rep, y: Rep) -> list[Morphism]:
     def var(v: int, i: int, j: int) -> int:  # phi_v[i][j], v zero-based
         return offsets[v] + i * x.dims[v] + j
 
-    rows: list[list[Fraction]] = []
+    # each equation is scaled by the lcm of the two denominators, so the
+    # system has integer rows
+    rows: list[list[int]] = []
     for a, (s, t) in enumerate(q.arrows):
         s -= 1
         t -= 1
         xa, ya = x.arrow_maps[a], y.arrow_maps[a]
+        den = lcm(xa._den, ya._den)
+        fx, fy = den // xa._den, den // ya._den
         for i in range(y.dims[t]):
             for j in range(x.dims[s]):
-                row = [Fraction(0)] * nvars
+                row = [0] * nvars
                 for c in range(x.dims[t]):
-                    row[var(t, i, c)] += -xa[c, j]
+                    row[var(t, i, c)] -= fx * xa._num[c][j]
                 for c in range(y.dims[s]):
-                    row[var(s, c, j)] += ya[i, c]
-                if any(e != 0 for e in row):
+                    row[var(s, c, j)] += fy * ya._num[i][c]
+                if any(row):
                     rows.append(row)
     if rows:
         kernel = Matrix(len(rows), nvars, rows).kernel_basis()
@@ -682,22 +686,14 @@ _GEN_LIFT_CAP = 24  # morphisms lifted before trying a quotient certificate
 _GEN_RANDOM_TRIES = 6  # generic solutions absorbed before the column screen
 
 
-def _den_lcm(m: Matrix) -> int:
-    d = 1
-    for e in m.entries():
-        d = lcm(d, e.denominator)
-    return d
-
-
 def _int_form(m: Matrix) -> tuple[np.ndarray, int]:
-    """m as (a, d) with m = a / d: d the lcm of the denominators and a an
-    object array of Python ints, so products stay exact without Fraction
-    arithmetic."""
-    d = _den_lcm(m)
+    """m as (a, d) with m = a / d: the stored numerators and common
+    denominator of m, a as an object array of Python ints, so products stay
+    exact without Fraction arithmetic."""
     a = np.empty((m.rows, m.cols), dtype=object)
-    for i in range(m.rows):
-        a[i, :] = [e.numerator * (d // e.denominator) for e in m.row(i)]
-    return a, d
+    for i, row in enumerate(m._num):
+        a[i, :] = row
+    return a, m._den
 
 
 def _integer_form(x: Rep) -> Rep:
@@ -710,7 +706,7 @@ def _rescale_to_integers(x: Rep) -> Rep | None:
     and along a topological order the targets can always absorb the
     denominators of their incoming maps."""
     q = x.quiver
-    dens = [_den_lcm(m) for m in x.arrow_maps]
+    dens = [m._den for m in x.arrow_maps]
     if all(d == 1 for d in dens):
         return None
     order = q.topological_order()
@@ -730,11 +726,10 @@ def _rescale_to_integers(x: Rep) -> Rep | None:
 
 
 def _np_int(m: Matrix) -> np.ndarray:
-    out = np.zeros((m.rows, m.cols), dtype=object)
-    for i in range(m.rows):
-        for j, e in enumerate(m.row(i)):
-            out[i, j] = int(e)
-    return out
+    """An integer matrix as an object array of its Python ints."""
+    if m._den != 1:
+        raise ValueError("integer form of a matrix with denominators")
+    return _int_form(m)[0]
 
 
 def _np_path_map(x: Rep, path: tuple[int, ...], start: int) -> np.ndarray:
@@ -778,7 +773,7 @@ def _complement_coords(r: Matrix) -> list[int]:
     p = PRIMES[0]
     arr = np.zeros((r.cols, d), dtype=np.float64)
     for i in range(d):
-        arr[:, d - 1 - i] = [int(e) % p for e in r.row(i)]
+        arr[:, d - 1 - i] = [e % p for e in r._num[i]]
     _, piv = echelon_mod_p(arr, p)
     independent = {d - 1 - j for j in piv}
     return [i for i in range(d) if i not in independent]
@@ -811,9 +806,7 @@ def _certified_int_kernel(mat: np.ndarray) -> np.ndarray:
         mk = ModKernel(*nonzero_triples(mat))
         cols = [_scaled_int_vector(vec) for vec in mk.exact_vectors()]
     except ReconstructionError:
-        exact = Matrix(
-            m, n, [[Fraction(int(mat[i, j])) for j in range(n)] for i in range(m)]
-        )
+        exact = Matrix(m, n, mat.tolist())
         cols = [_scaled_int_vector(vec) for vec in exact.kernel_basis()]
     if not cols:
         return np.zeros((n, 0), dtype=np.int64)
@@ -1108,7 +1101,7 @@ def _exact_column_span_full(columns: list[np.ndarray], dim: int) -> bool:
         return True
     except ReconstructionError:
         exact = Matrix.from_columns(
-            [[Fraction(int(v)) for v in c] for c in columns], nrows=dim
+            [[int(v) for v in c] for c in columns], nrows=dim
         )
         return exact.rank() == dim
 
@@ -1388,7 +1381,7 @@ def gen_contains(m: Rep, x: Rep) -> bool:
                 changed = True
     subs = [
         Matrix.from_columns(
-            [[Fraction(int(e)) for e in c] for c in subs_cols[v]],
+            [[int(e) for e in c] for c in subs_cols[v]],
             nrows=ti.dims[v],
         )
         for v in range(q.n)

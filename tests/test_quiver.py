@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from itertools import combinations
 
@@ -327,3 +328,23 @@ class TestWitnessSearch:
         assert data["certificate"]["vertices"] == list(range(1, q.n + 1))
         assert data["certificate"]["class"]["tag"] == "ExtendedDynkin"
         assert elapsed < 10, f"check-lattice took {elapsed:.1f}s of 10s"
+
+    def test_check_lattice_on_seeded_40_cycle(self, capsys, tmp_path):
+        # about 1500 connected sets, each classified by an exact
+        # definiteness test of its Tits matrix; the entry-wise Fraction
+        # elimination took about 8 s here on a 2-core host
+        n = 40
+        label = list(range(1, n + 1))
+        random.Random(40).shuffle(label)
+        q = _from_edges(n, [(i, i + 1) for i in range(1, n)] + [(1, n)], label)
+        f = tmp_path / "q.quiver"
+        f.write_text(q.to_dsl())
+        started = time.perf_counter()
+        code = main(["check-lattice", str(f)])
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["theorem_decision"] is False
+        assert data["certificate"]["vertices"] == list(range(1, n + 1))
+        assert data["certificate"]["class"] == {"tag": "ExtendedDynkin", "type": "A~39"}
+        assert elapsed < 4, f"check-lattice took {elapsed:.1f}s of 4s"
