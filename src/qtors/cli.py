@@ -149,6 +149,8 @@ def _cmd_kronecker(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    if args.tower is not None and args.tower < 0:
+        raise SystemExit("error: --tower must be a non-negative length")
     if args.abc:
         try:
             a, b, c = (int(p) for p in args.abc.split(","))

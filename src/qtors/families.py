@@ -16,7 +16,6 @@ from .rep import (
     Rep,
     ar_translate,
     ar_translate_inverse,
-    compose,
     direct_sum,
     dualize,
     ext1_dim,
@@ -442,7 +441,10 @@ def uniserial_tower(w: WildWitness, lmax: int) -> list[TowerLevel]:
         ext_top = ExtGroup(simples[top_name], u)
         chosen = None
         for coc in ext_big.cocycles:
-            pushed = compose(cur.top_map, coc)
+            # pushforward along the top map f: (f_t eta_a) per arrow a: s -> t
+            pushed = tuple(
+                cur.top_map[t - 1] * eta for (_, t), eta in zip(u.quiver.arrows, coc)
+            )
             if not ext_top.is_coboundary(pushed):
                 chosen = coc
                 break
@@ -450,7 +452,7 @@ def uniserial_tower(w: WildWitness, lmax: int) -> list[TowerLevel]:
             raise RuntimeError(
                 "no cocycle with nonzero pushforward; Ext nonvanishing violated"
             )
-        e, _, pi = extension_realize(cur.rep, u, chosen, ext_big.presentation)
+        e, _, pi = extension_realize(cur.rep, u, chosen)
         split = ext_big.is_coboundary(chosen)
         if split:
             raise RuntimeError("tower step extension split")

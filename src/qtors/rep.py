@@ -1,8 +1,8 @@
 """Quiver representations over the rationals and the module-level
-computations built on them: Hom spaces, Ext groups via projective
-presentations, BGP reflection functors, the Auslander-Reiten translate as a
-Coxeter functor, Gen-membership, surjection search and extension
-realization."""
+computations built on them: Hom spaces, Ext groups as the cokernel of the
+intertwining matrix (Ringel's standard resolution), BGP reflection
+functors, the Auslander-Reiten translate as a Coxeter functor,
+Gen-membership, surjection search and extension realization."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .forms import forms_context
-from .linalg import Matrix, complement_indices, extend_to_basis
+from .linalg import Matrix, cokernel, extend_to_basis
 from .modkernel import (
     PRIMES,
     ModKernel,
@@ -176,9 +176,15 @@ def direct_sum(reps: list[Rep]) -> Rep:
 # -- Hom and basic invariants ----------------------------------------------
 
 
-def hom_basis(x: Rep, y: Rep) -> list[Morphism]:
-    """Basis of Hom(x, y): solutions of all intertwining equations
-    y_a . phi_s = phi_t . x_a."""
+def _intertwining_matrix(x: Rep, y: Rep) -> Matrix:
+    """The map delta(phi)_a = y_a phi_s - phi_t x_a from the sum over vertices
+    v of Hom_k(x_v, y_v) to the sum over arrows a: s -> t of Hom_k(x_s, y_t),
+    as one exact matrix.  Its kernel is Hom(x, y) and its cokernel
+    Ext^1(x, y): over a path algebra
+    0 -> Hom(x, y) -> (+)_v Hom_k(x_v, y_v) -> (+)_a Hom_k(x_s, y_t) -> Ext^1(x, y) -> 0
+    is exact (Ringel's standard resolution).  Variable (v, i, j) is entry
+    (i, j) of phi_v; row (a, i, j) is entry (i, j) of delta(phi)_a, arrows in
+    quiver order.  Zero rows stay: the rows are the cocycle coordinates."""
     q = x.quiver
     if y.quiver != q:
         raise ValueError("Hom requires representations of the same quiver")
@@ -187,47 +193,40 @@ def hom_basis(x: Rep, y: Rep) -> list[Morphism]:
     for v in range(q.n):
         offsets.append(nvars)
         nvars += y.dims[v] * x.dims[v]
-
-    def var(v: int, i: int, j: int) -> int:  # phi_v[i][j], v zero-based
-        return offsets[v] + i * x.dims[v] + j
-
-    # each equation is scaled by the lcm of the two denominators, so the
-    # system has integer rows
-    rows: list[list[int]] = []
+    # integer rows over the lcm of all arrow denominators
+    den = lcm(*(m._den for m in x.arrow_maps + y.arrow_maps))
+    rows: list[tuple[int, ...]] = []
     for a, (s, t) in enumerate(q.arrows):
         s -= 1
         t -= 1
         xa, ya = x.arrow_maps[a], y.arrow_maps[a]
-        den = lcm(xa._den, ya._den)
         fx, fy = den // xa._den, den // ya._den
         for i in range(y.dims[t]):
+            yrow = ya._num[i]
             for j in range(x.dims[s]):
                 row = [0] * nvars
+                # phi_t[i][c] at offsets[t] + i * x_t + c
+                o = offsets[t] + i * x.dims[t]
                 for c in range(x.dims[t]):
-                    row[var(t, i, c)] -= fx * xa._num[c][j]
+                    row[o + c] -= fx * xa._num[c][j]
+                # phi_s[c][j] at offsets[s] + c * x_s + j
+                o = offsets[s] + j
                 for c in range(y.dims[s]):
-                    row[var(s, c, j)] += fy * ya._num[i][c]
-                if any(row):
-                    rows.append(row)
-    if rows:
-        kernel = Matrix(len(rows), nvars, rows).kernel_basis()
-    else:
-        kernel = Matrix.zero(0, nvars).kernel_basis()
+                    row[o + c * x.dims[s]] += fy * yrow[c]
+                rows.append(tuple(row))
+    return Matrix._reduce(len(rows), nvars, tuple(rows), den)
+
+
+def hom_basis(x: Rep, y: Rep) -> list[Morphism]:
+    """Basis of Hom(x, y): the kernel basis of `_intertwining_matrix`, one
+    matrix X_v -> Y_v per vertex."""
     basis = []
-    for vec in kernel:
+    for vec in _intertwining_matrix(x, y).kernel_basis():
         mats = []
-        for v in range(q.n):
-            o = offsets[v]
-            mats.append(
-                Matrix(
-                    y.dims[v],
-                    x.dims[v],
-                    [
-                        vec[o + i * x.dims[v] : o + (i + 1) * x.dims[v]]
-                        for i in range(y.dims[v])
-                    ],
-                )
-            )
+        o = 0
+        for dx, dy in zip(x.dims, y.dims):
+            mats.append(Matrix(dy, dx, [vec[o + i * dx : o + (i + 1) * dx] for i in range(dy)]))
+            o += dx * dy
         basis.append(tuple(mats))
     return basis
 
@@ -285,11 +284,84 @@ def is_rigid(x: Rep) -> bool:
     return ext1_dim(x, x) == 0
 
 
-def is_tau_rigid(x: Rep) -> bool:
-    return hom_dim(x, ar_translate(x)) == 0
+# -- Ext via the standard resolution -----------------------------------------
+#
+# Ext^1(Z, X) is the cokernel of delta = `_intertwining_matrix(z, x)`, whose
+# rows are indexed by the entries of arrow tuples (eta_a: Z_s -> X_t).  Every
+# such tuple is a cocycle, and its class is its image in the cokernel.
 
 
-# -- projective presentations and Ext via cocycles ---------------------------
+class ExtGroup:
+    """Ext^1(Z, X) as the cokernel of delta: the cocycles are the standard
+    vectors that `cokernel` picks to complete the image of delta, in that
+    order, each an arrow tuple (eta_a: Z_s -> X_t) with a single entry 1."""
+
+    def __init__(self, x: Rep, z: Rep):
+        if x.quiver != z.quiver:
+            raise ValueError("Ext requires representations of the same quiver")
+        self.x = x
+        self.z = z
+        delta = _intertwining_matrix(z, x)
+        picked, self._projection = cokernel(delta)
+        self._shapes = [(x.dims[t - 1], z.dims[s - 1]) for s, t in x.quiver.arrows]
+        n = delta.rows
+        self.cocycles: list[Morphism] = [
+            self._arrow_tuple([0] * k + [1] + [0] * (n - 1 - k)) for k in picked
+        ]
+        self.dimension = len(self.cocycles)
+
+    def _arrow_tuple(self, flat: list[int]) -> Morphism:
+        """The arrow tuple with the cocycle coordinates `flat`."""
+        out = []
+        o = 0
+        for r, c in self._shapes:
+            out.append(Matrix(r, c, [flat[o + i * c : o + (i + 1) * c] for i in range(r)]))
+            o += r * c
+        return tuple(out)
+
+    def is_coboundary(self, cocycle: Morphism) -> bool:
+        """True iff the class of the cocycle vanishes, i.e. the extension
+        it realizes splits: exactly when eta lies in the image of delta."""
+        if len(cocycle) != len(self._shapes) or any(
+            (m.rows, m.cols) != shape for m, shape in zip(cocycle, self._shapes)
+        ):
+            raise ValueError("a cocycle is one matrix Z_s -> X_t per arrow")
+        return not any(self._projection.apply([e for m in cocycle for e in m.entries()]))
+
+
+def extension_realize(x: Rep, z: Rep, cocycle: Morphism) -> tuple[Rep, Morphism, Morphism]:
+    """Middle term of the extension 0 -> X -> E -> Z -> 0 classified by the
+    cocycle (eta_a: Z_s -> X_t): E_v = X_v + Z_v and E_a = [[X_a, eta_a],
+    [0, Z_a]], with the inclusion [I; 0] and the projection [0 I].  The
+    sequence splits iff the cocycle is a coboundary."""
+    q = x.quiver
+    maps = tuple(
+        Matrix.vstack(
+            [
+                Matrix.hstack([x.arrow_maps[a], eta]),
+                Matrix.hstack([Matrix.zero(z.dims[t - 1], x.dims[s - 1]), z.arrow_maps[a]]),
+            ]
+        )
+        for a, ((s, t), eta) in enumerate(zip(q.arrows, cocycle))
+    )
+    e = Rep(q, tuple(dx + dz for dx, dz in zip(x.dims, z.dims)), maps)
+    iota = tuple(
+        Matrix.vstack([Matrix.identity(dx), Matrix.zero(dz, dx)])
+        for dx, dz in zip(x.dims, z.dims)
+    )
+    pi = tuple(
+        Matrix.hstack([Matrix.zero(dz, dx), Matrix.identity(dz)])
+        for dx, dz in zip(x.dims, z.dims)
+    )
+    return e, iota, pi
+
+
+# -- projective presentations ------------------------------------------------
+#
+# Nothing in the package builds a whole presentation: Hom and Gen read the
+# top generators (`_top_generators`), and Ext comes from delta.
+# `projective_presentation` stays public because the tests use it as the
+# reference route to Ext and the benchmark tracer wraps it by name.
 
 
 @dataclass(frozen=True)
@@ -355,154 +427,6 @@ def projective_presentation(z: Rep) -> PresentationData:
     kernel = Rep(q, kdims, tuple(kmaps))
     tops = tuple(v for v, _ in summands)
     return PresentationData(p0, tuple(epi), kernel, tuple(incl), tops)
-
-
-def _projective_hom_basis(pres: PresentationData, x: Rep) -> list[Morphism]:
-    """Basis of Hom(P0, X): a morphism is fixed by the image of the top of
-    each summand P(v_i), any vector of X_{v_i}.  The element for (i, j) sends
-    the top of summand i to the j-th standard basis vector of X_{v_i} and the
-    other tops to 0; at w it sends the path p of P(v_i)_w to column j of
-    x.path_map(p, v_i), in the column order of `projective_presentation`."""
-    q = x.quiver
-    paths = {v: _paths_from(q, v) for v in set(pres.tops)}
-    blocks = {
-        (v, w): [x.path_map(p, v) for p in paths[v][w]]
-        for v in paths
-        for w in range(1, q.n + 1)
-    }
-    basis = []
-    for i, v in enumerate(pres.tops):
-        for j in range(x.dim(v)):
-            f = []
-            for w in range(1, q.n + 1):
-                zero = [Fraction(0)] * x.dim(w)
-                cols = [
-                    m.col(j) if k == i else zero
-                    for k, u in enumerate(pres.tops)
-                    for m in blocks[u, w]
-                ]
-                f.append(Matrix.from_columns(cols, nrows=x.dim(w)))
-            basis.append(tuple(f))
-    return basis
-
-
-class ExtGroup:
-    """Ext^1(Z, X) computed as the cokernel of Hom(P0, X) -> Hom(K, X)
-    along a fixed projective presentation of Z."""
-
-    def __init__(self, x: Rep, z: Rep, presentation: PresentationData | None = None):
-        if x.quiver != z.quiver:
-            raise ValueError("Ext requires representations of the same quiver")
-        self.x = x
-        self.z = z
-        if z.is_zero():
-            self.presentation = None
-            self.hom_k: list[Morphism] = []
-            self._image = Matrix.zero(0, 0)
-            self.dimension = 0
-            self.cocycles: list[Morphism] = []
-            return
-        self.presentation = presentation or projective_presentation(z)
-        pres = self.presentation
-        self.hom_k = hom_basis(pres.kernel, x)
-        # hom_k is the kernel_basis of the hom_basis system, whose variables
-        # are ordered as _flatten orders entries: each element is 1 at its
-        # own free variable, 0 at the others and non-zero elsewhere only at
-        # pivot variables before its own, so its free variable is its last
-        # non-zero entry, and the hom_k coordinates of any f in Hom(K, X)
-        # are the entries of f at the free variables
-        flat = [self._flatten(f) for f in self.hom_k]
-        free = [max(i for i, e in enumerate(v) if e) for v in flat]
-        if any(
-            v[i] != (a == b) for a, v in enumerate(flat) for b, i in enumerate(free)
-        ):
-            raise RuntimeError("Hom(K, X) basis is not a canonical kernel basis")
-        entries = [
-            (v, i, j)
-            for v in range(x.quiver.n)
-            for i in range(x.dims[v])
-            for j in range(pres.kernel.dims[v])
-        ]
-        self._free = [entries[i] for i in free]
-        self._kmaps = [_int_form(m) for m in pres.kernel.arrow_maps]
-        self._xmaps = [_int_form(m) for m in x.arrow_maps]
-        incl = [_int_form(m) for m in pres.incl]
-        restricted = (
-            [(a @ b, da * db) for (a, da), (b, db) in zip(map(_int_form, f), incl)]
-            for f in _projective_hom_basis(pres, x)
-        )
-        self._image = Matrix.from_columns(
-            [self._coordinates(g) for g in restricted], nrows=len(self.hom_k)
-        )
-        # cocycle representatives: hom_k elements completing the image
-        self.cocycles = [self.hom_k[i] for i in complement_indices(self._image)]
-        self.dimension = len(self.cocycles)
-
-    def _flatten(self, f: Morphism) -> list[Fraction]:
-        return [e for m in f for e in m.entries()]
-
-    def _coordinates(self, g: list[tuple[np.ndarray, int]]) -> list[Fraction]:
-        """hom_k coordinates of a map K -> X in integer form (`_int_form`
-        per vertex), after an exact check that it lies in Hom(K, X)."""
-        for a, (s, t) in enumerate(self.x.quiver.arrows):
-            (xa, dx), (ka, dk) = self._xmaps[a], self._kmaps[a]
-            (gs, ds), (gt, dt) = g[s - 1], g[t - 1]
-            # x_a g_s = g_t k_a with the denominators cross-multiplied
-            if not ((xa @ gs) * (dt * dk) == (gt @ ka) * (dx * ds)).all():
-                raise RuntimeError("morphism outside Hom(K, X)")
-        return [Fraction(int(g[v][0][i, j]), g[v][1]) for v, i, j in self._free]
-
-    def is_coboundary(self, cocycle: Morphism) -> bool:
-        """True iff the class of the cocycle vanishes, i.e. the extension
-        it realizes splits."""
-        if self.presentation is None:
-            return True
-        coords = self._coordinates([_int_form(m) for m in cocycle])
-        if self._image.cols == 0:
-            return all(c == 0 for c in coords)
-        return self._image.solve(coords) is not None
-
-
-def ext1_via_presentation(x: Rep, z: Rep) -> tuple[int, list[Morphism]]:
-    ext = ExtGroup(x, z)
-    return ext.dimension, ext.cocycles
-
-
-def extension_realize(
-    x: Rep, z: Rep, cocycle: Morphism, presentation: PresentationData | None = None
-) -> tuple[Rep, Morphism, Morphism]:
-    """Middle term of the extension of Z by X classified by the cocycle
-    K -> X: E = (X + P0) / graph, with the inclusion X -> E and projection
-    E -> Z.  The sequence splits iff the cocycle is a coboundary."""
-    pres = presentation or projective_presentation(z)
-    q = x.quiver
-    quot = []  # E_v <- X_v + P0_v
-    sec = []  # section of quot
-    for v in range(q.n):
-        graph = Matrix.vstack([cocycle[v], -pres.incl[v]])
-        if graph.rank() != graph.cols:
-            raise RuntimeError("graph columns dependent")
-        comp = extend_to_basis(graph)
-        b = Matrix.hstack([graph, comp]) if graph.cols else comp
-        binv = b.inverse()
-        de = comp.cols
-        quot.append(binv.submatrix(range(graph.cols, graph.cols + de), range(b.rows)))
-        sec.append(comp)
-    dims = tuple(m.rows for m in quot)
-    maps = []
-    for a, (s, t) in enumerate(q.arrows):
-        big = Matrix.block_diag([x.arrow_maps[a], pres.p0.arrow_maps[a]])
-        maps.append(quot[t - 1] * big * sec[s - 1])
-    e = Rep(q, dims, tuple(maps))
-    iota = tuple(
-        quot[v] * Matrix.vstack([Matrix.identity(x.dims[v]), Matrix.zero(pres.p0.dims[v], x.dims[v])])
-        for v in range(q.n)
-    )
-    pi = tuple(
-        Matrix.hstack([Matrix.zero(z.dims[v], x.dims[v]), pres.epi[v]]) * sec[v]
-        for v in range(q.n)
-    )
-    return e, iota, pi
 
 
 # -- reflection functors and the AR translate --------------------------------

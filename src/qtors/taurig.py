@@ -13,7 +13,6 @@ from .quiver import Quiver, QuiverError, classify
 from .rep import (
     ExtGroup,
     Morphism,
-    PresentationData,
     Rep,
     direct_sum,
     enumerate_indecomposables,
@@ -21,7 +20,6 @@ from .rep import (
     extension_realize,
     gen_contains,
     projective_rep,
-    projective_presentation,
 )
 
 # A decorated summand is ("mod", catalog index) for a module summand or
@@ -69,15 +67,10 @@ class Catalog:
         return mods
 
     @cached_property
-    def presentations(self) -> list[PresentationData]:
-        return [projective_presentation(m) for m in self.modules]
-
-    @cached_property
     def ext_cocycles(self) -> dict[tuple[int, int], list[Morphism]]:
-        """Cocycles of Ext^1(M_z, M_x) along the stored presentation of M_z,
-        keyed (x, z)."""
+        """Cocycles of Ext^1(M_z, M_x), keyed (x, z)."""
         return {
-            (xi, zi): ExtGroup(x, z, self.presentations[zi]).cocycles
+            (xi, zi): ExtGroup(x, z).cocycles
             for zi, z in enumerate(self.modules)
             for xi, x in enumerate(self.modules)
         }
@@ -328,11 +321,10 @@ def torsion_axiom_spotcheck(
     if generator is not None:
         for zi in sorted(t):
             z = cat.modules[zi]
-            pres = cat.presentations[zi]
             for xi in sorted(t):
                 x = cat.modules[xi]
                 for coc in cat.ext_cocycles[xi, zi]:
-                    e, _, _ = extension_realize(x, z, coc, pres)
+                    e, _, _ = extension_realize(x, z, coc)
                     if not gen_contains(generator, e):
                         report.extension_violations.append((zi, xi))
                         break

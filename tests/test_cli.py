@@ -154,6 +154,19 @@ def test_witness_with_tower(capsys):
     assert data["nonff"]["gen_results"] == [False, False]
 
 
+def test_witness_tower_on_a_large_witness_within_budget(capsys):
+    # dim N = (48, 14, 7): Ext comes from the intertwining matrix, with no
+    # projective presentation of N
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "witness", "--abc", "3,2,1", "--tower", "2")
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    data = json.loads(out)
+    assert [lvl["dims"] for lvl in data["tower"]] == [[1, 3, 0], [49, 17, 7]]
+    assert data["nonff"]["ok"] is True
+    assert elapsed < 10, f"witness --tower 2 took {elapsed:.1f}s of 10s"
+
+
 def test_witness_from_file(capsys, wild_file):
     code, out, _ = run(capsys, "witness", wild_file)
     assert code == 0
@@ -218,6 +231,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "witness")
         assert code == 2
         assert "abc" in err
+
+    def test_negative_tower_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "witness", "--abc", "2,1,0", "--tower", "-1")
+        assert code == 2
+        assert err.startswith("error:") and "--tower" in err
 
     def test_malformed_abc(self, capsys):
         code, _, err = run(capsys, "witness", "--abc", "2;1;0")

@@ -154,6 +154,26 @@ class TestTower:
         with pytest.raises(ValueError):
             uniserial_tower(w, 0)
 
+    def test_ext_builds_no_presentation(self, monkeypatch):
+        # Ext and its middle terms come from the intertwining matrix alone
+        from qtors import catalog, enumerate_stt, fac_class, pair_module, rep, taurig
+        from qtors import torsion_axiom_spotcheck
+
+        from conftest import linear_quiver
+
+        def refuse(*args):
+            raise RuntimeError("projective presentation built")
+
+        monkeypatch.setattr(rep, "projective_presentation", refuse)
+        w = build_wild_witness(triple_quiver(2, 1, 0))
+        assert len(uniserial_tower(w, 4)) == 4
+        a3 = linear_quiver(3)
+        taurig.catalog.cache_clear()
+        cat = catalog(a3)
+        for p in enumerate_stt(a3):
+            report = torsion_axiom_spotcheck(a3, fac_class(a3, p), pair_module(cat, p))
+            assert report.ok()
+
     def test_nonff_evidence_all_false(self):
         w = build_wild_witness(triple_quiver(2, 1, 0))
         evidence = nonff_evidence(w, 4)
