@@ -13,8 +13,7 @@ followed by rational reconstruction.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator
 
 import numpy as np
@@ -33,24 +32,20 @@ _SUBPANEL = 16
 _MAX_COLS = 8192  # deferred-reduction exactness bound for the prime size
 
 
-def _primes_below(bound: int, count: int) -> tuple[int, ...]:
-    out: list[int] = []
-    c = bound - 1 | 1
-    while len(out) < count and c > 2:
-        d, composite = 3, c % 2 == 0
-        while not composite and d * d <= c:
-            composite = c % d == 0
-            d += 2
-        if not composite:
-            out.append(c)
-        c -= 2
-    return tuple(out)
-
-
-# verification primes: large enough that few are needed to exceed the bit
-# bound of an exact dot product, small enough that the int64 matvec
-# (base % q) @ (vec % q) cannot overflow for <= _MAX_COLS columns
-_VERIFY_PRIMES = _primes_below(1 << 24, 64)
+# verification primes, the 64 largest below 2**24: large enough that few are
+# needed to exceed the bit bound of an exact dot product, small enough that
+# the int64 matvec (base % q) @ (vec % q) cannot overflow for <= _MAX_COLS
+# columns
+_VERIFY_PRIMES = (
+    16777213, 16777199, 16777183, 16777153, 16777141, 16777139, 16777127, 16777121,
+    16777099, 16777049, 16777027, 16776989, 16776973, 16776971, 16776967, 16776961,
+    16776941, 16776937, 16776931, 16776919, 16776901, 16776899, 16776869, 16776857,
+    16776839, 16776833, 16776817, 16776763, 16776731, 16776719, 16776713, 16776691,
+    16776689, 16776679, 16776659, 16776631, 16776623, 16776619, 16776607, 16776593,
+    16776581, 16776547, 16776521, 16776491, 16776481, 16776469, 16776451, 16776401,
+    16776391, 16776379, 16776371, 16776367, 16776343, 16776337, 16776317, 16776313,
+    16776289, 16776217, 16776211, 16776191, 16776187, 16776173, 16776169, 16776167,
+)
 
 
 class ReconstructionError(RuntimeError):
@@ -161,6 +156,21 @@ def _kernel_coords_mod_p(
     return x
 
 
+def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for float64 arrays of residues mod p, where b is a vector,
+    a matrix or a stack of matrices; exact at any inner width, since the
+    partial products are reduced every _MAX_COLS terms."""
+    if a.shape[1] <= _MAX_COLS:
+        out = a @ b
+        return np.remainder(out, p, out=out)
+    if b.ndim == 1:
+        return matmul_mod_p(a, b[:, None], p)[:, 0]
+    out = 0
+    for c in range(0, a.shape[1], _MAX_COLS):
+        out = (out + a[:, c : c + _MAX_COLS] @ b[..., c : c + _MAX_COLS, :]) % p
+    return out
+
+
 def _kernel_combo_mod_p(
     ech: np.ndarray, pivots: list[int], free: list[int], w: list[int], p: int
 ) -> np.ndarray:
@@ -170,9 +180,7 @@ def _kernel_combo_mod_p(
     n = ech.shape[1]
     wfull = np.zeros(n, dtype=np.float64)
     wfull[free] = [wi % p for wi in w]
-    base = np.zeros(r, dtype=np.float64)
-    for c in range(0, n, _MAX_COLS):  # exact dot products at any width
-        base = (base + ech[:r, c : c + _MAX_COLS] @ wfull[c : c + _MAX_COLS]) % p
+    base = matmul_mod_p(ech[:r], wfull, p)
     x = np.zeros(r, dtype=np.float64)
     for i in range(r - 1, -1, -1):
         rhs = base[i]
@@ -182,17 +190,27 @@ def _kernel_combo_mod_p(
     return x
 
 
+def _draw(seed: int, shape: tuple[int, int], modulus: int) -> np.ndarray:
+    """Pseudo-random uint32 array of the given shape with entries in [0,
+    modulus) for a modulus up to 2**32, deterministic in `seed`: 32 random
+    bits per entry from one draw of random bytes, reduced.  The slight bias
+    of the reduction only matters to how often a random candidate helps,
+    never to an answer."""
+    raw = random.Random(seed).randbytes(4 * shape[0] * shape[1])
+    return (np.frombuffer(raw, dtype=np.uint32) % np.uint32(modulus)).reshape(shape)
+
+
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     t = ((r2 - r1) * pow(m1, -1, m2)) % m2
     return r1 + m1 * t, m1 * m2
 
 
-def _rational_reconstruct(u: int, m: int) -> Fraction | None:
+def _rational_reconstruct(u: int, m: int) -> tuple[int, int] | None:
     """Wang's algorithm: the unique n/d with |n|, d <= sqrt(m/2), d > 0,
-    gcd(d, m) = 1 and n = u*d mod m, if it exists."""
+    gcd(d, m) = 1 and n = u*d mod m, as (n, d) in lowest terms, if it
+    exists."""
     a0, a1 = m, u % m
     x0, x1 = 0, 1
-    bound = m // 2
     while a1 * a1 * 2 > m:
         q = a0 // a1
         a0, a1 = a1, a0 - q * a1
@@ -202,11 +220,11 @@ def _rational_reconstruct(u: int, m: int) -> Fraction | None:
     n, d = a1, x1
     if d < 0:
         n, d = -n, -d
-    if gcd(n, d) != 1 or d == 0:
+    if gcd(n, d) != 1:
         return None
     if n * n * 2 > m:
         return None
-    return Fraction(n, d)
+    return n, d
 
 
 def int_array(rows: list[list[int]]) -> np.ndarray:
@@ -276,31 +294,41 @@ def _components(
 class _BlockMatrix:
     """Integer sub-matrix of one or more connected components of a ModKernel
     matrix (components with identical entries share it), with one echelon
-    per prime of the schedule and the residues of its verification
-    primes."""
+    per prime of the schedule, the canonical kernel coordinates of each
+    echelon (back-substituted once, when first needed) and the residues of
+    its verification primes."""
 
     def __init__(self, base: np.ndarray):
         self.base = base
         self.max_abs = max_abs(base)
         self.echelons: list[tuple[np.ndarray, list[int]]] = []
+        self._kernels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.verify_residues: dict[int, np.ndarray] = {}
 
-    def verified(self, vec: list[Fraction]) -> bool:
-        """Exact zero test of base @ vec: the integers base @ w (w = vec with
-        denominators cleared) are checked to vanish modulo verification
-        primes whose product exceeds twice the a-priori magnitude bound, so
-        vanishing modulo all of them implies vanishing over the integers."""
+    def kernel(self, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical kernel vectors of the echelon at the k-th prime p: the
+        slot of every local column among the free ones (-1 at a pivot) and
+        the pivot-coordinate block, one column per free column."""
+        out = self._kernels.get(k)
+        if out is None:
+            ech, piv = self.echelons[k]
+            n = self.base.shape[1]
+            slot = np.zeros(n, dtype=np.intp)
+            slot[piv] = -1
+            free = np.flatnonzero(slot == 0)
+            slot[free] = np.arange(len(free))
+            coords = _kernel_coords_mod_p(ech, piv, free.tolist(), p)
+            out = self._kernels[k] = (slot, coords)
+        return out
+
+    def verified(self, w: list[int]) -> bool:
+        """Exact zero test of base @ w for an integer vector w (numerators
+        over any common denominator): the integers base @ w are checked to
+        vanish modulo verification primes whose product exceeds twice the
+        a-priori magnitude bound, so vanishing modulo all of them implies
+        vanishing over the integers."""
         if self.base.shape[0] == 0:
             return True
-        den = 1
-        for e in vec:
-            d = e.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        if den == 1:
-            w = [e.numerator for e in vec]
-        else:
-            w = [int(e * den) for e in vec]
         bound = 2 * len(w) * self.max_abs * max(
             (abs(c) for c in w), default=0
         ) + 1
@@ -335,23 +363,27 @@ class _BlockMatrix:
 
 def _reconstructed(
     residues: list[list[int]], primes: list[int]
-) -> list[Fraction] | None:
+) -> tuple[list[int], int] | None:
     """Rational vector whose entries reduce to the given residue vectors
-    modulo the given primes (CRT, then rational reconstruction); None when
+    modulo the given primes (CRT, then rational reconstruction), as integer
+    numerators over one positive denominator, in lowest terms; None when
     some entry does not reconstruct."""
     res, mod = residues[0], primes[0]
     for vec, p in zip(residues[1:], primes[1:]):
         res = [_crt_pair(r1, mod, r2, p)[0] for r1, r2 in zip(res, vec)]
         mod *= p
-    zero = Fraction(0)
-    out = [zero] * len(res)
-    for i, u in enumerate(res):
-        if u:
-            fr = _rational_reconstruct(u, mod)
-            if fr is None:
-                return None
-            out[i] = fr
-    return out
+    fracs: list[tuple[int, int]] = []
+    den = 1
+    for u in res:
+        if not u:
+            fracs.append((0, 1))
+            continue
+        fr = _rational_reconstruct(u, mod)
+        if fr is None:
+            return None
+        fracs.append(fr)
+        den = lcm(den, fr[1])
+    return [n * (den // d) for n, d in fracs], den
 
 
 class ModKernel:
@@ -372,7 +404,10 @@ class ModKernel:
     component.  Components with the same shape, dtype and entries share one
     `_BlockMatrix`: equal integer matrices have equal echelons, kernel
     vectors and verification results, so each is eliminated once per
-    prime."""
+    prime.
+
+    Exact kernel vectors are yielded as (numerators, denominator): integer
+    entries over one positive denominator, in lowest terms."""
 
     def __init__(
         self,
@@ -398,7 +433,9 @@ class ModKernel:
         entry_block = self._block_of[cols]
         order = np.argsort(entry_block, kind="stable")
         cuts = np.searchsorted(entry_block[order], np.arange(1, len(comps)))
-        shared: dict[tuple, _BlockMatrix] = {}
+        shared: dict[tuple, int] = {}
+        self._matrices: list[_BlockMatrix] = []
+        instances: list[list[np.ndarray]] = []
         self._blocks: list[tuple[np.ndarray, _BlockMatrix]] = []
         for (r, c), ent in zip(comps, np.split(order, cuts)):
             sub = np.zeros((len(r), len(c)), dtype=vals.dtype)
@@ -407,11 +444,15 @@ class ModKernel:
                 tuple(sub.ravel().tolist()) if sub.dtype == object else sub.tobytes()
             )
             key = (sub.shape, sub.dtype.str, content)
-            bm = shared.get(key)
-            if bm is None:
-                bm = shared[key] = _BlockMatrix(sub)
-            self._blocks.append((c, bm))
-        self._matrices = list(shared.values())
+            mi = shared.get(key)
+            if mi is None:
+                mi = shared[key] = len(self._matrices)
+                self._matrices.append(_BlockMatrix(sub))
+                instances.append([])
+            instances[mi].append(c)
+            self._blocks.append((c, self._matrices[mi]))
+        # the columns of every block sharing a matrix, one row per block
+        self._instances = [np.stack(cs) for cs in instances]
         self._primes: list[int] = []
         self._pivots: list[list[int]] = []  # whole-matrix pivots per prime
         self._add_prime()
@@ -469,14 +510,20 @@ class ModKernel:
         if self._structure()[1] != base_pivots:
             raise ReconstructionError("unstable pivot structure")
 
+    def _block_coords(self, bi: int, k: int, cols: list[int]) -> np.ndarray:
+        """Pivot-coordinate block, at the k-th prime, of the canonical kernel
+        vectors of the given free columns, all in block bi."""
+        slot, coords = self._blocks[bi][1].kernel(k, self._primes[k])
+        return coords[:, slot[self._local[cols]]]
+
     def candidate_residues(
         self, columns: list[int] | None = None
     ) -> tuple[list[int], list[int], np.ndarray, int]:
-        """Mod-p data of canonical kernel vectors in one backsubstitution
-        per block: the pivot columns, the free columns, the pivot-coordinate
-        block (column k belongs to the vector with 1 at the k-th requested
-        free column and 0 at the others), and the prime used.  `columns`
-        restricts the computation to the given free columns."""
+        """Mod-p data of canonical kernel vectors: the pivot columns, the
+        free columns, the pivot-coordinate block (column k belongs to the
+        vector with 1 at the k-th requested free column and 0 at the
+        others), and the prime used.  `columns` restricts the computation to
+        the given free columns."""
         k, pivots, free = self._structure()
         cols = free if columns is None else columns
         p = self._primes[k]
@@ -484,28 +531,48 @@ class ModKernel:
         row_of = np.searchsorted(pivots, np.arange(self.ncols))
         for bi, pos in self._by_block(cols).items():
             bc, bm = self._blocks[bi]
-            ech, piv = bm.echelons[k]
+            piv = bm.echelons[k][1]
             if piv:
-                local = [int(self._local[cols[j]]) for j in pos]
-                coords[np.ix_(row_of[bc[piv]], pos)] = _kernel_coords_mod_p(
-                    ech, piv, local, p
+                coords[np.ix_(row_of[bc[piv]], pos)] = self._block_coords(
+                    bi, k, [cols[j] for j in pos]
                 )
         return pivots, free, coords, p
+
+    def random_residues(self, count: int, seed: int = 0) -> tuple[np.ndarray, int]:
+        """`count` random kernel vectors modulo the prime p of the largest
+        rank, with no lifting: the columns of an (ncols, count) float64
+        array of residues whose free coordinates are uniform in [0, p)
+        (deterministic in `seed`) and whose pivot coordinates follow from
+        the canonical kernel vectors, in one product per block matrix for
+        all the blocks that share it.  Returns the array and p."""
+        k, _, free = self._structure()
+        p = self._primes[k]
+        u = np.zeros((self.ncols, count), dtype=np.float64)
+        u[free] = _draw(seed, (len(free), count), p)
+        for bm, cols in zip(self._matrices, self._instances):
+            piv = bm.echelons[k][1]
+            slot, coords = bm.kernel(k, p)
+            if not coords.size:  # no pivots, or no free columns
+                continue
+            # (blocks, free, count) -> (blocks, pivots, count)
+            u[cols[:, piv]] = matmul_mod_p(coords, u[cols[:, slot >= 0]], p)
+        return u, p
 
     def exact_vectors(
         self,
         count: int | None = None,
         spread: bool = False,
         columns: list[int] | None = None,
-    ) -> Iterator[list[Fraction]]:
-        """Yield verified rational kernel vectors, one per free column (so
-        the collection is independent: each has entry 1 at its own free
-        column and 0 at the others).  Free columns are visited in ascending
-        order, in a golden-ratio stride order when `spread` is set (useful
-        when consecutive columns give near-redundant vectors), or restricted
-        to the given free `columns`.  Yields at most `count` vectors, at
-        most dim_upper_bound in total; if all dim_upper_bound vectors verify
-        they form a full kernel basis."""
+    ) -> Iterator[tuple[list[int], int]]:
+        """Yield verified rational kernel vectors as (numerators,
+        denominator), one per free column (so the collection is
+        independent: each has entry 1, numerator equal to the denominator,
+        at its own free column and 0 at the others).  Free columns are
+        visited in ascending order, in a golden-ratio stride order when
+        `spread` is set (useful when consecutive columns give near-redundant
+        vectors), or restricted to the given free `columns`.  Yields at most
+        `count` vectors, at most dim_upper_bound in total; if all
+        dim_upper_bound vectors verify they form a full kernel basis."""
         _, base_pivots, free = self._structure()
         if columns is not None:
             freeset = set(free)
@@ -517,73 +584,62 @@ class ModKernel:
                 step += 1
             free = [free[(i * step) % n] for i in range(n)]
         total = len(free) if count is None else min(count, len(free))
-        sel = free[:total]
-        groups = self._by_block(sel)
-        slot = {j: s for pos in groups.values() for s, j in enumerate(pos)}
-        coord_cache: dict[tuple[int, int], np.ndarray] = {}
 
-        def candidate(idx: int, bi: int) -> list[Fraction] | None:
-            """CRT residues of one kernel vector across the lucky primes,
-            restricted to its block and rationally reconstructed; None if
-            reconstruction fails (the caller should add a prime and retry).
-            Backsubstitution runs once per block and prime for the block's
-            whole selection."""
+        def candidate(col: int, bi: int) -> tuple[list[int], int] | None:
+            """CRT residues of the canonical kernel vector of a free column
+            across the lucky primes, restricted to its block and rationally
+            reconstructed; None if reconstruction fails (the caller should
+            add a prime and retry)."""
             bc, bm = self._blocks[bi]
             residues: list[list[int]] = []
             primes: list[int] = []
             for k in self._lucky(base_pivots):
-                ech, piv = bm.echelons[k]
-                p = self._primes[k]
-                coords = coord_cache.get((bi, k))
-                if coords is None:
-                    local = [int(self._local[sel[j]]) for j in groups[bi]]
-                    coords = _kernel_coords_mod_p(ech, piv, local, p)
-                    coord_cache[(bi, k)] = coords
+                piv = bm.echelons[k][1]
+                coords = self._block_coords(bi, k, [col])[:, 0]
                 vec = [0] * len(bc)
-                vec[self._local[sel[idx]]] = 1
-                for i, c in enumerate(piv):
-                    vec[c] = int(coords[i, slot[idx]])
+                vec[self._local[col]] = 1
+                for c, e in zip(piv, coords.tolist()):
+                    vec[c] = int(e)
                 residues.append(vec)
-                primes.append(p)
+                primes.append(self._primes[k])
             return _reconstructed(residues, primes)
 
-        zero = Fraction(0)
-        for idx in range(total):
-            bi = int(self._block_of[sel[idx]])
+        for col in free[:total]:
+            bi = int(self._block_of[col])
             bc, bm = self._blocks[bi]
             while True:
-                part = candidate(idx, bi)
-                if part is not None and bm.verified(part):
-                    out = [zero] * self.ncols
-                    for c, e in zip(bc.tolist(), part):
+                part = candidate(col, bi)
+                if part is not None and bm.verified(part[0]):
+                    out = [0] * self.ncols
+                    for c, e in zip(bc.tolist(), part[0]):
                         out[c] = e
-                    yield out
+                    yield out, part[1]
                     break
                 self._grow(base_pivots)
 
     def exact_random_vectors(
         self, count: int, seed: int = 0, bound: int = 1
-    ) -> Iterator[list[Fraction]]:
-        """Yield verified rational kernel vectors whose free coordinates are
-        dense random integers in [-bound, bound] (deterministic in `seed`).
-        Each one is a generic point of the kernel, useful when the canonical
-        per-free-column vectors of `exact_vectors` are too structured; the
-        random signs keep numerator heights close to canonical, so the prime
-        schedule rarely needs to grow."""
+    ) -> Iterator[tuple[list[int], int]]:
+        """Yield verified rational kernel vectors, as (numerators,
+        denominator), whose free coordinates are dense random integers in
+        [-bound, bound] for a bound below 2**31 (deterministic in `seed`,
+        all drawn at once).  Each one is a generic point of the kernel,
+        useful when the canonical per-free-column vectors of `exact_vectors`
+        are too structured; the random signs keep numerator heights close to
+        canonical, so the prime schedule rarely needs to grow."""
         _, base_pivots, free = self._structure()
         if not free:
             return
-        rng = random.Random(seed)
+        draws = _draw(seed, (count, len(free)), 2 * bound + 1).astype(np.int64) - bound
         groups = self._by_block(free)
 
-        def candidate(w: list[int]) -> list[Fraction] | None:
+        def candidate(w: list[int]) -> tuple[list[int], int] | None:
             """The kernel vector with free coordinates w, block by block;
             None if some block does not reconstruct or verify.  A block
             whose free coordinates are all 0 contributes 0."""
             lucky = self._lucky(base_pivots)
-            out = [Fraction(0)] * self.ncols
-            for j, c in enumerate(free):
-                out[c] = Fraction(w[j])
+            parts: list[tuple[np.ndarray, list[int], int]] = []
+            den = 1
             for bi, pos in groups.items():
                 wb = [w[j] for j in pos]
                 bc, bm = self._blocks[bi]
@@ -599,18 +655,29 @@ class ModKernel:
                     ]
                     for k in lucky
                 ]
-                vals = _reconstructed(residues, [self._primes[k] for k in lucky])
-                if vals is None:
+                rec = _reconstructed(residues, [self._primes[k] for k in lucky])
+                if rec is None:
                     return None
-                piv = bm.echelons[lucky[0]][1]
-                for c, fr in zip(bc[piv].tolist(), vals):
-                    out[c] = fr
-                if not bm.verified([out[c] for c in bc.tolist()]):
+                nums, d = rec
+                vec = [0] * len(bc)
+                for c, e in zip(local, wb):
+                    vec[c] = e * d
+                for c, e in zip(bm.echelons[lucky[0]][1], nums):
+                    vec[c] = e
+                if not bm.verified(vec):
                     return None
-            return out
+                parts.append((bc, vec, d))
+                den = lcm(den, d)
+            out = [0] * self.ncols
+            for j, c in enumerate(free):
+                out[c] = w[j] * den
+            for bc, vec, d in parts:
+                s = den // d
+                for c, e in zip(bc.tolist(), vec):
+                    out[c] = e * s
+            return out, den
 
-        for _ in range(count):
-            w = [rng.randint(-bound, bound) for _ in free]
+        for w in draws.tolist():
             if not any(w):
                 w[0] = 1
             while True:

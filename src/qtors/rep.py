@@ -9,12 +9,11 @@ from __future__ import annotations
 import itertools
 import random
 import weakref
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-
-import numpy as np
 
 from .forms import forms_context
 from .linalg import Matrix, cokernel, extend_to_basis
@@ -24,10 +23,16 @@ from .modkernel import (
     ReconstructionError,
     echelon_mod_p,
     int_array,
+    matmul_mod_p,
     max_abs,
     nonzero_triples,
 )
 from .quiver import Quiver, QuiverError, opposite
+
+# numpy is loaded by modkernel, after that module is compiled: without
+# cached bytecode every module is compiled when first imported, and a
+# compile that runs after numpy is loaded raises the process's peak memory
+import numpy as np  # noqa: E402
 
 DEFAULT_SEED = 0
 
@@ -291,10 +296,38 @@ def is_rigid(x: Rep) -> bool:
 # such tuple is a cocycle, and its class is its image in the cokernel.
 
 
+class _UnitCocycles(Sequence):
+    """Arrow tuples (eta_a: Z_s -> X_t), each with a single entry 1 at one
+    of the given cocycle coordinates, in that order; each tuple is built
+    when it is read."""
+
+    def __init__(self, shapes: list[tuple[int, int]], picked: list[int]):
+        self._shapes = shapes
+        self._picked = picked
+
+    def __len__(self) -> int:
+        return len(self._picked)
+
+    def __getitem__(self, i: int | slice) -> Morphism | list[Morphism]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        k = self._picked[i]
+        out = []
+        o = 0
+        for r, c in self._shapes:
+            rows = [[0] * c for _ in range(r)]
+            if o <= k < o + r * c:
+                rows[(k - o) // c][(k - o) % c] = 1
+            out.append(Matrix(r, c, rows))
+            o += r * c
+        return tuple(out)
+
+
 class ExtGroup:
     """Ext^1(Z, X) as the cokernel of delta: the cocycles are the standard
     vectors that `cokernel` picks to complete the image of delta, in that
-    order, each an arrow tuple (eta_a: Z_s -> X_t) with a single entry 1."""
+    order, each an arrow tuple (eta_a: Z_s -> X_t) with a single entry 1,
+    built when it is read."""
 
     def __init__(self, x: Rep, z: Rep):
         if x.quiver != z.quiver:
@@ -304,20 +337,8 @@ class ExtGroup:
         delta = _intertwining_matrix(z, x)
         picked, self._projection = cokernel(delta)
         self._shapes = [(x.dims[t - 1], z.dims[s - 1]) for s, t in x.quiver.arrows]
-        n = delta.rows
-        self.cocycles: list[Morphism] = [
-            self._arrow_tuple([0] * k + [1] + [0] * (n - 1 - k)) for k in picked
-        ]
+        self.cocycles: Sequence[Morphism] = _UnitCocycles(self._shapes, picked)
         self.dimension = len(self.cocycles)
-
-    def _arrow_tuple(self, flat: list[int]) -> Morphism:
-        """The arrow tuple with the cocycle coordinates `flat`."""
-        out = []
-        o = 0
-        for r, c in self._shapes:
-            out.append(Matrix(r, c, [flat[o + i * c : o + (i + 1) * c] for i in range(r)]))
-            o += r * c
-        return tuple(out)
 
     def is_coboundary(self, cocycle: Morphism) -> bool:
         """True iff the class of the cocycle vanishes, i.e. the extension
@@ -703,21 +724,12 @@ def _complement_coords(r: Matrix) -> list[int]:
     return [i for i in range(d) if i not in independent]
 
 
-def _scaled_int_vector(vec: list[Fraction]) -> list[int]:
-    den = 1
-    for e in vec:
-        if e.denominator != 1:
-            den = lcm(den, e.denominator)
-    if den == 1:
-        ints = [e.numerator for e in vec]
-    else:
-        ints = [int(e * den) for e in vec]
+def _scaled_int_vector(nums: list[int]) -> list[int]:
+    """The primitive integer vector on the ray of an integer vector."""
     g = 0
-    for c in ints:
+    for c in nums:
         g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+    return [c // g for c in nums] if g > 1 else nums
 
 
 def _certified_int_kernel(mat: np.ndarray) -> np.ndarray:
@@ -728,10 +740,13 @@ def _certified_int_kernel(mat: np.ndarray) -> np.ndarray:
     m, n = mat.shape
     try:
         mk = ModKernel(*nonzero_triples(mat))
-        cols = [_scaled_int_vector(vec) for vec in mk.exact_vectors()]
+        cols = [_scaled_int_vector(nums) for nums, _ in mk.exact_vectors()]
     except ReconstructionError:
         exact = Matrix(m, n, mat.tolist())
-        cols = [_scaled_int_vector(vec) for vec in exact.kernel_basis()]
+        cols = [
+            _scaled_int_vector([row[0] for row in Matrix.column(vec)._num])
+            for vec in exact.kernel_basis()
+        ]
     if not cols:
         return np.zeros((n, 0), dtype=np.int64)
     return int_array(cols).T
@@ -794,11 +809,25 @@ class _HomSystem:
     ncols: int
     mk: ModKernel | None
     ynp: dict[tuple[int, tuple[int, ...]], np.ndarray]
+    _residues: dict[int, dict] = field(default_factory=dict, repr=False)
 
     @property
     def upper(self) -> int:
         """Certified upper bound for dim Hom(x, y)."""
         return self.mk.dim_upper_bound if self.mk is not None else self.ncols
+
+    def path_residues(self, p: int) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
+        """The maps of y along the non-empty paths reduced mod p, as float64
+        arrays, built once per prime (an empty path maps by the
+        identity)."""
+        maps = self._residues.get(p)
+        if maps is None:
+            maps = self._residues[p] = {
+                (v, pth): (m % p).astype(np.float64)
+                for (v, pth), m in self.ynp.items()
+                if pth
+            }
+        return maps
 
     def refine(self) -> None:
         if self.mk is None:
@@ -815,10 +844,11 @@ class _HomSystem:
         columns: list[int] | None = None,
         generic: bool = False,
     ):
-        """Verified exact solution vectors, independent by construction; if
-        the iterator is exhausted without error the solutions span.  With
-        `generic` set, yield `count` dense random kernel vectors instead
-        (not independent, but with generic trace images)."""
+        """Verified exact solution vectors as (numerators, denominator),
+        independent by construction; if the iterator is exhausted without
+        error the solutions span.  With `generic` set, yield `count` dense
+        random kernel vectors instead (not independent, but with generic
+        trace images)."""
         if self.mk is None:
             return iter(())
         if generic:
@@ -1125,14 +1155,7 @@ def _screen_gen_columns(sys: _HomSystem, ti: Rep) -> list[int] | None:
     pivots, free, _, p = sys.mk.candidate_residues(columns=[])
     q = ti.quiver
     dims = ti.dims
-    pmod = {
-        key: (
-            (m % p).astype(np.int64)
-            if m.dtype != object
-            else np.array([[int(e) % p for e in row] for row in m], dtype=np.int64)
-        )
-        for key, m in sys.ynp.items()
-    }
+    pmod = sys.path_residues(p)
     spans = [_ModSpan(d, p) for d in dims]
     full = [d == 0 for d in dims]
     chosen: list[int] = []
@@ -1153,10 +1176,10 @@ def _screen_gen_columns(sys: _HomSystem, ti: Rep) -> list[int] | None:
         for bi, k in enumerate(batch):
             if all(full):
                 break
-            u = np.zeros(sys.ncols, dtype=np.int64)
+            u = np.zeros(sys.ncols, dtype=np.float64)
             u[free[k]] = 1
             if pividx.size:
-                u[pividx] = coords[:, bi].astype(np.int64)
+                u[pividx] = coords[:, bi]
             took = False
             for j, (v, _) in enumerate(sys.summands):
                 uj = u[sys.offsets[j] : sys.offsets[j] + dims[v - 1]]
@@ -1166,14 +1189,85 @@ def _screen_gen_columns(sys: _HomSystem, ti: Rep) -> list[int] | None:
                     if full[tv - 1]:
                         continue
                     for pth in sys.paths[v][tv]:
-                        col = pmod[(v, pth)] @ uj
-                        if spans[tv - 1].insert(col):
+                        col = matmul_mod_p(pmod[(v, pth)], uj, p) if pth else uj
+                        if spans[tv - 1].insert(col.astype(np.int64)):
                             took = True
             if took:
                 chosen.append(free[k])
                 for v in range(q.n):
                     full[v] = full[v] or spans[v].rank == dims[v]
     return chosen if all(full) else None
+
+
+def _gen_certified_mod_p(sys: _HomSystem, ti: Rep) -> bool:
+    """True only with a certificate that the trace of g in t is full, read
+    off random kernel vectors of a pinned Hom system modulo one prime, with
+    no lifting; False means unknown.  The caller must have checked that the
+    system is pinned: its upper bound equals the Euler-form lower bound.
+    The bound is read at the prime p that `ModKernel._structure` picks (the
+    one of largest rank), so at p, dim K_p = dim_Q ker A for the system
+    matrix A and K_p = ker(A mod p).
+
+    Proof.  Let L = ker_Q(A) ∩ Z^n.  L is saturated (v in L and v = 0 mod p
+    give v/p in L), so L/pL embeds in F_p^n, and its image lies in K_p.
+    Pinned means dim K_p = dim_Q ker A = rank L, so the reduction of L is
+    all of K_p: every mod-p kernel vector reduces from an integer
+    homomorphism g -> t.  The trace columns of such a homomorphism are
+    integer vectors that reduce to the mod-p trace columns.  If the mod-p
+    columns have rank d_v = dim t_v at every vertex v, some d_v x d_v minor
+    of the integer columns is non-zero mod p, hence non-zero, so the trace
+    is full and t lies in Fac(g).
+
+    Each solution adds one trace column at v per path into v from the
+    vertex of a generator.  Vertex v takes enough solutions for
+    d_v + `_GEN_RANDOM_TRIES` columns, all of them at most dim Hom, and is
+    tested by one elimination."""
+    q = ti.quiver
+    dims = ti.dims
+    # runs of consecutive generators at one vertex v with t_v != 0; their
+    # unknowns are consecutive too, dim t_v per generator
+    runs: list[tuple[int, int, int]] = []
+    starts = zip(sys.summands, sys.offsets)
+    for v, group in itertools.groupby(starts, lambda s: s[0][0]):
+        offs = [off for _, off in group]
+        if dims[v - 1]:
+            runs.append((v, offs[0], len(offs)))
+    # trace columns one solution adds at each vertex
+    per = [
+        sum(len(sys.paths[v][tv]) * n for v, _, n in runs) for tv in range(1, q.n + 1)
+    ]
+    if any(d and not c for d, c in zip(dims, per)):
+        return False
+    if any(-(-d // c) > sys.upper for d, c in zip(dims, per) if d):
+        return False  # the trace cannot be full, which the exact route proves
+    # solutions used at each vertex: enough for dim t_v + slack columns
+    need = [-(-(d + _GEN_RANDOM_TRIES) // c) if d else 0 for d, c in zip(dims, per)]
+    count = min(sys.upper, max(need))
+    u, p = sys.mk.random_residues(count)
+    pmod = sys.path_residues(p)
+    for tv in range(1, q.n + 1):
+        d = dims[tv - 1]
+        if not d:
+            continue
+        k = min(count, need[tv - 1])
+        rows = np.empty((k * per[tv - 1], d), dtype=np.float64)  # trace columns
+        at = 0
+        for v, start, n in runs:
+            # (generators, dim t_v, k): the generator images of k solutions
+            images = u[start : start + n * dims[v - 1]].reshape(n, dims[v - 1], count)
+            for pth in sys.paths[v][tv]:
+                img = images[:, :, :k]
+                if pth:
+                    img = matmul_mod_p(pmod[(v, pth)], img, p)
+                rows[at : at + n * k].reshape(n, k, d)[...] = img.transpose(0, 2, 1)
+                at += n * k
+        try:
+            rank = len(echelon_mod_p(rows, p)[1])
+        except ValueError:  # too large for one elimination
+            return False
+        if rank < d:
+            return False
+    return True
 
 
 def gen_contains(m: Rep, x: Rep) -> bool:
@@ -1184,7 +1278,9 @@ def gen_contains(m: Rep, x: Rep) -> bool:
     columns only; vertexwise fullness (certified mod p) decides True, a
     certified vanishing Hom into the quotient by an arrow-stable part of
     the trace decides False, and exhausting a full verified solution basis
-    decides either way exactly."""
+    decides either way exactly.  Before any lifting, a pinned system (upper
+    bound equal to the Euler-form lower bound) may certify True from
+    random solutions modulo one prime (`_gen_certified_mod_p`)."""
     if m.quiver != x.quiver:
         raise ValueError("Gen test requires a common quiver")
     if x.is_zero():
@@ -1201,21 +1297,20 @@ def gen_contains(m: Rep, x: Rep) -> bool:
             sys.paths[v][tv] for v, _ in sys.summands
         ):
             return False
+    lower = forms_context(q).euler_form(list(gi.dims), list(ti.dims))
+    if sys.upper == max(lower, 0) and _gen_certified_mod_p(sys, ti):
+        return True
     buffers: list[list[np.ndarray]] = [[] for _ in range(q.n)]
     full = [d == 0 for d in ti.dims]
+    p0 = PRIMES[0]
+    spans = [_ModSpan(d, p0) for d in ti.dims]
+    taken = [0] * q.n  # columns of each buffer already in its span
 
     ynp_max = max((max_abs(a) for a in sys.ynp.values()), default=0)
     ydim_max = max(ti.dims, default=0)
 
-    def absorb(u: list[Fraction]) -> None:
-        den = 1
-        for e in u:
-            if e.denominator != 1:
-                den = lcm(den, e.denominator)
-        if den == 1:
-            w = [e.numerator for e in u]
-        else:
-            w = [int(e * den) for e in u]
+    def absorb(u: tuple[list[int], int]) -> None:
+        w = u[0]  # the numerators span the same trace as the solution
         wmax = max(map(abs, w), default=0)
         # int64 matvecs are exact under this bound; otherwise fall back to
         # object arithmetic
@@ -1241,8 +1336,10 @@ def gen_contains(m: Rep, x: Rep) -> bool:
 
     def saturated() -> bool:
         for v in range(q.n):
-            if not full[v]:
-                full[v] = _modp_full(buffers[v], ti.dims[v])
+            if not full[v] and taken[v] < len(buffers[v]):
+                spans[v].extend(_columns_mod_p(buffers[v][taken[v] :], ti.dims[v], p0))
+                taken[v] = len(buffers[v])
+                full[v] = spans[v].rank == ti.dims[v]
         return all(full)
 
     # generic solutions first: a few kernel vectors with dense random small

@@ -5,6 +5,7 @@ neighborhoods, Fac-classes, perpendicular categories and meet/join."""
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -67,7 +68,7 @@ class Catalog:
         return mods
 
     @cached_property
-    def ext_cocycles(self) -> dict[tuple[int, int], list[Morphism]]:
+    def ext_cocycles(self) -> dict[tuple[int, int], Sequence[Morphism]]:
         """Cocycles of Ext^1(M_z, M_x), keyed (x, z)."""
         return {
             (xi, zi): ExtGroup(x, z).cocycles

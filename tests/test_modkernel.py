@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -15,6 +16,17 @@ from qtors.modkernel import (
     echelon_mod_p,
     nonzero_triples,
 )
+
+
+def _fracs(vec):
+    """An exact kernel vector (numerators, denominator) as Fractions."""
+    nums, den = vec
+    return [Fraction(n, den) for n in nums]
+
+
+def _lowest_terms(vec):
+    nums, den = vec
+    return den > 0 and math.gcd(den, *nums) == 1
 
 
 def _random_int_rows(rng, rows, cols, bound=10 ** 6):
@@ -61,6 +73,8 @@ def test_exact_vectors_are_verified_kernel_members():
         assert mk.dim_upper_bound == cols - m.rank()
         vecs = list(mk.exact_vectors())
         assert len(vecs) == mk.dim_upper_bound
+        assert all(_lowest_terms(v) for v in vecs)
+        vecs = [nums for nums, _ in vecs]
         for v in vecs:
             assert all(x == 0 for x in m.apply(v))
         # verified vectors are linearly independent: each has a unit at a
@@ -83,8 +97,9 @@ def test_spread_and_column_selection():
     narrowed = list(mk.exact_vectors(columns=chosen))
     assert len(narrowed) == 2
     m = Matrix.from_rows(data)
-    for v in narrowed:
-        assert all(x == 0 for x in m.apply(v))
+    for (nums, den), f in zip(narrowed, chosen):
+        assert nums[f] == den
+        assert all(x == 0 for x in m.apply(nums))
 
 
 def test_candidate_residues_match_exact_solutions():
@@ -94,11 +109,10 @@ def test_candidate_residues_match_exact_solutions():
     pivots, free, coords, p = mk.candidate_residues()
     vecs = list(mk.exact_vectors())
     assert len(vecs) == len(free)
-    for k, v in enumerate(vecs):
-        assert v[free[k]] == 1
+    for k, (nums, den) in enumerate(vecs):
+        assert nums[free[k]] == den
         for r, piv in enumerate(pivots):
-            x = v[piv]
-            want = x.numerator * pow(x.denominator, -1, p) % p
+            want = nums[piv] * pow(den, -1, p) % p
             assert int(coords[r, k]) == want
 
 
@@ -110,19 +124,15 @@ def test_large_entries_still_exact():
     mk = ModKernel(*nonzero_triples(np.array(scaled)))
     m = Matrix.from_rows(scaled)
     assert mk.dim_upper_bound == 5 - m.rank()
-    for v in mk.exact_vectors():
-        assert all(x == 0 for x in m.apply(v))
+    for nums, _ in mk.exact_vectors():
+        assert all(x == 0 for x in m.apply(nums))
 
 
 def test_zero_matrix():
     mk = ModKernel(*nonzero_triples(np.array([[0, 0, 0]])))
     assert mk.dim_upper_bound == 3
     vecs = list(mk.exact_vectors())
-    assert sorted(tuple(v) for v in vecs) == [
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-    ] or len(vecs) == 3
+    assert vecs == [([1, 0, 0], 1), ([0, 1, 0], 1), ([0, 0, 1], 1)]
 
 
 def test_random_vectors_are_exact_kernel_vectors():
@@ -132,9 +142,10 @@ def test_random_vectors_are_exact_kernel_vectors():
     m = Matrix.from_rows(data)
     vecs = list(mk.exact_random_vectors(5, seed=7))
     assert len(vecs) == 5
-    assert any(any(v) for v in vecs)
-    for v in vecs:
-        assert all(x == 0 for x in m.apply(v))
+    assert all(_lowest_terms(v) for v in vecs)
+    assert any(any(nums) for nums, _ in vecs)
+    for nums, _ in vecs:
+        assert all(x == 0 for x in m.apply(nums))
     # deterministic in the seed
     again = list(mk.exact_random_vectors(5, seed=7))
     assert again == vecs
@@ -155,7 +166,7 @@ def test_random_vectors_of_a_block_wider_than_2_15_columns():
     assert mk.dim_upper_bound == n - 1
     vecs = list(mk.exact_random_vectors(2, seed=1, bound=10**6))
     assert len(vecs) == 2
-    for v in vecs:
+    for v, _ in vecs:
         assert sum(1 for e in v if e) > n // 2
         assert v[0] == 2 * sum(v[1:])
 
@@ -272,10 +283,11 @@ def test_block_split_matches_one_elimination(base, seed):
     rational_pivots = list(exact.rref()[1]) if m and n else []
     if not isinstance(seen["plain"], tuple):
         assert len(seen["plain"]) == seen["dim"]
+        assert all(_lowest_terms(v) for v in seen["plain"])
         if rational_pivots == piv:
-            assert seen["plain"] == kb
+            assert [_fracs(v) for v in seen["plain"]] == kb
     if not isinstance(seen["random"], tuple):
-        for v in seen["random"]:
+        for v in map(_fracs, seen["random"]):
             assert all(e == 0 for e in exact.apply(v))
             if rational_pivots == piv:
                 combo = [
@@ -307,7 +319,7 @@ def test_identical_blocks_share_one_elimination():
     assert mk.dim_upper_bound == 5
     exact = Matrix.from_rows(base.tolist())
     vecs = list(mk.exact_vectors())
-    assert vecs == exact.kernel_basis()
+    assert [_fracs(v) for v in vecs] == exact.kernel_basis()
 
 
 def test_kronecker_window_echelon_traffic():
@@ -351,3 +363,87 @@ def test_kronecker_window_memory_peak():
         tracemalloc.stop()
     assert report.ok()
     assert peak < 40 * 2**20
+
+
+# -- random kernel vectors modulo the structure prime -----------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=block_matrices(), seed=st.integers(0, 3), count=st.integers(1, 4))
+@example(base=np.zeros((2, 3), dtype=np.int64), seed=0, count=2)
+@example(base=np.array([[P0, 1], [0, 0]]), seed=0, count=3)
+def test_random_residues_are_kernel_vectors_mod_p(base, seed, count):
+    mk = ModKernel(*nonzero_triples(base))
+    u, p = mk.random_residues(count, seed=seed)
+    pivots, free, coords, q = mk.candidate_residues()
+    assert p == q and u.shape == (base.shape[1], count)
+    assert ((0 <= u) & (u < p)).all() and (u == np.round(u)).all()
+    ints = u.astype(np.int64)
+    # A u = 0 mod p, in exact integer arithmetic
+    prod = (base.astype(object) % p).dot(ints.astype(object)) % p
+    assert not prod.any()
+    # the pivot coordinates are the canonical kernel vectors combined by
+    # the free coordinates
+    want = coords.astype(np.int64).astype(object).dot(ints[free].astype(object)) % p
+    assert (ints[pivots] == want.astype(np.int64)).all()
+    again, _ = mk.random_residues(count, seed=seed)
+    assert np.array_equal(u, again)
+
+
+def test_random_residues_span_the_mod_p_kernel():
+    rng = random.Random(31)
+    blocks = [np.array(_rank_deficient_rows(rng, 5, 9, 3))] * 3
+    base = np.zeros((15, 27), dtype=np.int64)
+    for i, b in enumerate(blocks):
+        base[5 * i : 5 * i + 5, 9 * i : 9 * i + 9] = b
+    mk = ModKernel(*nonzero_triples(base))
+    assert len(mk._matrices) == 1 and mk.dim_upper_bound == 18
+    u, p = mk.random_residues(20, seed=5)
+    _, piv = echelon_mod_p(np.ascontiguousarray(u.T), p)
+    assert len(piv) == 18
+
+
+def _primes_below(bound, count):
+    """The `count` largest odd primes below `bound`, by trial division."""
+    out = []
+    c = bound - 1 | 1
+    while len(out) < count and c > 2:
+        d, composite = 3, c % 2 == 0
+        while not composite and d * d <= c:
+            composite = c % d == 0
+            d += 2
+        if not composite:
+            out.append(c)
+        c -= 2
+    return tuple(out)
+
+
+def test_verify_primes_literal():
+    primes = modkernel._VERIFY_PRIMES
+    assert primes == _primes_below(1 << 24, 64)
+    assert len(set(primes)) == 64
+    assert all(
+        q > 2 and all(q % d for d in range(2, math.isqrt(q) + 1)) for q in primes
+    )
+    # the int64 matvec of reduced residues cannot overflow at _MAX_COLS
+    assert max(primes) ** 2 * modkernel._MAX_COLS < 2**63
+
+
+def test_no_fraction_in_modkernel():
+    assert "Fraction" not in vars(modkernel)
+    assert "fractions" not in vars(modkernel)
+
+
+def test_random_residues_use_the_prime_of_largest_rank():
+    # column 0 vanishes modulo the first prime only, so that prime is
+    # unlucky; once more primes are added, the first of largest rank rules
+    base = np.array([[P0, 0], [0, 1]])
+    mk = ModKernel(*nonzero_triples(base))
+    u, p = mk.random_residues(3, seed=2)
+    assert p == P0 and mk.dim_upper_bound == 1
+    assert not u[1].any() and u[0].any()
+    mk._add_prime()
+    mk._add_prime()
+    u, p = mk.random_residues(3, seed=2)
+    assert p == PRIMES[1] and mk.dim_upper_bound == 0
+    assert not u.any()

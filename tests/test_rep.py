@@ -179,6 +179,50 @@ class TestCocycleOracle:
                 self._check(x, z)
 
 
+def _eager_cocycles(x, z):
+    """The cocycles built all at once, as ExtGroup did before they became
+    lazy: one arrow tuple per picked cokernel coordinate."""
+    from qtors.linalg import cokernel
+    from qtors.rep import _intertwining_matrix
+
+    delta = _intertwining_matrix(z, x)
+    picked, _ = cokernel(delta)
+    shapes = [(x.dims[t - 1], z.dims[s - 1]) for s, t in x.quiver.arrows]
+    out = []
+    for k in picked:
+        flat = [0] * delta.rows
+        flat[k] = 1
+        maps, o = [], 0
+        for r, c in shapes:
+            maps.append(Matrix(r, c, [flat[o + i * c : o + (i + 1) * c] for i in range(r)]))
+            o += r * c
+        out.append(tuple(maps))
+    return out
+
+
+@pytest.mark.parametrize("abc", [(2, 1, 0), (2, 1, 1)])
+def test_cocycles_are_built_when_read(abc):
+    from unittest import mock
+
+    from qtors import build_wild_witness, rep, triple_quiver
+
+    w = build_wild_witness(triple_quiver(*abc))
+    for x, z in ((w.m, w.n), (w.n, w.m), (w.n, w.n)):
+        with mock.patch.object(
+            rep._UnitCocycles, "__getitem__", side_effect=RuntimeError("built early")
+        ):
+            ext = ExtGroup(x, z)
+        want = _eager_cocycles(x, z)
+        assert len(ext.cocycles) == ext.dimension == len(want)
+        assert list(ext.cocycles) == want
+        assert [ext.cocycles[i] for i in range(len(want))] == want
+        if want:
+            assert ext.cocycles[-1] == want[-1]
+            assert ext.cocycles[1:3] == want[1:3]
+            with pytest.raises(IndexError):
+                ext.cocycles[len(want)]
+
+
 def test_projective_hom_oracle_spans_the_dense_basis():
     # the Hom(P0, X) basis the oracle reads off the projective tops spans
     # what the intertwining system gives
