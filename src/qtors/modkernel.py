@@ -157,37 +157,16 @@ def _kernel_coords_mod_p(
 
 
 def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for float64 arrays of residues mod p, where b is a vector,
-    a matrix or a stack of matrices; exact at any inner width, since the
-    partial products are reduced every _MAX_COLS terms."""
+    """a @ b mod p for float64 arrays of residues mod p, where b is a matrix
+    or a stack of matrices; exact at any inner width, since the partial
+    products are reduced every _MAX_COLS terms."""
     if a.shape[1] <= _MAX_COLS:
         out = a @ b
         return np.remainder(out, p, out=out)
-    if b.ndim == 1:
-        return matmul_mod_p(a, b[:, None], p)[:, 0]
     out = 0
     for c in range(0, a.shape[1], _MAX_COLS):
         out = (out + a[:, c : c + _MAX_COLS] @ b[..., c : c + _MAX_COLS, :]) % p
     return out
-
-
-def _kernel_combo_mod_p(
-    ech: np.ndarray, pivots: list[int], free: list[int], w: list[int], p: int
-) -> np.ndarray:
-    """Pivot-coordinate vector of the kernel element with the given integer
-    free coordinates, by one back-substitution on the echelon rows."""
-    r = len(pivots)
-    n = ech.shape[1]
-    wfull = np.zeros(n, dtype=np.float64)
-    wfull[free] = [wi % p for wi in w]
-    base = matmul_mod_p(ech[:r], wfull, p)
-    x = np.zeros(r, dtype=np.float64)
-    for i in range(r - 1, -1, -1):
-        rhs = base[i]
-        if i + 1 < r:
-            rhs = rhs + ech[i, pivots[i + 1 :]] @ x[i + 1 :]
-        x[i] = (-rhs) % p
-    return x
 
 
 def _draw(seed: int, shape: tuple[int, int], modulus: int) -> np.ndarray:
@@ -484,13 +463,6 @@ class ModKernel:
         free = [c for c in range(self.ncols) if c not in pivset]
         return k, self._pivots[k], free
 
-    def _by_block(self, cols: list[int]) -> dict[int, list[int]]:
-        """Positions in `cols` grouped by the block of their column."""
-        groups: dict[int, list[int]] = {}
-        for j, c in enumerate(cols):
-            groups.setdefault(int(self._block_of[c]), []).append(j)
-        return groups
-
     def _lucky(self, base_pivots: list[int]) -> list[int]:
         """Indices of the primes whose pivots are the base pivots; the
         others are unlucky (rank dropped or structure shifted)."""
@@ -509,34 +481,6 @@ class ModKernel:
         self._add_prime()
         if self._structure()[1] != base_pivots:
             raise ReconstructionError("unstable pivot structure")
-
-    def _block_coords(self, bi: int, k: int, cols: list[int]) -> np.ndarray:
-        """Pivot-coordinate block, at the k-th prime, of the canonical kernel
-        vectors of the given free columns, all in block bi."""
-        slot, coords = self._blocks[bi][1].kernel(k, self._primes[k])
-        return coords[:, slot[self._local[cols]]]
-
-    def candidate_residues(
-        self, columns: list[int] | None = None
-    ) -> tuple[list[int], list[int], np.ndarray, int]:
-        """Mod-p data of canonical kernel vectors: the pivot columns, the
-        free columns, the pivot-coordinate block (column k belongs to the
-        vector with 1 at the k-th requested free column and 0 at the
-        others), and the prime used.  `columns` restricts the computation to
-        the given free columns."""
-        k, pivots, free = self._structure()
-        cols = free if columns is None else columns
-        p = self._primes[k]
-        coords = np.zeros((len(pivots), len(cols)), dtype=np.float64)
-        row_of = np.searchsorted(pivots, np.arange(self.ncols))
-        for bi, pos in self._by_block(cols).items():
-            bc, bm = self._blocks[bi]
-            piv = bm.echelons[k][1]
-            if piv:
-                coords[np.ix_(row_of[bc[piv]], pos)] = self._block_coords(
-                    bi, k, [cols[j] for j in pos]
-                )
-        return pivots, free, coords, p
 
     def random_residues(self, count: int, seed: int = 0) -> tuple[np.ndarray, int]:
         """`count` random kernel vectors modulo the prime p of the largest
@@ -559,30 +503,15 @@ class ModKernel:
         return u, p
 
     def exact_vectors(
-        self,
-        count: int | None = None,
-        spread: bool = False,
-        columns: list[int] | None = None,
+        self, count: int | None = None
     ) -> Iterator[tuple[list[int], int]]:
         """Yield verified rational kernel vectors as (numerators,
-        denominator), one per free column (so the collection is
-        independent: each has entry 1, numerator equal to the denominator,
-        at its own free column and 0 at the others).  Free columns are
-        visited in ascending order, in a golden-ratio stride order when
-        `spread` is set (useful when consecutive columns give near-redundant
-        vectors), or restricted to the given free `columns`.  Yields at most
-        `count` vectors, at most dim_upper_bound in total; if all
+        denominator), one per free column in ascending order (so the
+        collection is independent: each has entry 1, numerator equal to the
+        denominator, at its own free column and 0 at the others).  Yields at
+        most `count` vectors, at most dim_upper_bound in total; if all
         dim_upper_bound vectors verify they form a full kernel basis."""
         _, base_pivots, free = self._structure()
-        if columns is not None:
-            freeset = set(free)
-            free = [f for f in columns if f in freeset]
-        elif spread and len(free) > 2:
-            n = len(free)
-            step = max(1, round(n * 0.6180339887))
-            while gcd(step, n) != 1:
-                step += 1
-            free = [free[(i * step) % n] for i in range(n)]
         total = len(free) if count is None else min(count, len(free))
 
         def candidate(col: int, bi: int) -> tuple[list[int], int] | None:
@@ -595,7 +524,8 @@ class ModKernel:
             primes: list[int] = []
             for k in self._lucky(base_pivots):
                 piv = bm.echelons[k][1]
-                coords = self._block_coords(bi, k, [col])[:, 0]
+                slot, coords = bm.kernel(k, self._primes[k])
+                coords = coords[:, slot[self._local[col]]]
                 vec = [0] * len(bc)
                 vec[self._local[col]] = 1
                 for c, e in zip(piv, coords.tolist()):
@@ -614,75 +544,5 @@ class ModKernel:
                     for c, e in zip(bc.tolist(), part[0]):
                         out[c] = e
                     yield out, part[1]
-                    break
-                self._grow(base_pivots)
-
-    def exact_random_vectors(
-        self, count: int, seed: int = 0, bound: int = 1
-    ) -> Iterator[tuple[list[int], int]]:
-        """Yield verified rational kernel vectors, as (numerators,
-        denominator), whose free coordinates are dense random integers in
-        [-bound, bound] for a bound below 2**31 (deterministic in `seed`,
-        all drawn at once).  Each one is a generic point of the kernel,
-        useful when the canonical per-free-column vectors of `exact_vectors`
-        are too structured; the random signs keep numerator heights close to
-        canonical, so the prime schedule rarely needs to grow."""
-        _, base_pivots, free = self._structure()
-        if not free:
-            return
-        draws = _draw(seed, (count, len(free)), 2 * bound + 1).astype(np.int64) - bound
-        groups = self._by_block(free)
-
-        def candidate(w: list[int]) -> tuple[list[int], int] | None:
-            """The kernel vector with free coordinates w, block by block;
-            None if some block does not reconstruct or verify.  A block
-            whose free coordinates are all 0 contributes 0."""
-            lucky = self._lucky(base_pivots)
-            parts: list[tuple[np.ndarray, list[int], int]] = []
-            den = 1
-            for bi, pos in groups.items():
-                wb = [w[j] for j in pos]
-                bc, bm = self._blocks[bi]
-                if not any(wb) or not bm.base.shape[0]:
-                    continue
-                local = [int(self._local[free[j]]) for j in pos]
-                residues = [
-                    [
-                        int(v)
-                        for v in _kernel_combo_mod_p(
-                            *bm.echelons[k], local, wb, self._primes[k]
-                        )
-                    ]
-                    for k in lucky
-                ]
-                rec = _reconstructed(residues, [self._primes[k] for k in lucky])
-                if rec is None:
-                    return None
-                nums, d = rec
-                vec = [0] * len(bc)
-                for c, e in zip(local, wb):
-                    vec[c] = e * d
-                for c, e in zip(bm.echelons[lucky[0]][1], nums):
-                    vec[c] = e
-                if not bm.verified(vec):
-                    return None
-                parts.append((bc, vec, d))
-                den = lcm(den, d)
-            out = [0] * self.ncols
-            for j, c in enumerate(free):
-                out[c] = w[j] * den
-            for bc, vec, d in parts:
-                s = den // d
-                for c, e in zip(bc.tolist(), vec):
-                    out[c] = e * s
-            return out, den
-
-        for w in draws.tolist():
-            if not any(w):
-                w[0] = 1
-            while True:
-                vec = candidate(w)
-                if vec is not None:
-                    yield vec
                     break
                 self._grow(base_pivots)

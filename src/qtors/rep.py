@@ -248,9 +248,10 @@ def hom_dim(x: Rep, y: Rep) -> int:
     if "dim" not in memo:
         lower = max(forms_context(x.quiver).euler_form(list(x.dims), list(y.dims)), 0)
         sys = _best_dim_system(_integer_form(x), _integer_form(y))
-        if sys.upper != lower:
-            sys.refine()
-        memo["dim"] = lower if sys.upper == lower else sum(1 for _ in sys.solutions())
+        if not _pinned(sys, lower):
+            for _ in sys.solutions():  # all verify, so dim Hom = upper
+                pass
+        memo["dim"] = sys.upper
     return memo["dim"]
 
 
@@ -550,12 +551,17 @@ def _search_combination(basis: list[Morphism], accept, seed: int) -> bool:
 
 
 def exists_surjection(x: Rep, y: Rep, seed: int = DEFAULT_SEED) -> bool:
-    """True iff some morphism x -> y is surjective at every vertex."""
+    """True iff some morphism x -> y is surjective at every vertex.
+
+    A True answer exhibits the surjection.  A False answer is certified
+    when a dimension of y exceeds that of x, or when y is not in Fac(x)
+    (`gen_contains`, exact); otherwise it means that the random and grid
+    search of `_search_combination` found none."""
     if x.quiver != y.quiver:
         raise ValueError("surjection test requires a common quiver")
     if y.is_zero():
         return True
-    if any(dx < dy for dx, dy in zip(x.dims, y.dims)):
+    if any(dx < dy for dx, dy in zip(x.dims, y.dims)) or not gen_contains(x, y):
         return False
     basis = hom_basis(x, y)
 
@@ -568,12 +574,22 @@ def exists_surjection(x: Rep, y: Rep, seed: int = DEFAULT_SEED) -> bool:
 
 
 def is_isomorphic(x: Rep, y: Rep, seed: int = DEFAULT_SEED) -> bool:
+    """True iff x and y are isomorphic.
+
+    A True answer exhibits the isomorphism.  A False answer is certified
+    when the dimension vectors differ, or when dim Hom(x, y) differs from
+    dim End(x) or dim End(y) (an isomorphism identifies all three, and
+    `hom_dim` is exact); otherwise it means that the random and grid
+    search of `_search_combination` found none."""
     if x.quiver != y.quiver:
         raise ValueError("isomorphism test requires a common quiver")
     if x.dims != y.dims:
         return False
     if x.is_zero():
         return True
+    h = hom_dim(x, y)
+    if h != hom_dim(x, x) or h != hom_dim(y, y):
+        return False
     basis = hom_basis(x, y)
 
     def accept(phi: Morphism) -> bool:
@@ -622,13 +638,18 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
 # (an isomorphism, always possible over an acyclic quiver), the system has
 # integer entries and its kernel is analyzed by qtors.modkernel: modular
 # nullities are certified upper bounds, verified lifted vectors certified
-# lower bounds, and every value returned here is exact.  The integer and
-# dual forms, presentations and path maps are cached on the Rep they
-# describe; Hom systems and dimensions on the first argument, keyed by a
-# weak reference to the second (`_pair_memo`).
+# lower bounds, and every value returned here is exact.  A system is
+# *pinned* when its upper bound meets the Euler-form lower bound; then its
+# dimension needs no lifting, and a Gen "yes" is certified modulo one prime
+# (`_gen_certified_mod_p`).  Every other Gen question lifts the verified
+# canonical kernel basis.  The integer and dual forms, presentations and
+# path maps are cached on the Rep they describe; Hom systems and dimensions
+# on the first argument, keyed by a weak reference to the second
+# (`_pair_memo`).
 
-_GEN_LIFT_CAP = 24  # morphisms lifted before trying a quotient certificate
-_GEN_RANDOM_TRIES = 6  # generic solutions absorbed before the column screen
+# slack of the one-prime Gen certificate: trace columns it draws at each
+# vertex beyond dim t_v
+_GEN_RANDOM_TRIES = 6
 
 
 def _int_form(m: Matrix) -> tuple[np.ndarray, int]:
@@ -810,6 +831,7 @@ class _HomSystem:
     mk: ModKernel | None
     ynp: dict[tuple[int, tuple[int, ...]], np.ndarray]
     _residues: dict[int, dict] = field(default_factory=dict, repr=False)
+    _refined: bool = field(default=False, repr=False)
 
     @property
     def upper(self) -> int:
@@ -830,30 +852,31 @@ class _HomSystem:
         return maps
 
     def refine(self) -> None:
-        if self.mk is None:
+        """Add one prime to the schedule, once per system (none when the
+        schedule is exhausted)."""
+        if self.mk is None or self._refined:
             return
+        self._refined = True
         try:
             self.mk._add_prime()
         except ReconstructionError:
             pass
 
-    def solutions(
-        self,
-        count: int | None = None,
-        spread: bool = False,
-        columns: list[int] | None = None,
-        generic: bool = False,
-    ):
-        """Verified exact solution vectors as (numerators, denominator),
-        independent by construction; if the iterator is exhausted without
-        error the solutions span.  With `generic` set, yield `count` dense
-        random kernel vectors instead (not independent, but with generic
-        trace images)."""
-        if self.mk is None:
-            return iter(())
-        if generic:
-            return self.mk.exact_random_vectors(count or 1)
-        return self.mk.exact_vectors(count, spread=spread, columns=columns)
+    def solutions(self):
+        """Verified exact solution vectors as (numerators, denominator), one
+        per free column of the pivot structure.  A prime that raises the
+        rank, so that the primes before it were unlucky and the structure
+        shifts, starts a new pass on the new structure.  Every vector is an
+        exact solution; once the iterator is exhausted, the last pass has
+        yielded `upper` independent vectors, a basis."""
+        while self.mk is not None:
+            upper = self.upper
+            try:
+                yield from self.mk.exact_vectors()
+                return
+            except ReconstructionError:
+                if self.upper == upper:
+                    raise
 
 
 def _hom_rows(
@@ -974,6 +997,16 @@ def _hom_system(x: Rep, y: Rep) -> _HomSystem:
     return memo["system"]
 
 
+def _pinned(sys: _HomSystem, lower: int) -> bool:
+    """Whether the upper bound of the system meets the lower bound `lower`
+    of dim Hom.  A system that does not first gets one more prime (the
+    bound can only fall): an unlucky first prime then no longer sets the
+    pivot structure that lifting reconstructs from."""
+    if sys.upper != lower:
+        sys.refine()
+    return sys.upper == lower
+
+
 def _system_shape(x: Rep, y: Rep) -> tuple[int, int]:
     """Shape of the reduced Hom system of (x, y), read off the tops of x
     without building its presentation kernels."""
@@ -994,16 +1027,6 @@ def _best_dim_system(xi: Rep, yi: Rep) -> _HomSystem:
         return max(rows, 1) * cols * cols
 
     return _hom_system(*min(((xi, yi), (yi._dual, xi._dual)), key=cost))
-
-
-def _hom_vanishes_certified(xi: Rep, yi: Rep) -> bool:
-    """True only with a certificate that Hom(xi, yi) = 0; False means
-    unknown."""
-    sys = _best_dim_system(xi, yi)
-    if sys.upper == 0:
-        return True
-    sys.refine()
-    return sys.upper == 0
 
 
 def _columns_mod_p(columns: list[np.ndarray], dim: int, p: int) -> np.ndarray:
@@ -1058,36 +1081,6 @@ def _exact_column_span_full(columns: list[np.ndarray], dim: int) -> bool:
             [[int(v) for v in c] for c in columns], nrows=dim
         )
         return exact.rank() == dim
-
-
-def _quotient_rep(t: Rep, subs: list[Matrix]) -> Rep | None:
-    """Quotient of t by the subspaces (columns of subs); None when the
-    subspaces are not arrow-stable, checked exactly."""
-    q = t.quiver
-    projs: list[Matrix] = []
-    lifts: list[Matrix] = []
-    for v in range(q.n):
-        d = t.dims[v]
-        if d == 0:
-            projs.append(Matrix.zero(0, 0))
-            lifts.append(Matrix.zero(0, 0))
-            continue
-        s = subs[v]
-        comp = extend_to_basis(s)
-        pieces = [m for m in (s, comp) if m.cols]
-        b = Matrix.hstack(pieces)
-        binv = b.inverse()
-        projs.append(binv.submatrix(range(s.cols, d), range(d)))
-        lifts.append(comp)
-    dims = tuple(m.cols for m in lifts)
-    maps = []
-    for a, (sv, tv) in enumerate(q.arrows):
-        if subs[sv - 1].cols and not (
-            projs[tv - 1] * (t.arrow_maps[a] * subs[sv - 1])
-        ).is_zero():
-            return None
-        maps.append(projs[tv - 1] * (t.arrow_maps[a] * lifts[sv - 1]))
-    return Rep(q, dims, tuple(maps))
 
 
 class _ModSpan:
@@ -1145,58 +1138,6 @@ class _ModSpan:
                     if self.rank == dim:
                         break
         return added
-
-
-def _screen_gen_columns(sys: _HomSystem, ti: Rep) -> list[int] | None:
-    """Free columns of the Hom system whose canonical solutions jointly
-    have mod-p full trace images at every vertex (a small subset found
-    greedily); None when the single-prime screen cannot reach fullness, in
-    which case the caller falls back to the general lifting path."""
-    pivots, free, _, p = sys.mk.candidate_residues(columns=[])
-    q = ti.quiver
-    dims = ti.dims
-    pmod = sys.path_residues(p)
-    spans = [_ModSpan(d, p) for d in dims]
-    full = [d == 0 for d in dims]
-    chosen: list[int] = []
-    pividx = np.array(pivots, dtype=np.intp)
-    n = len(free)
-    step = max(1, round(n * 0.6180339887))
-    while n > 1 and gcd(step, n) != 1:
-        step += 1
-    order = [i * step % n for i in range(n)]
-    chunk = 256
-    for start in range(0, n, chunk):
-        if all(full):
-            break
-        batch = order[start : start + chunk]
-        _, _, coords, _ = sys.mk.candidate_residues(
-            columns=[free[k] for k in batch]
-        )
-        for bi, k in enumerate(batch):
-            if all(full):
-                break
-            u = np.zeros(sys.ncols, dtype=np.float64)
-            u[free[k]] = 1
-            if pividx.size:
-                u[pividx] = coords[:, bi]
-            took = False
-            for j, (v, _) in enumerate(sys.summands):
-                uj = u[sys.offsets[j] : sys.offsets[j] + dims[v - 1]]
-                if not uj.any():
-                    continue
-                for tv in range(1, q.n + 1):
-                    if full[tv - 1]:
-                        continue
-                    for pth in sys.paths[v][tv]:
-                        col = matmul_mod_p(pmod[(v, pth)], uj, p) if pth else uj
-                        if spans[tv - 1].insert(col.astype(np.int64)):
-                            took = True
-            if took:
-                chosen.append(free[k])
-                for v in range(q.n):
-                    full[v] = full[v] or spans[v].rank == dims[v]
-    return chosen if all(full) else None
 
 
 def _gen_certified_mod_p(sys: _HomSystem, ti: Rep) -> bool:
@@ -1273,14 +1214,17 @@ def _gen_certified_mod_p(sys: _HomSystem, ti: Rep) -> bool:
 def gen_contains(m: Rep, x: Rep) -> bool:
     """True iff x lies in Fac(m): the trace of m in x fills x vertexwise.
 
-    Decided on the reduced Hom system.  The trace is spanned by the path
-    images of the lifted generator images, so it grows by verified exact
-    columns only; vertexwise fullness (certified mod p) decides True, a
-    certified vanishing Hom into the quotient by an arrow-stable part of
-    the trace decides False, and exhausting a full verified solution basis
-    decides either way exactly.  Before any lifting, a pinned system (upper
-    bound equal to the Euler-form lower bound) may certify True from
-    random solutions modulo one prime (`_gen_certified_mod_p`)."""
+    Decided on the reduced Hom system by three deciders, in order:
+    - the certain "no"s: Hom(m, x) = 0 (upper bound 0), or a non-zero
+      vertex of x that no path from a top generator of m reaches;
+    - a pinned system (upper bound equal to the Euler-form lower bound)
+      certifies "yes" from random solutions modulo one prime
+      (`_gen_certified_mod_p`);
+    - otherwise the verified canonical solution basis is lifted in order,
+      and the trace, spanned by the path images of its generator images,
+      grows by exact columns only: vertexwise fullness mod p decides
+      True, and once the whole basis is absorbed the exact rank of the
+      trace columns decides either way."""
     if m.quiver != x.quiver:
         raise ValueError("Gen test requires a common quiver")
     if x.is_zero():
@@ -1298,7 +1242,7 @@ def gen_contains(m: Rep, x: Rep) -> bool:
         ):
             return False
     lower = forms_context(q).euler_form(list(gi.dims), list(ti.dims))
-    if sys.upper == max(lower, 0) and _gen_certified_mod_p(sys, ti):
+    if _pinned(sys, max(lower, 0)) and _gen_certified_mod_p(sys, ti):
         return True
     buffers: list[list[np.ndarray]] = [[] for _ in range(q.n)]
     full = [d == 0 for d in ti.dims]
@@ -1342,79 +1286,12 @@ def gen_contains(m: Rep, x: Rep) -> bool:
                 full[v] = spans[v].rank == ti.dims[v]
         return all(full)
 
-    # generic solutions first: a few kernel vectors with dense random small
-    # free coordinates have jointly full trace images unless the trace is
-    # genuinely deficient, and they are exact, so mod-p fullness of their
-    # images certifies membership outright
-    try:
-        for u in sys.solutions(generic=True, count=_GEN_RANDOM_TRIES):
-            absorb(u)
-            if saturated():
-                return True
-    except ReconstructionError:
-        pass
-    # single-prime screen: a small set of solutions whose images are jointly
-    # full mod p; their exact lifts then certify fullness
-    chosen = _screen_gen_columns(sys, ti)
-    if chosen is not None:
-        try:
-            for u in sys.solutions(columns=chosen):
-                absorb(u)
-        except ReconstructionError:
-            pass
-        if saturated():
-            return True
-
-    lifted = 0
-    capped = False
-    for u in sys.solutions(spread=True):
-        absorb(u)
-        lifted += 1
-        if saturated():
-            return True
-        if lifted >= _GEN_LIFT_CAP and lifted < sys.upper:
-            capped = True
-            break
-    if not capped:
-        # the verified solutions span Hom(g, t), so the buffers span the
-        # exact trace
-        return all(
-            _exact_column_span_full(buffers[v], ti.dims[v]) for v in range(q.n)
-        )
-    # quotient certificate: close an independent part of the trace under
-    # the arrow maps (the closure stays inside the trace, which is a
-    # subrepresentation) and test Hom into the quotient
-    subs_cols = [
-        [buffers[v][j] for j in _modp_pivot_columns(buffers[v], ti.dims[v])]
-        for v in range(q.n)
-    ]
-    tnp = [_np_int(a) for a in ti.arrow_maps]
-    changed = True
-    while changed:
-        changed = False
-        for a, (sv, tv) in enumerate(q.arrows):
-            trial = [tnp[a] @ col for col in subs_cols[sv - 1]]
-            before = len(_modp_pivot_columns(subs_cols[tv - 1], ti.dims[tv - 1]))
-            merged = subs_cols[tv - 1] + [c for c in trial if any(c)]
-            piv = _modp_pivot_columns(merged, ti.dims[tv - 1])
-            if len(piv) > before:
-                subs_cols[tv - 1] = [merged[j] for j in piv]
-                changed = True
-    subs = [
-        Matrix.from_columns(
-            [[int(e) for e in c] for c in subs_cols[v]],
-            nrows=ti.dims[v],
-        )
-        for v in range(q.n)
-    ]
-    if any(subs[v].cols < ti.dims[v] for v in range(q.n)):
-        qt = _quotient_rep(ti, subs)
-        if qt is not None and _hom_vanishes_certified(gi, _integer_form(qt)):
-            return False
-    for u in sys.solutions(spread=True):
+    for u in sys.solutions():
         absorb(u)
         if saturated():
             return True
+    # the verified solutions span Hom(g, t), so the buffers span the exact
+    # trace
     return all(
         _exact_column_span_full(buffers[v], ti.dims[v]) for v in range(q.n)
     )

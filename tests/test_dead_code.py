@@ -1,0 +1,78 @@
+"""No code that nothing calls: every private module-level function and
+class, and every private method, of the package is named somewhere in the
+package outside its own definition."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import qtors
+
+SRC = Path(qtors.__file__).parent
+
+
+def _names(node):
+    """Every name that the nodes under `node` read or import."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def _private_defs(tree):
+    """Module-level private functions and classes, and private methods of
+    module-level classes, with their nodes; dunder methods are left out."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                name = getattr(item, "name", "")
+                if (
+                    isinstance(item, defs)
+                    and name.startswith("_")
+                    and not name.endswith("__")
+                ):
+                    yield f"{node.name}.{name}", item
+
+
+def _unused(trees):
+    """`file:qualname` of the private definitions in the parsed modules
+    `trees` (file name -> module) that no other code names."""
+    uses = Counter()
+    for tree in trees.values():
+        uses.update(_names(tree))
+    out = []
+    for fname, tree in trees.items():
+        for qualname, node in _private_defs(tree):
+            if uses[node.name] - Counter(_names(node))[node.name] <= 0:
+                out.append(f"{fname}:{qualname}")
+    return out
+
+
+def test_every_private_definition_is_used():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert _unused(trees) == []
+
+
+def test_the_guard_flags_definitions_named_only_in_their_own_body():
+    called = ast.parse("from m import _imported\n_helper()\n")
+    module = ast.parse(
+        "def _helper():\n    return _recursive()\n"
+        "def _recursive():\n    return _recursive()\n"
+        "def _dead():\n    return _dead()\n"
+        "class _Box:\n"
+        "    def __init__(self):\n        self._used()\n"
+        "    def _used(self):\n        pass\n"
+        "    def _method(self):\n        return self._method()\n"
+        "def _imported():\n    pass\n"
+    )
+    assert _unused({"a.py": called, "m.py": module}) == [
+        "m.py:_dead",
+        "m.py:_Box",
+        "m.py:_Box._method",
+    ]

@@ -18,6 +18,7 @@ from qtors import (
     enumerate_indecomposables,
     forms_context,
     gen_contains,
+    hom_dim,
     kronecker_window,
     simple_rep,
     triple_quiver,
@@ -120,9 +121,26 @@ def _unlucky_pair():
     return g, t
 
 
+def _unlucky_unpinned_pair(arrow):
+    """S1 + S2 and t of dims (1, 1) on the Kronecker quiver 1 => 2 whose
+    arrow maps are `arrow`, a product of leading primes, and 0: modulo those
+    primes t looks like S1 + S2, so the Hom system has upper bound 2 against
+    a Euler bound of 0 and is not pinned, while Hom(S1 + S2, t) = Hom(S2, t)
+    has dimension 1.  Lifting from the pivots of an unlucky prime cannot
+    reconstruct; the lift must move to a prime of larger rank."""
+    q = Quiver(2, ((1, 2), (1, 2)))
+    g = direct_sum([simple_rep(q, 1), simple_rep(q, 2)])
+    t = Rep(q, (1, 1), (Matrix(1, 1, [[arrow]]), Matrix(1, 1, [[0]])))
+    return g, t
+
+
 def test_unlucky_prime_cannot_certify():
     g, t = _unlucky_pair()
     assert not gen_contains(g, t)
+    g, t = _unlucky_pair()
+    # a second prime pins the system, so its dimension needs no lifting
+    with mock.patch.object(rep._HomSystem, "solutions", side_effect=AssertionError):
+        assert hom_dim(g, t) == 1
 
     g, t = _unlucky_pair()
     sys = rep._hom_system(rep._integer_form(g), rep._integer_form(t))
@@ -131,6 +149,23 @@ def test_unlucky_prime_cannot_certify():
     # without the pin guard the mod-p trace is full and would answer True
     assert rep._gen_certified_mod_p(sys, rep._integer_form(t))
     assert not gen_contains(g, t)
+
+    for arrow in (PRIMES[0], PRIMES[0] * PRIMES[1]):
+        g, t = _unlucky_unpinned_pair(arrow)
+        sys = rep._hom_system(rep._integer_form(g), rep._integer_form(t))
+        euler = forms_context(t.quiver).euler_form(list(g.dims), list(t.dims))
+        assert (sys.upper, euler) == (2, 0)
+        g, t = _unlucky_unpinned_pair(arrow)
+        assert not gen_contains(g, t)
+        assert not gen_contains(g, t)
+        g, t = _unlucky_unpinned_pair(arrow)
+        assert hom_dim(g, t) == 1
+    # a system takes its second prime once, not once per question
+    g, t = _unlucky_unpinned_pair(PRIMES[0])
+    for _ in range(3):
+        assert not gen_contains(g, t)
+    sys = rep._hom_system(rep._integer_form(g), rep._integer_form(t))
+    assert len(sys.mk._primes) == 2
 
 
 def test_certificate_reads_cached_path_residues():

@@ -84,29 +84,11 @@ def test_exact_vectors_are_verified_kernel_members():
             assert stacked.rank() == len(vecs)
 
 
-def test_spread_and_column_selection():
-    rng = random.Random(17)
-    data = _rank_deficient_rows(rng, 4, 10, 2)
-    mk = ModKernel(*nonzero_triples(np.array(data)))
-    total = mk.dim_upper_bound
-    assert total == 8
-    spread = list(mk.exact_vectors(count=3, spread=True))
-    assert len(spread) == 3
-    _, free, _, _ = mk.candidate_residues(columns=[])
-    chosen = list(free[:2])
-    narrowed = list(mk.exact_vectors(columns=chosen))
-    assert len(narrowed) == 2
-    m = Matrix.from_rows(data)
-    for (nums, den), f in zip(narrowed, chosen):
-        assert nums[f] == den
-        assert all(x == 0 for x in m.apply(nums))
-
-
 def test_candidate_residues_match_exact_solutions():
     rng = random.Random(19)
     data = _rank_deficient_rows(rng, 3, 6, 2)
     mk = ModKernel(*nonzero_triples(np.array(data)))
-    pivots, free, coords, p = mk.candidate_residues()
+    pivots, free, coords, p = _canonical_residues(mk)
     vecs = list(mk.exact_vectors())
     assert len(vecs) == len(free)
     for k, (nums, den) in enumerate(vecs):
@@ -135,47 +117,33 @@ def test_zero_matrix():
     assert vecs == [([1, 0, 0], 1), ([0, 1, 0], 1), ([0, 0, 1], 1)]
 
 
-def test_random_vectors_are_exact_kernel_vectors():
-    rng = random.Random(29)
-    data = _rank_deficient_rows(rng, 4, 8, 3)
-    mk = ModKernel(*nonzero_triples(np.array(data)))
-    m = Matrix.from_rows(data)
-    vecs = list(mk.exact_random_vectors(5, seed=7))
-    assert len(vecs) == 5
-    assert all(_lowest_terms(v) for v in vecs)
-    assert any(any(nums) for nums, _ in vecs)
-    for nums, _ in vecs:
-        assert all(x == 0 for x in m.apply(nums))
-    # deterministic in the seed
-    again = list(mk.exact_random_vectors(5, seed=7))
-    assert again == vecs
-    other = list(mk.exact_random_vectors(5, seed=8))
-    assert other != vecs
-
-
 def test_random_vectors_of_a_block_wider_than_2_15_columns():
-    # one dense row is one block of 100 000 columns.  Its echelon row holds
-    # p - 2 and its verification residues q - 2, so over random free
-    # coordinates the plain dot products pass 2**53 (float64) and 2**63
-    # (int64): only chunked reduction keeps them exact
+    # one dense row is one block of 100 000 columns.  Its canonical kernel
+    # coordinates are p - 2 and its verification residues q - 1 and q - 2,
+    # so over dense free coordinates the plain dot products pass 2**53
+    # (float64, in random_residues) and 2**63 (int64, in verified): only
+    # chunked reduction keeps them exact
     n = 100_000
     row = np.full(n, -2, dtype=np.int64)
-    row[0] = 1
+    row[0] = -1
     mk = ModKernel(*nonzero_triples(row[None, :]))
-    assert len(mk._blocks) == 1
+    ((_, bm),) = mk._blocks
     assert mk.dim_upper_bound == n - 1
-    vecs = list(mk.exact_random_vectors(2, seed=1, bound=10**6))
-    assert len(vecs) == 2
-    for v, _ in vecs:
-        assert sum(1 for e in v if e) > n // 2
-        assert v[0] == 2 * sum(v[1:])
-
-
-def test_random_vectors_full_rank_kernel():
-    # injective matrix: the only kernel vector is zero, but the free-column
-    # structure is empty, so the generator must yield nothing
-    mk = ModKernel(*nonzero_triples(np.array([[1, 0], [0, 1], [1, 1]])))
-    assert list(mk.exact_random_vectors(3)) == []
+    for j, (nums, den) in enumerate(mk.exact_vectors(3), start=1):
+        assert den == 1 and nums[0] == -2 and nums[j] == 1
+        assert sum(1 for e in nums if e) == 2
+    u, p = mk.random_residues(2, seed=1)
+    for res in u.T.astype(np.int64).tolist():
+        assert sum(1 for e in res if e) > n // 2
+        assert res[0] == -2 * sum(res[1:]) % p
+        # the exact kernel vector whose free coordinates are the symmetric
+        # lifts of the residues, about half of them negative
+        w = [0] + [e - p if 2 * e > p else e for e in res[1:]]
+        w[0] = -2 * sum(w[1:])
+        assert w[0] % p == res[0]
+        assert bm.verified(w)
+        w[0] += p
+        assert not bm.verified(w)
 
 
 # -- the block split against one elimination of the whole matrix ------------
@@ -222,6 +190,33 @@ def _one_block(rows, cols, shape):
     return [(np.arange(m), np.arange(n))] if n else []
 
 
+def _canonical_residues(mk):
+    """The mod-p canonical kernel vectors as the block records hold them:
+    the pivot and free columns of `_structure()`, its prime, and the
+    pivot-coordinate block (column k belongs to the vector with 1 at the
+    k-th free column and 0 at the others), gathered from the
+    `_BlockMatrix.kernel` of every block."""
+    k, pivots, free = mk._structure()
+    p = mk._primes[k]
+    row = {c: i for i, c in enumerate(pivots)}
+    col = {c: j for j, c in enumerate(free)}
+    coords = np.zeros((len(pivots), len(free)))
+    for bc, bm in mk._blocks:
+        slot, block = bm.kernel(k, p)
+        for i, c in enumerate(bm.echelons[k][1]):
+            for f in np.flatnonzero(slot >= 0):
+                coords[row[bc[c]], col[bc[f]]] = block[i, slot[f]]
+    return pivots, free, coords, p
+
+
+def _dense_residues(base, p):
+    """The same data from one dense elimination of the whole matrix."""
+    n = base.shape[1]
+    ech, piv = echelon_mod_p((base % p).astype(np.float64), p)
+    free = [c for c in range(n) if c not in set(piv)]
+    return piv, free, modkernel._kernel_coords_mod_p(ech, piv, free, p), p
+
+
 def _observe(mk, seed):
     """Everything ModKernel answers, in a fixed order (later calls may grow
     the prime schedule); a ReconstructionError is recorded, not raised."""
@@ -232,16 +227,12 @@ def _observe(mk, seed):
         except ReconstructionError as e:
             return ("ReconstructionError", str(e))
 
-    pivots, free, coords, p = mk.candidate_residues()
+    pivots, free, coords, p = _canonical_residues(mk)
     return {
         "dim": mk.dim_upper_bound,
         "residues": (list(pivots), list(free), coords.tolist(), p),
+        "random": mk.random_residues(3, seed=seed)[0].tolist(),
         "plain": attempt(lambda: list(mk.exact_vectors())),
-        "spread": attempt(lambda: list(mk.exact_vectors(count=3, spread=True))),
-        "columns": attempt(
-            lambda: list(mk.exact_vectors(columns=free[::2] + pivots[:1]))
-        ),
-        "random": attempt(lambda: list(mk.exact_random_vectors(3, seed=seed))),
         "dim_after": mk.dim_upper_bound,
     }
 
@@ -263,12 +254,10 @@ def test_block_split_matches_one_elimination(base, seed):
     assert len(whole._blocks) == (1 if n else 0)
 
     # the single dense elimination at the first prime
-    ech, piv = echelon_mod_p((base % P0).astype(np.float64), P0)
-    free = [c for c in range(n) if c not in set(piv)]
-    pivots, got_free, coords, p = mk.candidate_residues()
+    piv, free, dense, _ = _dense_residues(base, P0)
+    pivots, got_free, coords, p = _canonical_residues(mk)
     assert (list(pivots), list(got_free), p) == (piv, free, P0)
     assert mk.dim_upper_bound == len(free)
-    dense = modkernel._kernel_coords_mod_p(ech, piv, free, P0)
     assert coords.tolist() == dense.tolist()
 
     seen = _observe(mk, seed)
@@ -286,15 +275,6 @@ def test_block_split_matches_one_elimination(base, seed):
         assert all(_lowest_terms(v) for v in seen["plain"])
         if rational_pivots == piv:
             assert [_fracs(v) for v in seen["plain"]] == kb
-    if not isinstance(seen["random"], tuple):
-        for v in map(_fracs, seen["random"]):
-            assert all(e == 0 for e in exact.apply(v))
-            if rational_pivots == piv:
-                combo = [
-                    sum((v[f] * b[i] for f, b in zip(free, kb)), Fraction(0))
-                    for i in range(n)
-                ]
-                assert v == combo
 
 
 def test_identical_blocks_share_one_elimination():
@@ -375,8 +355,10 @@ def test_kronecker_window_memory_peak():
 def test_random_residues_are_kernel_vectors_mod_p(base, seed, count):
     mk = ModKernel(*nonzero_triples(base))
     u, p = mk.random_residues(count, seed=seed)
-    pivots, free, coords, q = mk.candidate_residues()
+    pivots, free, coords, q = _canonical_residues(mk)
     assert p == q and u.shape == (base.shape[1], count)
+    dense = _dense_residues(base, p)
+    assert (pivots, free, coords.tolist()) == (dense[0], dense[1], dense[2].tolist())
     assert ((0 <= u) & (u < p)).all() and (u == np.round(u)).all()
     ints = u.astype(np.int64)
     # A u = 0 mod p, in exact integer arithmetic

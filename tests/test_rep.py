@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -28,6 +30,7 @@ from qtors import (
     simple_rep,
     zero_rep,
 )
+from qtors import rep
 from qtors.linalg import extend_to_basis
 from qtors.rep import ExtGroup, compose
 
@@ -393,6 +396,24 @@ class TestGenAndSurjections:
         s1 = simple_rep(A3, 1)
         assert exists_surjection(p1, s1)
         assert not exists_surjection(s1, p1)
+
+    def test_certified_no_answers_skip_the_search(self):
+        # both inputs hang in the coefficient search: on 1 -> 2 the first
+        # has dim Hom 11 against End dimensions 10 and 13, a grid of 5**11
+        # points; the second is not generated, and its search grows about
+        # five-fold per pair of summands
+        q = linear_quiver(2)
+        p1, s1, s2 = projective_rep(q, 1), simple_rep(q, 1), simple_rep(q, 2)
+        x = direct_sum([p1, p1, s2, s1])
+        y = direct_sum([p1, s2, s2, s1, s1])
+        simples = direct_sum([s1] * 6 + [s2] * 6)
+        with mock.patch.object(rep, "_search_combination", side_effect=AssertionError):
+            start = time.perf_counter()
+            assert not is_isomorphic(x, y)
+            assert not exists_surjection(simples, p1)
+            assert time.perf_counter() - start < 1
+        assert (hom_dim(x, y), hom_dim(x, x), hom_dim(y, y)) == (11, 10, 13)
+        assert not gen_contains(simples, p1)
 
     def test_enumerate_indecomposables_counts(self):
         # number of positive roots: n(n+1)/2 for A_n, 12 for D4
