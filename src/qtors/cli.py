@@ -269,7 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kronecker", help="Kronecker window chain report")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument(
+        "--depth",
+        type=int,
+        required=True,
+        help="window members per side; their total dimension may be at most 1500",
+    )
     p.set_defaults(func=_cmd_kronecker)
 
     p = sub.add_parser("witness", help="build and verify a wild-quiver witness pair")

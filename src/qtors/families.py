@@ -62,10 +62,32 @@ def _kronecker_mirror(x: Rep, q: Quiver) -> Rep:
 
 
 def kronecker_window(n: int, depth: int) -> KroneckerWindow:
+    """The window of the n-arrow Kronecker quiver at the given depth.
+
+    Size limit: the total dimension of the preprojectives A_1, ..., A_depth
+    may be at most 1500, else ValueError.  It is read off the Coxeter
+    recursion before any module is built: dim A_k = (x_{k-1}, x_k) with
+    x_0 = 0, x_1 = 1 and x_{k+1} = n x_k - x_{k-1}, and the recursion stops
+    as soon as the sum passes the limit.  The cost of the chain check
+    follows that sum rather than the deepest member alone, since for n = 2
+    the members grow linearly but the Gen tests quadratically with the
+    depth.  n = 2 at depth 38 and n = 4 at depth 6 sit just below the
+    limit and take about 12 s each; n = 3 at depth 8 (sum 2205, about 60 s
+    and 2.9 GB) is refused."""
     if n < 2:
         raise ValueError("Kronecker window needs at least 2 arrows")
     if depth < 2:
         raise ValueError("window depth must be at least 2")
+    limit = 1500
+    x0, x1, total = 0, 1, 1
+    for k in range(2, depth + 1):
+        x0, x1 = x1, n * x1 - x0
+        total += x0 + x1
+        if total > limit:
+            raise ValueError(
+                f"window too large: dim A_1 + ... + dim A_{k} = {total} "
+                f"exceeds the limit of {limit}"
+            )
     q = kronecker_quiver(n)
     a = [simple_rep(q, 2), projective_rep(q, 1)]
     while len(a) < depth:

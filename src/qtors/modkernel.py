@@ -4,10 +4,12 @@ Exact answers only: reduction mod a prime can merely *lower* the rank of an
 integer matrix, so a mod-p kernel dimension is a rigorous upper bound for
 the rational kernel dimension, while lower bounds are only ever claimed by
 exhibiting explicit rational kernel vectors that are re-verified in exact
-arithmetic.  The modular eliminations run on numpy float64 blocks (products
-stay below 2**53, hence exact), one connected component of the matrix at a
-time; candidate rational vectors are recovered by CRT across several primes
-followed by rational reconstruction.
+arithmetic.  The modular eliminations are Gauss-Jordan on numpy float64
+blocks with deferred reduction (products stay below 2**53, hence exact),
+one connected component of the matrix at a time; the canonical kernel
+vectors mod p are read off the reduced echelon form, and candidate rational
+vectors are recovered from them by CRT across several primes followed by
+rational reconstruction.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ PRIMES = (
     524203, 524201, 524197, 524189, 524171, 524149, 524123, 524119,
 )
 
-_PANEL = 192
-_SUBPANEL = 16
 _MAX_COLS = 8192  # deferred-reduction exactness bound for the prime size
 
 
@@ -53,107 +53,50 @@ class ReconstructionError(RuntimeError):
 
 
 def echelon_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """In-place row echelon form of `a` mod p with unit pivots.
+    """Reduced row echelon form of `a` mod p: returns (rows, pivot_columns),
+    the r x n float64 array of the non-zero RREF rows in pivot order (row i
+    is 1 at pivot column i and 0 at the other pivot columns, every entry in
+    [0, p)) and their r pivot columns.  `a` holds residues mod p as float64
+    and is used as scratch: its contents afterwards are unspecified.
 
-    Returns (a, pivot_columns); rows 0..len(pivots)-1 of `a` hold the
-    echelon rows (fully reduced mod p); the rows below are scratch.
-
-    Two-level blocked right-looking elimination.  Reductions mod p are
-    deferred: with p < 2**19 every intermediate value is a sum of at most
-    ~2**14 products of reduced residues plus an initial residue, which
-    float64 holds exactly; each entry accumulates at most one product per
-    pivot, so the bound applies to min(rows, cols).  Pivot rows are reduced
-    and normalized when promoted; rows below a pivot only ever have their
-    current sub-panel reduced, the rest is updated by one small matmul per
-    sub-panel and one large matmul per panel.
+    One Gauss-Jordan loop over the columns: a column is reduced mod p, any
+    row not yet holding a pivot with a non-zero residue there becomes its
+    pivot row (rows are tracked by index, never swapped; the pivot columns
+    of an echelon form do not depend on that choice), is normalized from
+    that column on, and the rank-1 update is subtracted from the rows whose
+    multiplier is non-zero, pivot rows included.  Every other reduction mod
+    p is deferred: with p < 2**19 each entry gains at most one product of
+    reduced residues, below 2**38, per pivot, and there are at most
+    min(rows, cols) <= 2**13 pivots, so float64 holds every value exactly.
     """
     m, n = a.shape
     if min(m, n) > _MAX_COLS:
         raise ValueError("matrix too large for exact deferred reduction")
-    r = 0
+    unused = np.ones(m, dtype=bool)
+    rows: list[int] = []
     pivots: list[int] = []
-    c0 = 0
-    while c0 < n and r < m:
-        c1 = min(c0 + _PANEL, n)
-        panel_pivots: list[int] = []
-        factors = np.zeros((m - r, c1 - c0), dtype=np.float64)
-        s0 = c0
-        while s0 < c1:
-            s1 = min(s0 + _SUBPANEL, c1)
-            rr0 = r + len(panel_pivots)
-            if rr0 >= m:
-                break
-            # catch the sub-panel block of the remaining rows up with the
-            # panel pivots found so far; work on its transpose so that both
-            # the per-column reductions and the rank-1 updates run on
-            # contiguous memory
-            k0 = len(panel_pivots)
-            if k0:
-                a[rr0:, s0:s1] -= factors[rr0 - r :, :k0] @ a[r : r + k0, s0:s1]
-            sub = np.ascontiguousarray(a[rr0:, s0:s1].T)  # (width, m - rr0)
-            for j in range(s1 - s0):
-                lr = r + len(panel_pivots) - rr0  # local index of pivot row
-                if lr >= sub.shape[1]:
-                    break
-                sub[j, lr:] %= p
-                nz = np.nonzero(sub[j, lr:])[0]
-                if nz.size == 0:
-                    continue
-                pl = lr + int(nz[0])
-                rr = rr0 + lr
-                if pl != lr:
-                    sub[:, [lr, pl]] = sub[:, [pl, lr]]
-                    a[[rr, rr0 + pl], s1:] = a[[rr0 + pl, rr], s1:]
-                    factors[[rr - r, rr0 + pl - r], :] = factors[
-                        [rr0 + pl - r, rr - r], :
-                    ]
-                # complete the new pivot row against the panel pivots and
-                # normalize it; it is frozen (fully reduced) from here on
-                k = len(panel_pivots)
-                if k:
-                    a[rr, s1:] -= factors[rr - r, :k] @ a[r : r + k, s1:]
-                a[rr, s1:] %= p
-                inv = pow(int(sub[j, lr]), p - 2, p)
-                sub[j:, lr] %= p
-                sub[j:, lr] *= inv
-                sub[j:, lr] %= p
-                a[rr, s1:] *= inv
-                a[rr, s1:] %= p
-                f = sub[j, lr + 1 :].copy()  # reduced multipliers below
-                if f.size and j + 1 < s1 - s0:
-                    sub[j + 1 :, lr + 1 :] -= np.multiply.outer(
-                        sub[j + 1 :, lr], f
-                    )
-                factors[rr + 1 - r :, k] = f
-                panel_pivots.append(s0 + j)
-            a[rr0:, s0:s1] = sub.T
-            s0 = s1
-        k = len(panel_pivots)
-        if k and c1 < n:
-            a[r + k :, c1:] -= factors[k:, :k] @ a[r : r + k, c1:]
-        pivots.extend(panel_pivots)
-        r += k
-        c0 = c1
-    if r:
-        a[:r] %= p  # clear the deferred junk left of the pivots
-    return a, pivots
-
-
-def _kernel_coords_mod_p(
-    ech: np.ndarray, pivots: list[int], free_cols: list[int], p: int
-) -> np.ndarray:
-    """Pivot-coordinate block of the kernel vectors (one per free column,
-    unit at its own free column, zero at the others), by back-substitution
-    on the echelon rows."""
-    r = len(pivots)
-    k = len(free_cols)
-    x = np.zeros((r, k), dtype=np.float64)
-    for i in range(r - 1, -1, -1):
-        rhs = ech[i, free_cols].copy()
-        if i + 1 < r:
-            rhs = rhs + ech[i, pivots[i + 1 :]] @ x[i + 1 :, :]
-        x[i, :] = np.mod(-rhs, p)
-    return x
+    for c in range(n):
+        if len(rows) == m:
+            break
+        col = a[:, c]
+        np.remainder(col, p, out=col)
+        nz = col.nonzero()[0]
+        candidates = nz[unused[nz]]
+        if not candidates.size:
+            continue
+        r = int(candidates[0])
+        pivot = a[r, c:]
+        np.remainder(pivot, p, out=pivot)
+        pivot *= pow(int(col[r]), -1, p)
+        np.remainder(pivot, p, out=pivot)
+        nz = nz[nz != r]
+        if nz.size:
+            a[nz, c:] -= np.multiply.outer(col[nz], pivot)
+        unused[r] = False
+        rows.append(r)
+        pivots.append(c)
+    ech = a[rows]
+    return np.remainder(ech, p, out=ech), pivots
 
 
 def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -272,10 +215,10 @@ def _components(
 
 class _BlockMatrix:
     """Integer sub-matrix of one or more connected components of a ModKernel
-    matrix (components with identical entries share it), with one echelon
-    per prime of the schedule, the canonical kernel coordinates of each
-    echelon (back-substituted once, when first needed) and the residues of
-    its verification primes."""
+    matrix (components with identical entries share it), with one reduced
+    echelon form per prime of the schedule, the canonical kernel
+    coordinates of each (read off its free columns when first needed) and
+    the residues of its verification primes."""
 
     def __init__(self, base: np.ndarray):
         self.base = base
@@ -296,8 +239,7 @@ class _BlockMatrix:
             slot[piv] = -1
             free = np.flatnonzero(slot == 0)
             slot[free] = np.arange(len(free))
-            coords = _kernel_coords_mod_p(ech, piv, free.tolist(), p)
-            out = self._kernels[k] = (slot, coords)
+            out = self._kernels[k] = (slot, np.remainder(-ech[:, free], p))
         return out
 
     def verified(self, w: list[int]) -> bool:

@@ -237,6 +237,18 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:") and "--tower" in err
 
+    def test_kronecker_depth_past_the_size_limit(self, capsys, monkeypatch):
+        # the limit is read off the dimension recursion: no module is built
+        def no_module(*args):
+            raise AssertionError("a module was built")
+
+        monkeypatch.setattr("qtors.families.simple_rep", no_module)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "kronecker", "--n", "3", "--depth", "1000000000")
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: window too large") and "1500" in err
+
     def test_malformed_abc(self, capsys):
         code, _, err = run(capsys, "witness", "--abc", "2;1;0")
         assert code == 2

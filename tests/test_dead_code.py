@@ -1,6 +1,6 @@
-"""No code that nothing calls: every private module-level function and
-class, and every private method, of the package is named somewhere in the
-package outside its own definition."""
+"""No code that nothing calls: every private module-level function, class
+and constant (`_NAME = ...`), and every private method, of the package is
+named somewhere in the package outside its own definition."""
 
 import ast
 from collections import Counter
@@ -23,12 +23,19 @@ def _names(node):
 
 
 def _private_defs(tree):
-    """Module-level private functions and classes, and private methods of
-    module-level classes, with their nodes; dunder methods are left out."""
+    """Module-level private functions, classes and constants, and private
+    methods of module-level classes, as (qualified name, name, node);
+    dunder names are left out."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs) and node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                name = getattr(target, "id", "")
+                if name.startswith("_") and not name.endswith("__"):
+                    yield name, name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 name = getattr(item, "name", "")
@@ -37,7 +44,7 @@ def _private_defs(tree):
                     and name.startswith("_")
                     and not name.endswith("__")
                 ):
-                    yield f"{node.name}.{name}", item
+                    yield f"{node.name}.{name}", name, item
 
 
 def _unused(trees):
@@ -48,8 +55,8 @@ def _unused(trees):
         uses.update(_names(tree))
     out = []
     for fname, tree in trees.items():
-        for qualname, node in _private_defs(tree):
-            if uses[node.name] - Counter(_names(node))[node.name] <= 0:
+        for qualname, name, node in _private_defs(tree):
+            if uses[name] - Counter(_names(node))[name] <= 0:
                 out.append(f"{fname}:{qualname}")
     return out
 
@@ -70,9 +77,15 @@ def test_the_guard_flags_definitions_named_only_in_their_own_body():
         "    def _used(self):\n        pass\n"
         "    def _method(self):\n        return self._method()\n"
         "def _imported():\n    pass\n"
+        "_LIMIT = 3\n"
+        "_PANEL = 192\n"
+        "_TYPED: int = _LIMIT\n"
+        "__all__ = []\n"
     )
     assert _unused({"a.py": called, "m.py": module}) == [
         "m.py:_dead",
         "m.py:_Box",
         "m.py:_Box._method",
+        "m.py:_PANEL",
+        "m.py:_TYPED",
     ]

@@ -49,6 +49,16 @@ class TestKronecker:
         with pytest.raises(ValueError):
             kronecker_window(2, 1)
 
+    @pytest.mark.parametrize("n, depth", [(2, 38), (3, 7), (4, 6), (5, 5), (6, 4)])
+    def test_window_size_limit(self, n, depth, monkeypatch):
+        # the deepest window of each n within the limit builds, and one
+        # more member passes it before any module is built
+        w = kronecker_window(n, depth)
+        assert sum(sum(m.dims) for m in w.preprojectives) <= 1500
+        monkeypatch.setattr("qtors.families.simple_rep", None)
+        with pytest.raises(ValueError, match="window too large"):
+            kronecker_window(n, depth + 1)
+
     def test_window_dims_n2(self):
         w = kronecker_window(2, 5)
         assert [m.dims for m in w.preprojectives] == [

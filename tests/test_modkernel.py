@@ -47,7 +47,78 @@ def test_echelon_mod_p_small():
     a = np.array([[2.0, 4.0], [1.0, 2.0]])
     ech, pivots = echelon_mod_p(a, 7)
     assert pivots == [0]
-    assert ech[0, 0] == 1.0
+    assert ech.tolist() == [[1.0, 2.0]]
+
+
+def _rref_mod_p(rows, ncols, p):
+    """Reference: the non-zero rows and pivot columns of the reduced row
+    echelon form mod p, by plain Gauss-Jordan on Python ints."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [(x - f * y) % p for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+@st.composite
+def residue_matrices(draw):
+    """(matrix of residues in [0, p), p): wide, tall, or of low rank built
+    as a product, with a drawn share of zero entries, at a prime of
+    PRIMES; the entries come from a drawn seed."""
+    p = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(["wide", "tall", "low rank"]))
+    if kind == "wide":
+        m, n = draw(st.integers(0, 40)), draw(st.integers(0, 200))
+    elif kind == "tall":
+        m, n = draw(st.integers(0, 200)), draw(st.integers(0, 40))
+    else:
+        m, n = draw(st.integers(0, 80)), draw(st.integers(0, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.95]))
+    if kind == "low rank":
+        k = draw(st.integers(0, min(m, n)))
+        left = rng.integers(0, p, (m, k)) * (rng.random((m, k)) >= zeros)
+        right = rng.integers(0, p, (k, n))
+        a = left @ right % p  # exact in int64: k (p - 1)**2 < 2**63
+    else:
+        a = rng.integers(0, p, (m, n)) * (rng.random((m, n)) >= zeros)
+    return a, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=residue_matrices())
+@example(case=(np.zeros((0, 0), dtype=np.int64), PRIMES[0]))
+@example(case=(np.zeros((3, 0), dtype=np.int64), PRIMES[0]))
+@example(case=(np.zeros((0, 3), dtype=np.int64), PRIMES[0]))
+@example(case=(np.zeros((2, 3), dtype=np.int64), PRIMES[1]))
+@example(case=(np.array([[0, 1, 1], [0, 2, 2], [1, 0, 0]]), PRIMES[2]))
+def test_echelon_mod_p_is_the_rref(case):
+    a, p = case
+    n = a.shape[1]
+    want_rows, want_pivots = _rref_mod_p(a.tolist(), n, p)
+    ech, pivots = echelon_mod_p(a.astype(np.float64), p)
+    assert pivots == want_pivots
+    assert ech.shape == (len(pivots), n)
+    assert ech.astype(np.int64).tolist() == want_rows
+
+
+def test_echelon_mod_p_guard_allocates_nothing():
+    # a read-only view of one float: the size check comes before any
+    # scratch array of the matrix's shape
+    a = np.broadcast_to(np.zeros(1), (modkernel._MAX_COLS + 1,) * 2)
+    with pytest.raises(ValueError, match="too large"):
+        echelon_mod_p(a, PRIMES[0])
 
 
 def test_upper_bound_matches_exact_nullity():
@@ -210,11 +281,12 @@ def _canonical_residues(mk):
 
 
 def _dense_residues(base, p):
-    """The same data from one dense elimination of the whole matrix."""
+    """The same data from one dense elimination of the whole matrix: the
+    canonical kernel coordinates are minus the free columns of the RREF."""
     n = base.shape[1]
     ech, piv = echelon_mod_p((base % p).astype(np.float64), p)
     free = [c for c in range(n) if c not in set(piv)]
-    return piv, free, modkernel._kernel_coords_mod_p(ech, piv, free, p), p
+    return piv, free, np.remainder(-ech[:, free], p), p
 
 
 def _observe(mk, seed):
