@@ -15,6 +15,7 @@ rational reconstruction.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from math import gcd, lcm
 from typing import Iterator
 
@@ -99,6 +100,45 @@ def echelon_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return np.remainder(ech, p, out=ech), pivots
 
 
+def pivot_columns_mod_p(a: np.ndarray, p: int) -> list[int]:
+    """The greedy pivot columns of `a` mod p (the columns outside the span
+    of the columns before them), which are the pivot columns of its
+    echelon form, by forward elimination alone.  `a` holds residues mod p
+    as float64 and is used as scratch: its contents afterwards are
+    unspecified.
+
+    The k-th pivot row is swapped into row k, normalized right of its pivot
+    and its rank-1 update is subtracted from the contiguous block of rows
+    below it and columns right of it; rows above are never touched.
+    Reductions mod p are deferred as in `echelon_mod_p`, under the same
+    size bound."""
+    m, n = a.shape
+    if min(m, n) > _MAX_COLS:
+        raise ValueError("matrix too large for exact deferred reduction")
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        col = a[r:, c]
+        np.remainder(col, p, out=col)
+        nz = col.nonzero()[0]
+        if not nz.size:
+            continue
+        if nz[0]:
+            k = r + int(nz[0])
+            a[[r, k], c:] = a[[k, r], c:]
+        if nz.size > 1:
+            pivot = a[r, c + 1 :]
+            np.remainder(pivot, p, out=pivot)
+            pivot *= pow(int(a[r, c]), -1, p)
+            np.remainder(pivot, p, out=pivot)
+            a[r + 1 :, c + 1 :] -= np.multiply.outer(a[r + 1 :, c], pivot)
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for float64 arrays of residues mod p, where b is a matrix
     or a stack of matrices; exact at any inner width, since the partial
@@ -176,12 +216,13 @@ def nonzero_triples(
 
 def _components(
     ri: np.ndarray, ci: np.ndarray, shape: tuple[int, int]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row and column indices, both ascending, of the connected components
-    of the bipartite graph joining row ri[k] to column ci[k] for every
-    non-zero entry k of a matrix of the given shape.  Columns without a
-    non-zero entry form one last component with no rows; zero rows belong
-    to no component."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of the bipartite graph joining row ri[k] to
+    column ci[k] for every non-zero entry k of a matrix of the given shape,
+    as the component number of every row and of every column.  Components
+    are numbered in ascending order of their smallest column; columns
+    without a non-zero entry form one last component with no rows, and
+    zero rows belong to no component (number -1)."""
     m, n = shape
     # min-label propagation with pointer jumping: each column's label is a
     # column of its component no larger than itself, and labels only fall,
@@ -199,18 +240,12 @@ def _components(
     live = np.zeros(n, dtype=bool)
     live[ci] = True
     lab[~live] = n
-    corder = np.argsort(lab, kind="stable")
-    rorder = np.argsort(rowlab, kind="stable")
-    ccuts = np.flatnonzero(np.diff(lab[corder])) + 1
-    rcuts = np.flatnonzero(np.diff(rowlab[rorder])) + 1
-    col_groups = np.split(corder, ccuts) if n else []
-    row_groups = np.split(rorder, rcuts) if m else []
-    # rows and columns with the same label sort into the same position; the
-    # label n (zero rows, empty columns) sorts last on both sides
-    out = [(r, c) for r, c in zip(row_groups, col_groups) if rowlab[r[0]] < n]
-    if n and not live[col_groups[-1][0]]:
-        out.append((np.zeros(0, dtype=np.intp), col_groups[-1]))
-    return out
+    # number the labels in ascending order; the label n of the empty
+    # columns comes last
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[lab] = True
+    number = np.cumsum(seen) - 1
+    return np.where(rowlab < n, number[rowlab], -1), number[lab]
 
 
 class _BlockMatrix:
@@ -282,6 +317,26 @@ class _BlockMatrix:
         )
 
 
+class _Blocks(Sequence):
+    """The (columns, block matrix) pair of every component of a ModKernel
+    matrix, in component order, read off the flat block arrays when
+    asked."""
+
+    def __init__(self, corder, coff, csize, matrix_of, matrices):
+        self._corder, self._coff, self._csize = corder, coff, csize
+        self._matrix_of, self._matrices = matrix_of, matrices
+
+    def __len__(self) -> int:
+        return len(self._coff)
+
+    def __getitem__(self, i: int) -> tuple[np.ndarray, _BlockMatrix]:
+        at = int(self._coff[i])
+        return (
+            self._corder[at : at + int(self._csize[i])],
+            self._matrices[int(self._matrix_of[i])],
+        )
+
+
 def _reconstructed(
     residues: list[list[int]], primes: list[int]
 ) -> tuple[list[int], int] | None:
@@ -325,7 +380,10 @@ class ModKernel:
     component.  Components with the same shape, dtype and entries share one
     `_BlockMatrix`: equal integer matrices have equal echelons, kernel
     vectors and verification results, so each is eliminated once per
-    prime.
+    prime.  The split itself is held in flat arrays (the columns in
+    component order, every block's offset and size in that order, every
+    block's matrix), so only the distinct block matrices are Python
+    objects.
 
     Exact kernel vectors are yielded as (numerators, denominator): integer
     entries over one positive denominator, in lowest terms."""
@@ -341,39 +399,66 @@ class ModKernel:
         m, n = shape
         self.ncols = n
         self.max_primes = max_primes
-        comps = _components(rows, cols, shape)
-        # block index and local position of every column, local position of
-        # every row of a block; each block is scattered from its own entries
-        self._block_of = np.zeros(n, dtype=np.intp)
-        self._local = np.zeros(n, dtype=np.intp)
+        rowcomp, self._block_of = _components(rows, cols, shape)
+        nb = int(self._block_of.max(initial=-1)) + 1
+        # the columns in block order, ascending within a block, with every
+        # block's offset into that order and its size; the local position of
+        # every column and of every row inside its block
+        corder = np.argsort(self._block_of, kind="stable")
+        csize = np.bincount(self._block_of, minlength=nb)
+        coff = np.cumsum(csize) - csize
+        self._local = np.empty(n, dtype=np.intp)
+        self._local[corder] = np.arange(n) - np.repeat(coff, csize)
+        # (zero rows, numbered -1, sort first and are left out)
+        rorder = np.argsort(rowcomp, kind="stable")[np.count_nonzero(rowcomp < 0) :]
+        rsize = np.bincount(rowcomp[rorder], minlength=nb)
+        roff = np.cumsum(rsize) - rsize
         local_row = np.zeros(m, dtype=np.intp)
-        for bi, (r, c) in enumerate(comps):
-            self._block_of[c] = bi
-            self._local[c] = np.arange(len(c))
-            local_row[r] = np.arange(len(r))
-        entry_block = self._block_of[cols]
-        order = np.argsort(entry_block, kind="stable")
-        cuts = np.searchsorted(entry_block[order], np.arange(1, len(comps)))
-        shared: dict[tuple, int] = {}
-        self._matrices: list[_BlockMatrix] = []
-        instances: list[list[np.ndarray]] = []
-        self._blocks: list[tuple[np.ndarray, _BlockMatrix]] = []
-        for (r, c), ent in zip(comps, np.split(order, cuts)):
-            sub = np.zeros((len(r), len(c)), dtype=vals.dtype)
-            sub[local_row[rows[ent]], self._local[cols[ent]]] = vals[ent]
-            content = (
-                tuple(sub.ravel().tolist()) if sub.dtype == object else sub.tobytes()
-            )
-            key = (sub.shape, sub.dtype.str, content)
-            mi = shared.get(key)
-            if mi is None:
-                mi = shared[key] = len(self._matrices)
-                self._matrices.append(_BlockMatrix(sub))
-                instances.append([])
-            instances[mi].append(c)
-            self._blocks.append((c, self._matrices[mi]))
+        local_row[rorder] = np.arange(len(rorder)) - np.repeat(roff, rsize)
+        # the cells of every block in one buffer, the blocks of one shape
+        # adjacent and in block order, so that each shape is one stack of
+        # matrices; one scatter fills them all
+        shape_key = rsize * (n + 1) + csize
+        border = np.argsort(shape_key, kind="stable")
+        cells = rsize * csize
+        boff = np.empty(nb, dtype=np.intp)
+        boff[border] = np.cumsum(cells[border]) - cells[border]
+        buf = np.zeros(int(cells.sum()), dtype=vals.dtype)
+        eb = self._block_of[cols]
+        buf[boff[eb] + local_row[rows] * csize[eb] + self._local[cols]] = vals
+        # blocks with equal entries share one matrix: per matrix, the first
+        # block holding it, its entries and the blocks and columns holding
+        # it; the matrices are numbered in the order of their first blocks
+        shared: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        ends = np.flatnonzero(np.diff(shape_key[border])) + 1
+        ends = ends.tolist() + [nb] if nb else []
+        start = 0
+        for end in ends:
+            group = border[start:end]
+            start, count = end, len(group)
+            r, c = int(rsize[group[0]]), int(csize[group[0]])
+            at = int(boff[group[0]])
+            stack = buf[at : at + count * r * c].reshape(count, r, c)
+            if buf.dtype == object:
+                keys = map(tuple, stack.reshape(count, r * c).tolist())
+            else:
+                raw, size = stack.tobytes(), r * c * buf.itemsize
+                keys = (raw[i * size : (i + 1) * size] for i in range(count))
+            members: dict = {}
+            for i, key in enumerate(keys):
+                members.setdefault(key, []).append(i)
+            distinct = stack[[ms[0] for ms in members.values()]]  # a copy
+            columns = corder[coff[group, None] + np.arange(c)]
+            for base, ms in zip(distinct, members.values()):
+                shared.append((int(group[ms[0]]), base, group[ms], columns[ms]))
+        shared.sort(key=lambda rec: rec[0])
+        matrix_of = np.empty(nb, dtype=np.intp)
+        for mi, (_, _, blocks, _) in enumerate(shared):
+            matrix_of[blocks] = mi
+        self._matrices = [_BlockMatrix(base) for _, base, _, _ in shared]
+        self._blocks = _Blocks(corder, coff, csize, matrix_of, self._matrices)
         # the columns of every block sharing a matrix, one row per block
-        self._instances = [np.stack(cs) for cs in instances]
+        self._instances = [columns for _, _, _, columns in shared]
         self._primes: list[int] = []
         self._pivots: list[list[int]] = []  # whole-matrix pivots per prime
         self._add_prime()
@@ -384,13 +469,12 @@ class ModKernel:
                 break
         else:
             raise ReconstructionError("prime schedule exhausted")
-        for bm in self._matrices:
+        pivots = []
+        for bm, cols in zip(self._matrices, self._instances):
             bm.echelons.append(echelon_mod_p((bm.base % p).astype(np.float64), p))
-        pivots: list[int] = []
-        for c, bm in self._blocks:
-            pivots.extend(c[bm.echelons[-1][1]].tolist())
+            pivots.append(cols[:, bm.echelons[-1][1]].ravel())
         self._primes.append(p)
-        self._pivots.append(sorted(pivots))
+        self._pivots.append(np.sort(np.concatenate(pivots)).tolist() if pivots else [])
 
     @property
     def dim_upper_bound(self) -> int:

@@ -21,11 +21,11 @@ from .modkernel import (
     PRIMES,
     ModKernel,
     ReconstructionError,
-    echelon_mod_p,
     int_array,
     matmul_mod_p,
     max_abs,
     nonzero_triples,
+    pivot_columns_mod_p,
 )
 from .quiver import Quiver, QuiverError, opposite
 
@@ -725,7 +725,7 @@ def _np_path_map(x: Rep, path: tuple[int, ...], start: int) -> np.ndarray:
 def _complement_coords(r: Matrix) -> list[int]:
     """Indices of standard basis vectors completing the column space of an
     integer matrix: e_i is taken exactly when row i of r lies in the span of
-    the rows below it, tested mod p by the pivots of an echelon of the
+    the rows below it, tested mod p by the greedy pivot columns of the
     reversed transpose of r (as wide as r is tall).  These are the identity
     pivots of an echelon of [r | I] at the same prime.  The rows of r at the
     indices not taken are independent mod p, hence over the rationals, so
@@ -740,8 +740,7 @@ def _complement_coords(r: Matrix) -> list[int]:
     arr = np.zeros((r.cols, d), dtype=np.float64)
     for i in range(d):
         arr[:, d - 1 - i] = [e % p for e in r._num[i]]
-    _, piv = echelon_mod_p(arr, p)
-    independent = {d - 1 - j for j in piv}
+    independent = {d - 1 - j for j in pivot_columns_mod_p(arr, p)}
     return [i for i in range(d) if i not in independent]
 
 
@@ -750,6 +749,8 @@ def _scaled_int_vector(nums: list[int]) -> list[int]:
     g = 0
     for c in nums:
         g = gcd(g, c)
+        if g == 1:
+            return nums
     return [c // g for c in nums] if g > 1 else nums
 
 
@@ -805,13 +806,15 @@ def _top_presentation(x: Rep) -> list[np.ndarray]:
     tops = x._tops
     kernels: list[np.ndarray] = []
     for w in range(1, x.quiver.n + 1):
-        cols: list[list[int]] = []
-        for v, c in tops.summands:
-            for pth in tops.paths[v][w]:
-                pm = _np_path_map(x, pth, v)
-                cols.append([int(e) for e in pm[:, c]])
+        cols = [
+            _np_path_map(x, pth, v)[:, c]
+            for v, c in tops.summands
+            for pth in tops.paths[v][w]
+        ]
         if cols:
-            epi = int_array(cols).T.reshape(x.dim(w), len(cols))
+            epi = np.stack(cols, axis=1)
+            if epi.dtype == object:  # int64 when every entry fits
+                epi = int_array(epi.tolist()).reshape(epi.shape)
         else:
             epi = np.zeros((x.dim(w), 0), dtype=np.int64)
         kernels.append(_certified_int_kernel(epi))
@@ -879,6 +882,34 @@ class _HomSystem:
                     raise
 
 
+def _generator_runs(
+    summands: list[tuple[int, int]], offsets: list[int]
+) -> list[tuple[int, int, int]]:
+    """The runs of consecutive top generators at one vertex v, as (v, first
+    unknown, number of generators); the unknowns of a run are consecutive
+    too, dim y_v per generator."""
+    runs = []
+    for v, group in itertools.groupby(zip(summands, offsets), lambda s: s[0][0]):
+        offs = [off for _, off in group]
+        runs.append((v, offs[0], len(offs)))
+    return runs
+
+
+def _exact_products(ks: np.ndarray, ymaps: list[np.ndarray]) -> bool:
+    """Whether int64 arithmetic is exact for the terms of a run of
+    generators, with kernel rows ks (generators, paths, kernel columns) and
+    path maps ymaps: the a-priori bound max |kernel entry| * max |map
+    entry| * paths is below 2**62 for every generator that contributes a
+    term (a non-zero kernel entry at a path with a non-zero map)."""
+    ymax = max(map(max_abs, ymaps))
+    if max_abs(ks) * ymax * len(ymaps) < 2**62:
+        return True
+    live = [b for b, ym in enumerate(ymaps) if ym.any()]
+    return all(
+        max_abs(kj) * ymax * len(ymaps) < 2**62 for kj in ks if kj[live].any()
+    )
+
+
 def _hom_rows(
     x: Rep, y: Rep
 ) -> tuple[
@@ -913,6 +944,7 @@ def _hom_rows(
             for pth in tops.paths[v][w]:
                 if (v, pth) not in ynp:
                     ynp[(v, pth)] = _np_path_map(y, pth, v)
+    runs = _generator_runs(tops.summands, offsets)
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     nrows = 0
     # the kernels are only needed, and built, when there are unknowns
@@ -923,28 +955,26 @@ def _hom_rows(
         if k_w == 0 or e_w == 0:
             continue
         roff = 0
-        for j, (v, _) in enumerate(tops.summands):
+        for v, off, n_v in runs:
             pths = tops.paths[v][w]
-            ks = kmat[roff : roff + len(pths)]
-            roff += len(pths)
-            if not pths or not y.dim(v):
+            # (generators, paths, kernel columns)
+            ks = kmat[roff : roff + n_v * len(pths)].reshape(n_v, len(pths), k_w)
+            roff += n_v * len(pths)
+            c_v = y.dim(v)
+            if not pths or not c_v:
                 continue
             ymaps = [ynp[(v, pth)] for pth in pths]
-            exact = max_abs(ks) * max(map(max_abs, ymaps)) * len(pths) < 2**62
-            for kb, ym in zip(ks, ymaps):
-                qi = np.flatnonzero(kb)
+            dtype = np.int64 if _exact_products(ks, ymaps) else object
+            for b, ym in enumerate(ymaps):
+                gi, qi = np.nonzero(ks[:, b])
                 ei, ci = np.nonzero(ym)
-                if not qi.size or not ei.size:
+                if not gi.size or not ei.size:
                     continue
-                kv, yv = kb[qi], ym[ei, ci]
-                if exact:
-                    kv, yv = kv.astype(np.int64), yv.astype(np.int64)
-                else:
-                    kv, yv = kv.astype(object), yv.astype(object)
+                kv, yv = ks[gi, b, qi].astype(dtype), ym[ei, ci].astype(dtype)
                 parts.append(
                     (
-                        (nrows + qi[:, None] * e_w + ei).ravel(),
-                        np.broadcast_to(offsets[j] + ci, (qi.size, ci.size)).ravel(),
+                        np.add.outer(nrows + qi * e_w, ei).ravel(),
+                        np.add.outer(off + gi * c_v, ci).ravel(),
                         np.multiply.outer(kv, yv).ravel(),
                     )
                 )
@@ -1165,14 +1195,8 @@ def _gen_certified_mod_p(sys: _HomSystem, ti: Rep) -> bool:
     tested by one elimination."""
     q = ti.quiver
     dims = ti.dims
-    # runs of consecutive generators at one vertex v with t_v != 0; their
-    # unknowns are consecutive too, dim t_v per generator
-    runs: list[tuple[int, int, int]] = []
-    starts = zip(sys.summands, sys.offsets)
-    for v, group in itertools.groupby(starts, lambda s: s[0][0]):
-        offs = [off for _, off in group]
-        if dims[v - 1]:
-            runs.append((v, offs[0], len(offs)))
+    # runs of consecutive generators at one vertex v with t_v != 0
+    runs = [r for r in _generator_runs(sys.summands, sys.offsets) if dims[r[0] - 1]]
     # trace columns one solution adds at each vertex
     per = [
         sum(len(sys.paths[v][tv]) * n for v, _, n in runs) for tv in range(1, q.n + 1)
@@ -1203,7 +1227,7 @@ def _gen_certified_mod_p(sys: _HomSystem, ti: Rep) -> bool:
                 rows[at : at + n * k].reshape(n, k, d)[...] = img.transpose(0, 2, 1)
                 at += n * k
         try:
-            rank = len(echelon_mod_p(rows, p)[1])
+            rank = len(pivot_columns_mod_p(rows, p))
         except ValueError:  # too large for one elimination
             return False
         if rank < d:

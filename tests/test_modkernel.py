@@ -15,6 +15,7 @@ from qtors.modkernel import (
     ReconstructionError,
     echelon_mod_p,
     nonzero_triples,
+    pivot_columns_mod_p,
 )
 
 
@@ -119,6 +120,34 @@ def test_echelon_mod_p_guard_allocates_nothing():
     a = np.broadcast_to(np.zeros(1), (modkernel._MAX_COLS + 1,) * 2)
     with pytest.raises(ValueError, match="too large"):
         echelon_mod_p(a, PRIMES[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=residue_matrices(), lift=st.sampled_from([0, 1, 2]), seed=st.integers(0, 3))
+@example(case=(np.zeros((0, 0), dtype=np.int64), PRIMES[0]), lift=0, seed=0)
+@example(case=(np.zeros((3, 0), dtype=np.int64), PRIMES[0]), lift=0, seed=0)
+@example(case=(np.zeros((0, 3), dtype=np.int64), PRIMES[0]), lift=0, seed=0)
+@example(case=(np.zeros((2, 3), dtype=np.int64), PRIMES[1]), lift=2, seed=1)
+@example(case=(np.array([[0, 1, 1], [0, 2, 2], [1, 0, 0]]), PRIMES[2]), lift=0, seed=0)
+@example(case=(np.array([[0, 1], [0, 1], [1, 0]]), PRIMES[3]), lift=1, seed=2)
+def test_pivot_columns_mod_p_are_the_echelon_pivots(case, lift, seed):
+    # entries raised by up to `lift` multiples of p keep their residues, so
+    # that zero residues become non-zero entries
+    a, p = case
+    raised = a + p * np.random.default_rng(seed).integers(0, lift + 1, a.shape)
+    want = echelon_mod_p(a.astype(np.float64), p)[1]
+    assert pivot_columns_mod_p(raised.astype(np.float64), p) == want
+    assert pivot_columns_mod_p(a.astype(np.float64), p) == want
+
+
+def test_pivot_columns_mod_p_guard_allocates_nothing():
+    # the size check comes before any write to the read-only view, and it
+    # bounds the smaller side only
+    a = np.broadcast_to(np.zeros(1), (modkernel._MAX_COLS + 1,) * 2)
+    with pytest.raises(ValueError, match="too large"):
+        pivot_columns_mod_p(a, PRIMES[0])
+    tall = np.ones((modkernel._MAX_COLS + 1, 2))
+    assert pivot_columns_mod_p(tall, PRIMES[0]) == [0]
 
 
 def test_upper_bound_matches_exact_nullity():
@@ -257,8 +286,10 @@ def block_matrices(draw):
 
 
 def _one_block(rows, cols, shape):
+    """The whole matrix as one component, zero rows included (no component
+    at all without columns), as flat labels like `_components`."""
     m, n = shape
-    return [(np.arange(m), np.arange(n))] if n else []
+    return np.full(m, 0 if n else -1), np.zeros(n, dtype=np.intp)
 
 
 def _canonical_residues(mk):
@@ -383,14 +414,19 @@ def test_kronecker_window_echelon_traffic():
     from qtors import kronecker_chain_check, kronecker_window, rep
 
     sizes = []
-    orig = modkernel.echelon_mod_p
 
-    def counted(a, p):
-        sizes.append(a.size)
-        return orig(a, p)
+    def counting(fn):
+        def counted(a, p):
+            sizes.append(a.size)
+            return fn(a, p)
 
-    with mock.patch.object(modkernel, "echelon_mod_p", counted), mock.patch.object(
-        rep, "echelon_mod_p", counted
+        return counted
+
+    # the block eliminations, and the rank tests of the Gen certificate
+    with mock.patch.object(
+        modkernel, "echelon_mod_p", counting(modkernel.echelon_mod_p)
+    ), mock.patch.object(
+        rep, "pivot_columns_mod_p", counting(rep.pivot_columns_mod_p)
     ):
         report = kronecker_chain_check(kronecker_window(3, 6))
     assert report.ok()
@@ -415,6 +451,109 @@ def test_kronecker_window_memory_peak():
         tracemalloc.stop()
     assert report.ok()
     assert peak < 40 * 2**20
+
+
+# -- the flat block split against the per-block construction --------------
+
+
+def _per_block_components(ri, ci, shape):
+    """The components as (rows, columns) pairs, both ascending, in order of
+    their smallest column, the columns without entries last with no rows:
+    the list of groups that the flat labels replaced."""
+    m, n = shape
+    lab = np.arange(n)
+    while True:
+        rowlab = np.full(m, n)
+        np.minimum.at(rowlab, ri, lab[ci])
+        new = lab.copy()
+        np.minimum.at(new, ci, rowlab[ri])
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    live = np.zeros(n, dtype=bool)
+    live[ci] = True
+    lab[~live] = n
+    corder = np.argsort(lab, kind="stable")
+    rorder = np.argsort(rowlab, kind="stable")
+    ccuts = np.flatnonzero(np.diff(lab[corder])) + 1
+    rcuts = np.flatnonzero(np.diff(rowlab[rorder])) + 1
+    col_groups = np.split(corder, ccuts) if n else []
+    row_groups = np.split(rorder, rcuts) if m else []
+    out = [(r, c) for r, c in zip(row_groups, col_groups) if rowlab[r[0]] < n]
+    if n and not live[col_groups[-1][0]]:
+        out.append((np.zeros(0, dtype=np.intp), col_groups[-1]))
+    return out
+
+
+def _per_block_construction(rows, cols, vals, shape):
+    """The construction the flat block arrays replaced, one component at a
+    time: each block scattered from its own entries, and blocks of equal
+    shape, dtype and entries sharing the first one's matrix.  Returns the
+    columns and matrix index of every block, the matrices and, per matrix,
+    the columns of its blocks stacked."""
+    m, n = shape
+    comps = _per_block_components(rows, cols, shape)
+    block_of = np.zeros(n, dtype=np.intp)
+    local = np.zeros(n, dtype=np.intp)
+    local_row = np.zeros(m, dtype=np.intp)
+    for bi, (r, c) in enumerate(comps):
+        block_of[c] = bi
+        local[c] = np.arange(len(c))
+        local_row[r] = np.arange(len(r))
+    shared, matrices, instances, blocks = {}, [], [], []
+    for bi, (r, c) in enumerate(comps):
+        ent = np.flatnonzero(block_of[cols] == bi)
+        sub = np.zeros((len(r), len(c)), dtype=vals.dtype)
+        sub[local_row[rows[ent]], local[cols[ent]]] = vals[ent]
+        content = tuple(sub.ravel().tolist()) if sub.dtype == object else sub.tobytes()
+        mi = shared.setdefault((sub.shape, sub.dtype.str, content), len(matrices))
+        if mi == len(matrices):
+            matrices.append(sub)
+            instances.append([])
+        instances[mi].append(c)
+        blocks.append((c, mi))
+    return blocks, matrices, [np.stack(cs) for cs in instances]
+
+
+def _assert_same_construction(rows, cols, vals, shape):
+    mk = ModKernel(rows, cols, vals, shape)
+    blocks, matrices, instances = _per_block_construction(rows, cols, vals, shape)
+    assert len(mk._blocks) == len(blocks)
+    for (c, bm), (want_c, mi) in zip(mk._blocks, blocks):
+        assert c.tolist() == want_c.tolist()
+        assert bm is mk._matrices[mi]
+    assert len(mk._matrices) == len(matrices)
+    for bm, want in zip(mk._matrices, matrices):
+        assert (bm.base.dtype, bm.base.shape) == (want.dtype, want.shape)
+        assert bm.base.tolist() == want.tolist()
+    assert len(mk._instances) == len(instances)
+    for got, want in zip(mk._instances, instances):
+        assert got.shape == want.shape and got.tolist() == want.tolist()
+    return mk
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=block_matrices(), as_object=st.booleans())
+@example(base=np.zeros((0, 0), dtype=np.int64), as_object=False)
+@example(base=np.zeros((3, 0), dtype=np.int64), as_object=False)
+@example(base=np.zeros((0, 3), dtype=np.int64), as_object=True)
+@example(base=np.zeros((2, 3), dtype=np.int64), as_object=False)
+@example(base=np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1]]), as_object=True)
+def test_flat_block_split_matches_the_per_block_construction(base, as_object):
+    dtype = object if as_object else np.int64
+    _assert_same_construction(*nonzero_triples(base.astype(dtype)))
+
+
+def test_ten_thousand_identical_one_by_one_components():
+    n = 10_000
+    perm = np.random.default_rng(5).permutation(n)
+    rows, cols = np.arange(n), perm
+    vals = np.full(n, 7, dtype=np.int64)
+    mk = _assert_same_construction(rows, cols, vals, (n + 3, n))
+    assert len(mk._blocks) == n and len(mk._matrices) == 1
+    assert mk._instances[0].shape == (n, 1)
+    assert mk.dim_upper_bound == 0
 
 
 # -- random kernel vectors modulo the structure prime -----------------------
