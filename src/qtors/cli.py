@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .families import (
     build_wild_witness,
@@ -16,9 +17,8 @@ from .families import (
     nonff_evidence,
 )
 from .forms import forms_context, triple_quiver, wild_triple_euler_value
-from .poset import torsion_poset
 from .quiver import QuiverError, classify, decide_with_class, parse_quiver
-from .taurig import enumerate_stt, stt_pairs_to_json
+from .taurig import CLASS_LIMIT, stt_pairs_to_json, tau_tilting
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,10 +81,16 @@ def _parse_vector(text: str, n: int) -> list[int]:
     return vec
 
 
+def _tau_tilting(q):
+    try:
+        return tau_tilting(q)
+    except ValueError as e:
+        raise SystemExit(f"error: {e}")
+
+
 def _cmd_enumerate(args) -> int:
     q = _load_quiver(args.file)
-    pairs = enumerate_stt(q)
-    print(stt_pairs_to_json(q, pairs))
+    print(stt_pairs_to_json(q, _tau_tilting(q).pairs))
     return EXIT_OK
 
 
@@ -94,7 +100,7 @@ def _poset_label(e) -> str:
 
 def _cmd_poset(args) -> int:
     q = _load_quiver(args.file)
-    p = torsion_poset(q)
+    p = _tau_tilting(q).poset
     if args.out == "dot":
         sys.stdout.write(p.export_dot(label=_poset_label))
     else:
@@ -108,13 +114,20 @@ def _cmd_check_lattice(args) -> int:
     verdict, certificate = decide_with_class(q, cls)
     out = {"theorem_decision": verdict, "certificate": certificate}
     if cls.tag == "Dynkin":
-        p = torsion_poset(q)
-        is_lat, _ = p.is_lattice()
+        tt = _tau_tilting(q)
+        p = tt.poset
+        # the pairwise loop runs only when the certificate fails
+        certified, irreducibles = p.intersection_certificate(tt.class_masks)
+        is_lat = certified or p.is_lattice()[0]
         out["enumerated"] = {
             "elements": len(p.elements),
             "is_lattice": is_lat,
             "has_top": p.top() is not None,
             "has_bottom": p.bottom() is not None,
+        }
+        out["lattice_certificate"] = {
+            "route": "meet-irreducible closure" if certified else "pairwise bounds",
+            "meet_irreducibles": irreducibles,
         }
         out["agreement"] = is_lat == verdict
         _emit(out)
@@ -230,6 +243,9 @@ def _cmd_euler_scan(args) -> int:
     return EXIT_OK if not mismatches and not nonnegative else EXIT_CHECK_FAILED
 
 
+_DYNKIN_FILE_HELP = f"quiver file; a Dynkin quiver may have at most {CLASS_LIMIT} torsion classes"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtors",
@@ -252,11 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_forms)
 
     p = sub.add_parser("enumerate", help="support tau-tilting pairs of a Dynkin quiver")
-    p.add_argument("file")
+    p.add_argument("file", help=_DYNKIN_FILE_HELP)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("poset", help="torsion-class poset as DOT or JSON")
-    p.add_argument("file")
+    p.add_argument("file", help=_DYNKIN_FILE_HELP)
     p.add_argument("--out", choices=("dot", "json"), required=True)
     p.set_defaults(func=_cmd_poset)
 
@@ -264,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check-lattice",
         help="lattice decision plus (for Dynkin inputs) enumerated confirmation",
     )
-    p.add_argument("file")
+    p.add_argument("file", help=_DYNKIN_FILE_HELP)
     p.set_defaults(func=_cmd_check_lattice)
 
     p = sub.add_parser("kronecker", help="Kronecker window chain report")
@@ -292,9 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, so one serves every call
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as e:

@@ -341,19 +341,25 @@ class Matrix:
     def rank(self) -> int:
         return self.rref()[2]
 
-    def kernel_basis(self) -> list[list[Fraction]]:
-        """Basis of the right null space, as column vectors; size cols - rank."""
-        red, pivots, rank = self.rref()
+    def kernel_matrix(self) -> "Matrix":
+        """Basis of the right null space as the columns of a cols x
+        (cols - rank) matrix, one per free column f in increasing order:
+        1 at f, minus column f of the RREF at the pivots.  It is built from
+        the RREF's integer numerators over its denominator."""
+        red, pivots, _ = self.rref()
         piv_set = set(pivots)
         free = [j for j in range(self.cols) if j not in piv_set]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r, f]
-            basis.append(v)
-        return basis
+        num = [[0] * len(free) for _ in range(self.cols)]
+        for c, f in enumerate(free):
+            num[f][c] = red._den
+        for r, pc in enumerate(pivots):
+            row = red._num[r]
+            num[pc] = [-row[f] for f in free]
+        return Matrix._reduce(self.cols, len(free), tuple(map(tuple, num)), red._den)
+
+    def kernel_basis(self) -> list[list[Fraction]]:
+        """Basis of the right null space, as column vectors; size cols - rank."""
+        return self.kernel_matrix().columns()
 
     def solve(self, b: Sequence[Scalar]) -> list[Fraction] | None:
         """One solution of self * x = b, or None if inconsistent."""

@@ -34,6 +34,53 @@ class FinitePoset:
         p._set_order(up)
         return p
 
+    @classmethod
+    def from_hasse(
+        cls, elements: Sequence[Hashable], up: list[int], hasse: list[tuple[int, int]]
+    ) -> "FinitePoset":
+        """Poset whose order is given as the `_up` bitmasks together with
+        its Hasse diagram: strictly increasing (i, j) pairs with i < j, the
+        order `_hasse_edges` yields, so the element order is a linear
+        extension.  `up` must be a partial order (inclusion of distinct
+        sets is one), so it is not validated.  The edges are checked, not
+        trusted, and any failure raises RuntimeError: their reflexive
+        transitive closure, taken in reverse element order, must equal
+        `up`, and each edge must be a cover.  `_down` is the closure of the
+        reversed edges, so no transpose is needed."""
+        p = cls.__new__(cls)
+        p._set_elements(elements)
+        n = len(p.elements)
+        if any(a >= b for a, b in zip(hasse, hasse[1:])):
+            raise RuntimeError("Hasse edges are not strictly increasing")
+        above: list[list[int]] = [[] for _ in range(n)]
+        below: list[list[int]] = [[] for _ in range(n)]
+        for i, j in hasse:
+            if not i < j:
+                raise RuntimeError(f"Hasse edge ({i}, {j}) goes down the element order")
+            above[i].append(j)
+            below[j].append(i)
+        # up[j] of every j > i is checked by then, so it is the closure at j
+        for i in reversed(range(n)):
+            reach = 1 << i
+            for j in above[i]:
+                reach |= up[j]
+            if reach != up[i]:
+                raise RuntimeError(
+                    f"the Hasse edges do not generate the order at {p.elements[i]!r}"
+                )
+        down = []
+        for j in range(n):
+            reach = 1 << j
+            for i in below[j]:
+                reach |= down[i]
+            down.append(reach)
+        for i, j in hasse:
+            if (up[i] & down[j]).bit_count() != 2:
+                raise RuntimeError(f"Hasse edge ({i}, {j}) is not a cover")
+        p._up, p._down, p._full = up, down, (1 << n) - 1
+        p.hasse = list(hasse)
+        return p
+
     def _set_elements(self, elements: Sequence[Hashable]):
         self.elements = list(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
@@ -65,8 +112,8 @@ class FinitePoset:
         # up(j) must lie inside up(i) for every j in up(i)
         for i in range(len(self.elements)):
             outside = ~up[i]
-            if any(map(outside.__and__, map(up.__getitem__, _bits(up[i])))):
-                j = next(j for j in _bits(up[i]) if up[j] & outside)
+            if any(map(outside.__and__, map(up.__getitem__, set_bits(up[i])))):
+                j = next(j for j in set_bits(up[i]) if up[j] & outside)
                 k = _lowest(up[j] & outside)
                 raise PosetError(
                     "transitivity fails at "
@@ -78,7 +125,7 @@ class FinitePoset:
         up, down = self._up, self._down
         edges = []
         for i in range(len(self.elements)):
-            js = list(_bits(up[i] & ~(1 << i)))
+            js = list(set_bits(up[i] & ~(1 << i)))
             shared = map(int.bit_count, map(up[i].__and__, map(down.__getitem__, js)))
             edges.extend((i, j) for j, s in zip(js, shared) if s == 2)
         return edges
@@ -138,7 +185,7 @@ class FinitePoset:
         up, down = self._up, self._down
         for i in range(len(self.elements)):
             later = self._full & ~((2 << i) - 1)
-            js = list(_bits(later & ~(up[i] | down[i])))
+            js = list(set_bits(later & ~(up[i] | down[i])))
             found = list(map(index.__contains__, map(masks[i].__and__, map(masks.__getitem__, js))))
             if not all(found):
                 return self.elements[i], self.elements[js[found.index(False)]]
@@ -162,6 +209,32 @@ class FinitePoset:
             return True, None
         return self.is_join_semilattice()
 
+    def intersection_certificate(self, sets: Sequence[int]) -> tuple[bool, int]:
+        """Certify that the elements, with the order being inclusion of
+        `sets` (one bitmask per element, in element order), form a lattice
+        whose meet is ∩.  Returns whether the certificate holds and the
+        number of meet-irreducible elements.
+
+        An element below the top is meet-irreducible when its set differs
+        from the intersection of the sets of its upper covers.  Going down
+        from the top, every other element is that intersection, so every
+        element is an intersection of irreducibles and the top.  Hence, if
+        there is a top and T ∩ M is a set of the family for every element
+        T and every irreducible M, the family is closed under ∩, and a
+        finite ∩-closed family with a top is a lattice whose meet is ∩
+        (the irreducibles are those of Barnard-Carroll-Zhu, arXiv:1710.08837,
+        for torsion classes).  A False proves nothing: the poset may still
+        be a lattice whose meet is not ∩."""
+        covers: list[int | None] = [None] * len(sets)
+        for i, j in self.hasse:
+            covers[i] = sets[j] if covers[i] is None else covers[i] & sets[j]
+        irreducible = [s for s, c in zip(sets, covers) if c is not None and c != s]
+        if self.top() is None:
+            return False, len(irreducible)
+        family = set(sets)
+        closed = all((t & m) in family for m in irreducible for t in sets)
+        return closed, len(irreducible)
+
     def is_complete_lattice(self) -> bool:
         """For a finite poset: a lattice with top and bottom is complete."""
         return (
@@ -179,7 +252,7 @@ class FinitePoset:
         if not self.leq(lo, hi):
             raise PosetError("interval bounds are not comparable")
         inside = self._up[self._index[lo]] & self._down[self._index[hi]]
-        members = [self.elements[i] for i in _bits(inside)]
+        members = [self.elements[i] for i in set_bits(inside)]
         return FinitePoset(members, self.leq)
 
     # -- isomorphism -----------------------------------------------------------
@@ -264,7 +337,7 @@ class FinitePoset:
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bits(m: int) -> Iterator[int]:
+def set_bits(m: int) -> Iterator[int]:
     """Positions of the set bits of m, in increasing order."""
     return compress(count(), bin(m)[:1:-1].encode().translate(_BIT_BYTES))
 
@@ -303,23 +376,9 @@ def build_poset(elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable]
 
 def torsion_poset(q) -> FinitePoset:
     """Poset of the functorially finite torsion classes of a Dynkin quiver,
-    ordered by inclusion; elements are frozensets of catalog indices."""
-    from .taurig import catalog, enumerate_stt, fac_class
+    ordered by inclusion; elements are frozensets of catalog indices.  It
+    is the one cached on the quiver's catalog (`taurig.tau_tilting`), so it
+    is shared between callers."""
+    from .taurig import tau_tilting
 
-    classes = sorted(
-        {fac_class(q, p) for p in enumerate_stt(q)},
-        key=lambda t: (len(t), sorted(t)),
-    )
-    # t <= u iff u holds every member of t, so up(t) is the intersection,
-    # over the members m of t, of the classes holding m
-    holding = [0] * catalog(q).size()
-    for k, t in enumerate(classes):
-        for m in t:
-            holding[m] |= 1 << k
-    up = []
-    for t in classes:
-        u = (1 << len(classes)) - 1
-        for m in t:
-            u &= holding[m]
-        up.append(u)
-    return FinitePoset._from_up(classes, up)
+    return tau_tilting(q).poset

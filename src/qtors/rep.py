@@ -434,7 +434,7 @@ def projective_presentation(z: Rep) -> PresentationData:
         if epi[w - 1].rank() != z.dim(w):
             raise RuntimeError("presentation epi not surjective")
     # kernel with induced maps
-    incl = [Matrix.from_columns(epi[w].kernel_basis(), nrows=p0.dims[w]) for w in range(q.n)]
+    incl = [epi[w].kernel_matrix() for w in range(q.n)]
     kdims = tuple(m.cols for m in incl)
     kmaps = []
     for a, (s, t) in enumerate(q.arrows):
@@ -476,7 +476,7 @@ def reflect(x: Rep, vertex: int) -> Rep:
     arrows_at = q.arrows_in(vertex)
     blocks = [x.arrow_maps[a] for a in arrows_at]
     assembled = Matrix.hstack(blocks) if blocks else Matrix.zero(x.dim(vertex), 0)
-    kernel = Matrix.from_columns(assembled.kernel_basis(), nrows=assembled.cols)
+    kernel = assembled.kernel_matrix()
     dims = list(x.dims)
     dims[vertex - 1] = kernel.cols
     maps = list(x.arrow_maps)

@@ -8,8 +8,10 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import comb
 
 from .forms import forms_context
+from .poset import FinitePoset, set_bits
 from .quiver import Quiver, QuiverError, classify
 from .rep import (
     ExtGroup,
@@ -116,6 +118,52 @@ class Catalog:
     def summand_index(self) -> dict[Summand, int]:
         return {s: k for k, s in enumerate(self._summands)}
 
+    @cached_property
+    def tau_tilting(self) -> "TauTilting":
+        """The support tau-tilting pairs and torsion classes, built once."""
+        return TauTilting(self)
+
+    def _exchange(self, p: int) -> list[int]:
+        """The n neighbours of the pair whose summands are the bits of p,
+        one per summand in increasing order: the summands outside p
+        compatible with the other n-1 are exactly one, which replaces it."""
+        nbr = self.compat_masks
+        ks = list(set_bits(p))
+        outside = ~p & ((1 << len(nbr)) - 1)
+        out = []
+        for u in ks:
+            completions = outside
+            for r in ks:
+                if r != u:
+                    completions &= nbr[r]
+            found = completions.bit_count()
+            if found != 1:
+                raise RuntimeError(f"expected a unique exchange partner, got {found}")
+            out.append(p ^ (1 << u) | completions)
+        return out
+
+    def _mutation_walk(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """Breadth-first mutation walk from the all-projectives pair: the
+        pairs as summand bitmasks in the order found, and every exchange
+        edge once, as (a, b) positions in that list with a < b."""
+        index = self.summand_index
+        start = sum(
+            1 << index["mod", self.index_of_dims(projective_rep(self.quiver, v).dims)]
+            for v in range(1, self.quiver.n + 1)
+        )
+        found = {start: 0}
+        order = [start]
+        edges = []
+        for a, p in enumerate(order):  # order grows while it is read
+            for m in self._exchange(p):
+                b = found.get(m)
+                if b is None:
+                    b = found[m] = len(order)
+                    order.append(m)
+                if a < b:
+                    edges.append((a, b))
+        return order, edges
+
     def size(self) -> int:
         return len(self.roots)
 
@@ -184,53 +232,126 @@ def mutations(q: Quiver, p: SttPair) -> list[SttPair]:
     completion of the remaining n-1 summands, the one summand outside p
     compatible with all of them."""
     cat = catalog(q)
-    items = cat.summands()
     index = cat.summand_index
-    nbr = cat.compat_masks
-    outside = (1 << len(items)) - 1
-    for w in p:
-        outside &= ~(1 << index[w])
-    out = []
-    for u in sorted(p):
-        rest = p - {u}
-        completions = outside
-        for r in rest:
-            completions &= nbr[index[r]]
-        found = completions.bit_count()
-        if found != 1:
-            raise RuntimeError(f"expected a unique exchange partner, got {found}")
-        out.append(rest | {items[completions.bit_length() - 1]})
-    return out
+    return [
+        _pair_of_bits(cat, m) for m in cat._exchange(sum(1 << index[s] for s in p))
+    ]
+
+
+def _pair_of_bits(cat: Catalog, p: int) -> SttPair:
+    items = cat._summands
+    return frozenset(items[k] for k in set_bits(p))
 
 
 def enumerate_stt_mutation(q: Quiver) -> set[SttPair]:
     """Breadth-first mutation walk from the all-projectives pair."""
     cat = catalog(q)
-    start = frozenset(
-        ("mod", cat.index_of_dims(projective_rep(q, v).dims))
-        for v in range(1, q.n + 1)
-    )
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for m in mutations(q, p):
-                if m not in seen:
-                    seen.add(m)
-                    nxt.append(m)
-        frontier = nxt
-    return seen
+    return {_pair_of_bits(cat, p) for p in cat._mutation_walk()[0]}
+
+
+# Largest number of torsion classes `tau_tilting` admits.
+CLASS_LIMIT = 60000
+
+
+def class_count(q: Quiver) -> int:
+    """Number of support tau-tilting pairs, equivalently of torsion
+    classes, of a Dynkin quiver: the Coxeter-Catalan number of its type,
+    read off the type alone."""
+    cls = classify(q)
+    if cls.tag != "Dynkin":
+        raise QuiverError("catalog requires a Dynkin quiver")
+    kind, n = cls.type_name[0], int(cls.type_name[1:])
+    if kind == "A":
+        return comb(2 * n + 2, n + 1) // (n + 2)
+    if kind == "D":
+        return (3 * n - 2) * comb(2 * n - 2, n - 1) // n
+    return {6: 833, 7: 4160, 8: 25080}[n]
+
+
+def tau_tilting(q: Quiver) -> "TauTilting":
+    """The catalog's tau-tilting record of a Dynkin quiver.  Size limit: a
+    quiver with more than CLASS_LIMIT torsion classes is refused with
+    ValueError, by `class_count`, before its catalog is built."""
+    count = class_count(q)
+    if count > CLASS_LIMIT:
+        raise ValueError(
+            f"too many torsion classes: {count} exceed the limit of {CLASS_LIMIT}"
+        )
+    return catalog(q).tau_tilting
+
+
+class TauTilting:
+    """The support tau-tilting pairs of a Dynkin quiver and their torsion
+    classes, from one mutation walk, which is checked once against the
+    exhaustive clique search.
+
+    Mutation is the Hasse diagram of the torsion classes, oriented by
+    inclusion (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 2.33).
+    `FinitePoset.from_hasse` checks that claim: the oriented exchange
+    edges must generate the inclusion order, and each must be a cover."""
+
+    def __init__(self, cat: Catalog):
+        walked, edges = cat._mutation_walk()
+        pairs = [_pair_of_bits(cat, p) for p in walked]
+        if set(pairs) != enumerate_stt_exhaustive(cat.quiver):
+            raise RuntimeError("enumeration strategies disagree")
+        self.pairs: tuple[SttPair, ...] = tuple(sorted(pairs, key=_pair_sort_key))
+        fac = [cat.fac_masks[s] for s in cat._summands]
+        masks = []
+        for p in walked:
+            inside = (1 << cat.size()) - 1
+            for k in set_bits(p):
+                inside &= fac[k]
+            masks.append(inside)
+        if len(set(masks)) != len(masks):
+            raise RuntimeError("two pairs give one torsion class")
+        # element order: by size, then by the sorted members
+        order = sorted(
+            range(len(masks)), key=lambda k: (masks[k].bit_count(), list(set_bits(masks[k])))
+        )
+        position = [0] * len(order)
+        for i, k in enumerate(order):
+            position[k] = i
+        #: the members of each torsion class as a bitmask, in element order
+        self.class_masks: tuple[int, ...] = tuple(masks[k] for k in order)
+        hasse = []
+        for a, b in edges:
+            if (masks[a] & ~masks[b]) == 0:
+                hasse.append((position[a], position[b]))
+            elif (masks[b] & ~masks[a]) == 0:
+                hasse.append((position[b], position[a]))
+            else:
+                raise RuntimeError("an exchange edge joins incomparable classes")
+        hasse.sort()
+        self._hasse = hasse
+        self._members = cat.size()
+
+    @cached_property
+    def poset(self) -> FinitePoset:
+        """The torsion classes ordered by inclusion, as frozensets of
+        catalog indices, with the exchange edges as Hasse diagram."""
+        classes = self.class_masks
+        # t <= u iff u holds every member of t, so up(t) is the
+        # intersection, over the members m of t, of the classes holding m
+        holding = [0] * self._members
+        for k, t in enumerate(classes):
+            for m in set_bits(t):
+                holding[m] |= 1 << k
+        up = []
+        for t in classes:
+            u = (1 << len(classes)) - 1
+            for m in set_bits(t):
+                u &= holding[m]
+            up.append(u)
+        elements = [frozenset(set_bits(t)) for t in classes]
+        return FinitePoset.from_hasse(elements, up, self._hasse)
 
 
 def enumerate_stt(q: Quiver) -> list[SttPair]:
-    """All basic support tau-tilting pairs of a Dynkin quiver; the
-    exhaustive search and the mutation walk must agree."""
-    exhaustive = enumerate_stt_exhaustive(q)
-    walked = enumerate_stt_mutation(q)
-    if exhaustive != walked:
-        raise RuntimeError("enumeration strategies disagree")
-    return sorted(exhaustive, key=_pair_sort_key)
+    """All basic support tau-tilting pairs of a Dynkin quiver, sorted; the
+    exhaustive search and the mutation walk must agree.  The list is
+    fresh, read from the catalog's record (`tau_tilting`)."""
+    return list(tau_tilting(q).pairs)
 
 
 def _pair_sort_key(p: SttPair):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qtors import rep, taurig
+from qtors import cli, rep, taurig
 from qtors.cli import main
 
 
@@ -74,8 +74,13 @@ def test_check_lattice_dynkin(capsys, a3_file):
     [
         ("vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 5 6\n", 429, 2),
         ("vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6\n", 833, 30),
+        (
+            "vertices 7\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 5 6\narrow 3 7\n",
+            4160,
+            2,
+        ),
     ],
-    ids=["A6", "E6"],
+    ids=["A6", "E6", "E7"],
 )
 def test_check_lattice_reaches_a6_and_e6(capsys, tmp_path, dsl, elements, budget):
     f = tmp_path / "q.quiver"
@@ -92,7 +97,42 @@ def test_check_lattice_reaches_a6_and_e6(capsys, tmp_path, dsl, elements, budget
         "has_bottom": True,
     }
     assert data["agreement"] is True
+    assert data["lattice_certificate"]["route"] == "meet-irreducible closure"
     assert elapsed < budget, f"check-lattice took {elapsed:.1f}s of {budget}s"
+
+
+def test_exhaustive_search_runs_once_per_quiver(capsys, monkeypatch, a3_file):
+    # the three Dynkin commands read one record cached on the catalog
+    calls = []
+    exhaustive = taurig.enumerate_stt_exhaustive
+
+    def counted(q):
+        calls.append(q)
+        return exhaustive(q)
+
+    monkeypatch.setattr(taurig, "enumerate_stt_exhaustive", counted)
+    taurig.catalog.cache_clear()
+    for argv in (["enumerate"], ["poset", "--out", "json"], ["check-lattice"]):
+        code, _, _ = run(capsys, argv[0], a3_file, *argv[1:])
+        assert code == 0, argv
+    assert len(calls) == 1
+    taurig.catalog.cache_clear()
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, a3_file):
+    def sequence():
+        outs = [run(capsys, "enumerate", a3_file)]
+        with pytest.raises(SystemExit) as exc:
+            main(["poset", a3_file, "--out", "svg"])
+        outs.append((exc.value.code, *capsys.readouterr()))
+        outs.append(run(capsys, "check-lattice", a3_file))
+        return outs
+
+    assert cli._parser() is cli._parser()
+    cached = sequence()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert sequence() == cached
+    assert [o[0] for o in cached] == [0, 2, 0]
 
 
 @pytest.mark.parametrize(
@@ -248,6 +288,22 @@ class TestExitCodes:
         assert time.perf_counter() - started < 1
         assert code == 2 and out == ""
         assert err.startswith("error: window too large") and "1500" in err
+
+    def test_dynkin_past_the_class_limit(self, capsys, monkeypatch, tmp_path):
+        # the class count is the Coxeter-Catalan number of the type: nothing
+        # is enumerated
+        def refuse(*args):
+            raise AssertionError("the enumeration started")
+
+        monkeypatch.setattr(taurig, "catalog", refuse)
+        monkeypatch.setattr(taurig, "enumerate_stt_exhaustive", refuse)
+        f = tmp_path / "a12.quiver"
+        f.write_text("vertices 12\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 12)))
+        for argv in (["enumerate"], ["poset", "--out", "json"], ["check-lattice"]):
+            code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: too many torsion classes: 742900 exceed")
+            assert str(taurig.CLASS_LIMIT) in err
 
     def test_malformed_abc(self, capsys):
         code, _, err = run(capsys, "witness", "--abc", "2;1;0")

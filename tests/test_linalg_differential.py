@@ -130,6 +130,7 @@ class TestAccessAndIdentity:
             assert_same(m, o)
             assert_same(m.transpose(), o.transpose())
             assert m.kernel_basis() == o.kernel_basis()
+            assert_same(m.kernel_matrix(), ref.Matrix.from_columns(o.kernel_basis(), nrows=c))
             assert m.rref()[1:] == o.rref()[1:]
             assert_same(linalg.extend_to_basis(m), ref.extend_to_basis(o))
 
@@ -194,6 +195,8 @@ class TestElimination:
         assert (piv, rank) == (opiv, orank)
         assert m.rank() == o.rank()
         assert_same_vectors(m.kernel_basis(), o.kernel_basis())
+        # the kernel as one matrix, built from the integer RREF
+        assert_same(m.kernel_matrix(), ref.Matrix.from_columns(o.kernel_basis(), nrows=o.cols))
         assert linalg.complement_indices(m) == ref.complement_indices(o)
         assert_same(linalg.extend_to_basis(m), ref.extend_to_basis(o))
 
@@ -216,6 +219,7 @@ class TestElimination:
         m, o = both(t)
         assert_same(m.rref()[0], o.rref()[0])
         assert_same_vectors(m.kernel_basis(), o.kernel_basis())
+        assert_same(m.kernel_matrix(), ref.Matrix.from_columns(o.kernel_basis(), nrows=o.cols))
 
     @given(st.data())
     @SETTINGS

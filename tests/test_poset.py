@@ -1,10 +1,22 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtors import FinitePoset, PosetError, build_poset, poset_from_json, torsion_poset
+from qtors import (
+    FinitePoset,
+    PosetError,
+    Quiver,
+    build_poset,
+    catalog,
+    enumerate_stt_exhaustive,
+    fac_class,
+    poset_from_json,
+    torsion_poset,
+)
+from qtors.taurig import class_count
 
 from conftest import linear_quiver
 
@@ -220,3 +232,78 @@ def test_bitset_poset_matches_naive_reference(case):
     assert all(
         back.leq(i, j) == rel[i][j] for i in range(len(labels)) for j in range(len(labels))
     )
+
+
+def _orientations(n, edges):
+    """Every orientation of the underlying graph with the given edges."""
+    for signs in product((False, True), repeat=len(edges)):
+        yield Quiver(n, tuple((t, s) if flip else (s, t) for (s, t), flip in zip(edges, signs)))
+
+
+def _path_edges(n):
+    return [(i, i + 1) for i in range(1, n)]
+
+
+# every orientation of A1-A5 and D4, one orientation each of D5 and E6
+RECORD_QUIVERS = (
+    [q for n in range(1, 6) for q in _orientations(n, _path_edges(n))]
+    + list(_orientations(4, [(1, 2), (2, 3), (2, 4)]))
+    + [
+        Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5))),
+        Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))),
+    ]
+)
+
+
+@pytest.mark.parametrize("q", RECORD_QUIVERS, ids=lambda q: str(q.arrows))
+def test_catalog_route_matches_the_generic_poset(q):
+    p = torsion_poset(q)
+    # the classes from the exhaustive search, by the generic constructor
+    classes = sorted(
+        {fac_class(q, s) for s in enumerate_stt_exhaustive(q)},
+        key=lambda t: (len(t), sorted(t)),
+    )
+    ref = FinitePoset(classes, lambda a, b: a <= b)
+    assert p.elements == ref.elements
+    assert p.hasse == ref.hasse
+    assert p._up == ref._up and p._down == ref._down
+    assert class_count(q) == len(p.elements)
+    assert p.is_lattice() == ref.is_lattice() == (True, None)
+    masks = catalog(q).tau_tilting.class_masks
+    assert masks == tuple(sum(1 << m for m in t) for t in classes)
+    # one meet-irreducible torsion class per brick, i.e. per positive root
+    assert p.intersection_certificate(masks) == (True, catalog(q).size())
+
+
+def test_from_hasse_checks_the_edges():
+    p = torsion_poset(linear_quiver(3))
+    edges = p.hasse
+    assert FinitePoset.from_hasse(p.elements, p._up, edges).hasse == edges
+    for k, (i, j) in enumerate(edges):
+        dropped = edges[:k] + edges[k + 1 :]
+        with pytest.raises(RuntimeError):
+            FinitePoset.from_hasse(p.elements, p._up, dropped)
+        with pytest.raises(RuntimeError):
+            FinitePoset.from_hasse(p.elements, p._up, sorted(dropped + [(j, i)]))
+    # an edge from the bottom to the top is in the order but is no cover
+    with pytest.raises(RuntimeError, match="not a cover"):
+        FinitePoset.from_hasse(p.elements, p._up, sorted(edges + [(0, len(p.elements) - 1)]))
+
+
+def _set_family(sets):
+    elements = sorted((frozenset(s) for s in sets), key=lambda t: (len(t), sorted(t)))
+    p = FinitePoset(elements, lambda a, b: a <= b)
+    return p, [sum(1 << "abcd".index(x) for x in t) for t in elements]
+
+
+def test_intersection_certificate():
+    # {a, b} and {b, c} meet in {b}, which is missing; the poset is still a
+    # lattice (its meet is the empty set), so only the certificate says no
+    p, masks = _set_family(["", "ab", "bc", "abc"])
+    assert p.is_lattice() == (True, None)
+    assert p.intersection_certificate(masks) == (False, 3)
+    p, masks = _set_family(["", "b", "ab", "bc", "abc"])
+    assert p.intersection_certificate(masks) == (True, 3)
+    # closed under intersection, but with two maximal elements
+    p, masks = _set_family(["", "a", "b"])
+    assert p.intersection_certificate(masks)[0] is False

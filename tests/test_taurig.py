@@ -128,10 +128,13 @@ def test_every_pair_has_n_mutations():
 
 
 def test_strategy_disagreement_raises(monkeypatch):
-    # a real exception, so the check also holds under python -O
-    monkeypatch.setattr(taurig, "enumerate_stt_mutation", lambda q: set())
+    # a real exception, so the check also holds under python -O; the
+    # catalog's record checks the walk against the search once, when built
+    monkeypatch.setattr(taurig, "enumerate_stt_exhaustive", lambda q: set())
+    taurig.catalog.cache_clear()
     with pytest.raises(RuntimeError, match="strategies disagree"):
         enumerate_stt(A2)
+    taurig.catalog.cache_clear()
 
 
 def d_quiver(n):
