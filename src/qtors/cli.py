@@ -11,6 +11,8 @@ import sys
 from functools import cache
 
 from .families import (
+    EXT_ROW_LIMIT,
+    TOWER_LIMIT,
     build_wild_witness,
     kronecker_chain_check,
     kronecker_window,
@@ -198,7 +200,10 @@ def _cmd_witness(args) -> int:
     }
     ok = report.ok()
     if args.tower:
-        evidence = nonff_evidence(w, args.tower)
+        try:
+            evidence = nonff_evidence(w, args.tower)
+        except ValueError as e:
+            raise SystemExit(f"error: {e}")
         out["tower"] = [
             {"dims": list(lvl.rep.dims), "top": lvl.top, "split": lvl.split}
             for lvl in evidence.tower
@@ -296,7 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="build and verify a wild-quiver witness pair")
     p.add_argument("file", nargs="?")
     p.add_argument("--abc", metavar="a,b,c")
-    p.add_argument("--tower", type=int, metavar="L")
+    p.add_argument(
+        "--tower",
+        type=int,
+        metavar="L",
+        help=f"tower length; dim X_1 + ... + dim X_L may be at most {TOWER_LIMIT}, "
+        f"and each Ext group of the tower {EXT_ROW_LIMIT} cocycle coordinates",
+    )
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("euler-scan", help="Euler-form grid scan on triple quivers")

@@ -6,6 +6,7 @@ import pytest
 
 from qtors import cli, rep, taurig
 from qtors.cli import main
+from qtors.families import EXT_ROW_LIMIT, TOWER_LIMIT
 
 
 @pytest.fixture
@@ -207,6 +208,21 @@ def test_witness_tower_on_a_large_witness_within_budget(capsys):
     assert elapsed < 10, f"witness --tower 2 took {elapsed:.1f}s of 10s"
 
 
+def test_witness_tower_4_on_a_large_witness_within_budget(capsys):
+    # each step lifts a cocycle of Ext^1(U, T); no Ext^1 of the growing
+    # level, whose delta at the fourth level would be 3412 x 2729
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "witness", "--abc", "3,2,1", "--tower", "4")
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    data = json.loads(out)
+    assert [lvl["dims"] for lvl in data["tower"]] == [
+        [1, 3, 0], [49, 17, 7], [50, 20, 7], [98, 34, 14]
+    ]
+    assert data["nonff"]["ok"] is True
+    assert elapsed < 10, f"witness --tower 4 took {elapsed:.1f}s of 10s"
+
+
 def test_witness_from_file(capsys, wild_file):
     code, out, _ = run(capsys, "witness", wild_file)
     assert code == 0
@@ -221,8 +237,9 @@ GOLDEN = Path(__file__).parent / "golden"
     [
         (("kronecker", "--n", "2", "--depth", "6"), "kronecker_n2_depth6.txt"),
         (("witness", "--abc", "2,1,0", "--tower", "4"), "witness_abc210_tower4.txt"),
+        (("witness", "--abc", "2,1,0", "--tower", "6"), "witness_abc210_tower6.txt"),
     ],
-    ids=["kronecker", "witness-tower"],
+    ids=["kronecker", "witness-tower", "witness-tower6"],
 )
 def test_stdout_matches_golden(capsys, argv, golden):
     # stdout recorded from a known-good build: refactors of the
@@ -276,6 +293,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "witness", "--abc", "2,1,0", "--tower", "-1")
         assert code == 2
         assert err.startswith("error:") and "--tower" in err
+
+    def test_witness_tower_past_the_size_limits(self, capsys, monkeypatch):
+        # the limits are read off dim M, dim N and L: no tower level is built
+        def no_tower(*args):
+            raise AssertionError("a tower level was built")
+
+        monkeypatch.setattr("qtors.families.uniserial_tower", no_tower)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "witness", "--abc", "3,2,1", "--tower", "1000000000")
+        assert time.perf_counter() - started < 5
+        assert code == 2 and out == ""
+        assert err.startswith("error: tower too large") and str(TOWER_LIMIT) in err
+        # Ext^1(N, M) of the (5,4,1) witness has 11000 cocycle coordinates
+        code, out, err = run(capsys, "witness", "--abc", "5,4,1", "--tower", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: tower too large") and str(EXT_ROW_LIMIT) in err
 
     def test_kronecker_depth_past_the_size_limit(self, capsys, monkeypatch):
         # the limit is read off the dimension recursion: no module is built

@@ -1,4 +1,5 @@
 import gc
+import time
 import weakref
 
 import pytest
@@ -17,9 +18,25 @@ from qtors import (
     uniserial_tower,
     verify_witness,
 )
+from qtors.families import EXT_ROW_LIMIT, TOWER_LIMIT
 from qtors.quiver import QuiverError, classify
+from qtors.rep import ExtGroup
+from tower_scan import scan_tower
 
 CASES = ["i", "ii", "iii", "iv", "v", "vi"]
+
+# orientation cases, witness parameters (a, b, c) and tower lengths on which
+# the scan of Ext^1 of the growing level takes at most 0.4 s
+SCANNED_TOWERS = [
+    ("i", (2, 1, 0), 6),
+    ("i", (2, 1, 1), 5),
+    ("i", (3, 1, 0), 5),
+    ("i", (2, 2, 0), 4),
+    ("i", (3, 1, 1), 4),
+    ("i", (2, 2, 1), 4),
+    ("iii", (2, 2, 1), 4),
+    ("iv", (2, 2, 1), 4),
+]
 
 
 class TestKronecker:
@@ -183,6 +200,78 @@ class TestTower:
         for p in enumerate_stt(a3):
             report = torsion_axiom_spotcheck(a3, fac_class(a3, p), pair_module(cat, p))
             assert report.ok()
+
+    @pytest.mark.parametrize(
+        "case, abc, length",
+        SCANNED_TOWERS,
+        ids=[f"{case}-{a}{b}{c}-L{n}" for case, (a, b, c), n in SCANNED_TOWERS],
+    )
+    def test_lift_builds_the_scanned_tower(self, case, abc, length):
+        # lifting the top's first cocycle gives, level by level, the module
+        # that the scan of Ext^1(U, X_l) picks: observed, not proven
+        w = build_wild_witness(case_quiver(case, *abc))
+        lifted, scanned = uniserial_tower(w, length), scan_tower(w, length)
+        assert len(lifted) == len(scanned) == length
+        for mine, ref in zip(lifted, scanned):
+            assert mine.top == ref.top
+            assert mine.rep.dims == ref.rep.dims
+            assert mine.rep.arrow_maps == ref.rep.arrow_maps
+            assert mine.top_map == ref.top_map
+            assert mine.split is ref.split is False
+
+    def test_tower_builds_only_the_two_small_ext_groups(self, monkeypatch):
+        # Ext^1(N, M) and Ext^1(M, N) at most once each, never Ext^1 of a level
+        w = build_wild_witness(triple_quiver(2, 1, 0))
+        built = []
+        init = ExtGroup.__init__
+
+        def counted(self, x, z):
+            built.append((x, z))
+            init(self, x, z)
+
+        monkeypatch.setattr(ExtGroup, "__init__", counted)
+        for length in range(1, 7):
+            built.clear()
+            assert len(uniserial_tower(w, length)) == length
+            assert len(built) <= 2, (length, len(built))
+            assert all((x, z) in ((w.m, w.n), (w.n, w.m)) for x, z in built)
+
+    def test_tower_reaches_length_four_on_the_332_witness(self):
+        # N has dims (120, 33, 11); Ext^1 of the fourth level would hold a
+        # delta of thousands of rows
+        w = build_wild_witness(triple_quiver(3, 3, 2))
+        started = time.perf_counter()
+        tower = uniserial_tower(w, 4)
+        elapsed = time.perf_counter() - started
+        assert [lvl.rep.dims for lvl in tower] == [
+            (1, 3, 0),
+            (121, 36, 11),
+            (122, 39, 11),
+            (242, 72, 22),
+        ]
+        assert not any(lvl.split for lvl in tower)
+        assert elapsed < 10, f"length-4 tower took {elapsed:.1f}s of 10s"
+
+    def test_tower_size_limits_are_read_before_any_level(self, monkeypatch):
+        # both sizes are fixed by dim M, dim N and L
+        class Started(Exception):
+            pass
+
+        def no_tower(*args):
+            raise Started
+
+        monkeypatch.setattr("qtors.families.uniserial_tower", no_tower)
+        w = build_wild_witness(triple_quiver(3, 3, 2))
+        with pytest.raises(Started):
+            nonff_evidence(w, 4)  # 1080 and 220 cocycle coordinates, sum 680
+        with pytest.raises(ValueError, match=f"exceeds the limit of {TOWER_LIMIT}$"):
+            nonff_evidence(w, 10**9)
+        # Ext^1(N, M) of the (5,4,1) witness has 11000 cocycle coordinates
+        w = build_wild_witness(triple_quiver(5, 4, 1))
+        with pytest.raises(Started):
+            nonff_evidence(w, 1)
+        with pytest.raises(ValueError, match=f"limit of {EXT_ROW_LIMIT}$"):
+            nonff_evidence(w, 2)
 
     def test_nonff_evidence_all_false(self):
         w = build_wild_witness(triple_quiver(2, 1, 0))
