@@ -1,7 +1,7 @@
 """Command-line surface: classification, Cartan/Coxeter/Euler data,
 support tau-tilting enumeration, torsion-class posets (DOT/JSON), lattice
 checks, Kronecker window reports, wild-witness pipelines, and the Euler
-grid scan.  Output is deterministic for identical inputs and seed."""
+grid scan.  Output is deterministic for identical inputs."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from functools import cache
 from .families import (
     EXT_ROW_LIMIT,
     TOWER_LIMIT,
+    WINDOW_LIMIT,
     build_wild_witness,
     kronecker_chain_check,
     kronecker_window,
@@ -294,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth",
         type=int,
         required=True,
-        help="window members per side; their total dimension may be at most 1500",
+        help="window members per side; their total dimension may be at most "
+        f"{WINDOW_LIMIT}",
     )
     p.set_defaults(func=_cmd_kronecker)
 

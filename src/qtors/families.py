@@ -61,11 +61,15 @@ def _kronecker_mirror(x: Rep, q: Quiver) -> Rep:
     return _relabel(dualize(x), q, _KRONECKER_SWAP)
 
 
+# Largest dim A_1 + ... + dim A_depth that `kronecker_window` admits.
+WINDOW_LIMIT = 1500
+
+
 def kronecker_window(n: int, depth: int) -> KroneckerWindow:
     """The window of the n-arrow Kronecker quiver at the given depth.
 
     Size limit: the total dimension of the preprojectives A_1, ..., A_depth
-    may be at most 1500, else ValueError.  It is read off the Coxeter
+    may be at most WINDOW_LIMIT, else ValueError.  It is read off the Coxeter
     recursion before any module is built: dim A_k = (x_{k-1}, x_k) with
     x_0 = 0, x_1 = 1 and x_{k+1} = n x_k - x_{k-1}, and the recursion stops
     as soon as the sum passes the limit.  The cost of the chain check
@@ -78,15 +82,14 @@ def kronecker_window(n: int, depth: int) -> KroneckerWindow:
         raise ValueError("Kronecker window needs at least 2 arrows")
     if depth < 2:
         raise ValueError("window depth must be at least 2")
-    limit = 1500
     x0, x1, total = 0, 1, 1
     for k in range(2, depth + 1):
         x0, x1 = x1, n * x1 - x0
         total += x0 + x1
-        if total > limit:
+        if total > WINDOW_LIMIT:
             raise ValueError(
                 f"window too large: dim A_1 + ... + dim A_{k} = {total} "
-                f"exceeds the limit of {limit}"
+                f"exceeds the limit of {WINDOW_LIMIT}"
             )
     q = kronecker_quiver(n)
     a = [simple_rep(q, 2), projective_rep(q, 1)]
@@ -231,8 +234,7 @@ class WildWitness:
 def case_quiver(case: str, a: int, b: int, c: int) -> Quiver:
     perm = CASE_PATTERNS[case]
     abc = (a, b, c)
-    x, y, z = (abc[perm[0]], abc[perm[1]], abc[perm[2]])
-    return Quiver(3, ((1, 2),) * x + ((2, 3),) * y + ((1, 3),) * z)
+    return triple_quiver(abc[perm[0]], abc[perm[1]], abc[perm[2]])
 
 
 def detect_case(q: Quiver) -> tuple[str, tuple[int, int, int]]:
@@ -251,14 +253,9 @@ def detect_case(q: Quiver) -> tuple[str, tuple[int, int, int]]:
         for slot, m in zip(perm, triple):
             abc[slot] = m
         a, b, c = abc
-        if a >= 2 and b >= 1 and c >= 0 and case_quiver(case, a, b, c) == _sorted_triple(triple):
+        if a >= 2 and b >= 1:
             return case, (a, b, c)
     raise QuiverError(f"no orientation case matches multiplicities {triple}")
-
-
-def _sorted_triple(triple: tuple[int, int, int]) -> Quiver:
-    x, y, z = triple
-    return Quiver(3, ((1, 2),) * x + ((2, 3),) * y + ((1, 3),) * z)
 
 
 def _relabel(rep: Rep, target: Quiver, vertex_map: dict[int, int]) -> Rep:

@@ -32,6 +32,8 @@ PRIMES = (
 
 _MAX_COLS = 8192  # deferred-reduction exactness bound for the prime size
 
+_MAX_PRIMES = 8  # primes a kernel may use before reconstruction gives up
+
 
 # verification primes, the 64 largest below 2**24: large enough that few are
 # needed to exceed the bit bound of an exact dot product, small enough that
@@ -394,11 +396,9 @@ class ModKernel:
         cols: np.ndarray,
         vals: np.ndarray,
         shape: tuple[int, int],
-        max_primes: int = 8,
     ):
         m, n = shape
         self.ncols = n
-        self.max_primes = max_primes
         rowcomp, self._block_of = _components(rows, cols, shape)
         nb = int(self._block_of.max(initial=-1)) + 1
         # the columns in block order, ascending within a block, with every
@@ -499,7 +499,7 @@ class ModKernel:
 
     def _grow(self, base_pivots: list[int]) -> None:
         """Add a prime after a failed candidate, keeping the structure."""
-        if len(self._primes) >= self.max_primes:
+        if len(self._primes) >= _MAX_PRIMES:
             raise ReconstructionError(
                 "kernel vector did not reconstruct from "
                 f"{len(self._primes)} primes"

@@ -652,16 +652,6 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
 _GEN_RANDOM_TRIES = 6
 
 
-def _int_form(m: Matrix) -> tuple[np.ndarray, int]:
-    """m as (a, d) with m = a / d: the stored numerators and common
-    denominator of m, a as an object array of Python ints, so products stay
-    exact without Fraction arithmetic."""
-    a = np.empty((m.rows, m.cols), dtype=object)
-    for i, row in enumerate(m._num):
-        a[i, :] = row
-    return a, m._den
-
-
 def _integer_form(x: Rep) -> Rep:
     return x._rescaled or x
 
@@ -692,10 +682,14 @@ def _rescale_to_integers(x: Rep) -> Rep | None:
 
 
 def _np_int(m: Matrix) -> np.ndarray:
-    """An integer matrix as an object array of its Python ints."""
+    """An integer matrix as an object array of its Python ints, so products
+    stay exact without Fraction arithmetic."""
     if m._den != 1:
         raise ValueError("integer form of a matrix with denominators")
-    return _int_form(m)[0]
+    a = np.empty((m.rows, m.cols), dtype=object)
+    for i, row in enumerate(m._num):
+        a[i, :] = row
+    return a
 
 
 def _np_path_map(x: Rep, path: tuple[int, ...], start: int) -> np.ndarray:
@@ -1059,40 +1053,12 @@ def _best_dim_system(xi: Rep, yi: Rep) -> _HomSystem:
     return _hom_system(*min(((xi, yi), (yi._dual, xi._dual)), key=cost))
 
 
-def _columns_mod_p(columns: list[np.ndarray], dim: int, p: int) -> np.ndarray:
-    """Residues of integer columns (int64 or object), shape (dim, count)."""
-    if all(c.dtype == np.int64 for c in columns):
-        return np.stack(columns, axis=1) % p
-    arr = np.empty((dim, len(columns)), dtype=np.int64)
-    for j, c in enumerate(columns):
-        for i in range(dim):
-            arr[i, j] = int(c[i]) % p
-    return arr
-
-
-def _modp_full(columns: list[np.ndarray], dim: int) -> bool:
-    """True only with a certificate: full rank modulo a prime implies full
-    rational rank (the converse can fail, so False means unknown)."""
-    return len(columns) >= dim and len(_modp_pivot_columns(columns, dim)) == dim
-
-
-def _modp_pivot_columns(columns: list[np.ndarray], dim: int) -> list[int]:
-    """Indices of a mod-p independent (hence exactly independent) column
-    subset spanning all columns mod p: the greedy pivot columns, for any
-    number of columns."""
-    if dim == 0 or not columns:
-        return []
-    p = PRIMES[0]
-    return _ModSpan(dim, p).extend(_columns_mod_p(columns, dim, p))
-
-
 def _exact_column_span_full(columns: list[np.ndarray], dim: int) -> bool:
-    """Exact answer whether integer columns span the full space: fullness
-    certified mod p, deficiency certified by a verified exact vector
-    orthogonal to every column."""
+    """Exact answer whether integer columns span the full space: deficiency
+    certified by a verified exact vector orthogonal to every column,
+    fullness by a zero kernel bound or, when lifting fails, the exact
+    rank."""
     if dim == 0:
-        return True
-    if _modp_full(columns, dim):
         return True
     if not columns:
         return False
@@ -1111,63 +1077,6 @@ def _exact_column_span_full(columns: list[np.ndarray], dim: int) -> bool:
             [[int(v) for v in c] for c in columns], nrows=dim
         )
         return exact.rank() == dim
-
-
-class _ModSpan:
-    """Incremental mod-p column span in reduced form: each stored column
-    has entry 1 at its own pivot row and 0 at the pivot rows of the
-    others."""
-
-    def __init__(self, dim: int, p: int):
-        self.p = p
-        self.cols = np.zeros((dim, 0), dtype=np.int64)
-        self.pivs: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivs)
-
-    def insert(self, col: np.ndarray) -> bool:
-        """Reduce a column against the span; True when it added a new
-        direction."""
-        p = self.p
-        c = col % p
-        if self.pivs:
-            coeff = c[self.pivs]
-            if coeff.any():
-                c = (c - self.cols @ coeff) % p
-        if not c.any():
-            return False
-        i = int(np.nonzero(c)[0][0])
-        c = (c * pow(int(c[i]), -1, p)) % p
-        if self.pivs:
-            row = self.cols[i, :]
-            if row.any():
-                self.cols = (self.cols - np.outer(c, row)) % p
-        self.cols = np.concatenate([self.cols, c[:, None]], axis=1)
-        self.pivs.append(i)
-        return True
-
-    def extend(self, cols: np.ndarray) -> list[int]:
-        """Insert the columns of an int64 residue array in order, stopping
-        at full rank; the indices of those that added a new direction, i.e.
-        the greedy pivot columns.  Each chunk of dim columns is first
-        reduced against the span in one product, so columns already in it
-        cost no insert."""
-        dim = self.cols.shape[0]
-        added: list[int] = []
-        for start in range(0, cols.shape[1], max(dim, 1)):
-            if self.rank == dim:
-                break
-            chunk = cols[:, start : start + dim]
-            if self.pivs:
-                chunk = (chunk - self.cols @ chunk[self.pivs]) % self.p
-            for j in np.flatnonzero(chunk.any(axis=0)).tolist():
-                if self.insert(chunk[:, j]):
-                    added.append(start + j)
-                    if self.rank == dim:
-                        break
-        return added
 
 
 def _gen_certified_mod_p(sys: _HomSystem, ti: Rep) -> bool:
@@ -1246,9 +1155,10 @@ def gen_contains(m: Rep, x: Rep) -> bool:
       (`_gen_certified_mod_p`);
     - otherwise the verified canonical solution basis is lifted in order,
       and the trace, spanned by the path images of its generator images,
-      grows by exact columns only: vertexwise fullness mod p decides
-      True, and once the whole basis is absorbed the exact rank of the
-      trace columns decides either way."""
+      grows by exact columns only: each vertex keeps the residues of its
+      greedy pivot columns mod p, fullness mod p at every vertex decides
+      True, and once the whole basis is absorbed the exact certificate
+      (`_exact_column_span_full`) decides each vertex not yet full."""
     if m.quiver != x.quiver:
         raise ValueError("Gen test requires a common quiver")
     if x.is_zero():
@@ -1271,14 +1181,15 @@ def gen_contains(m: Rep, x: Rep) -> bool:
     buffers: list[list[np.ndarray]] = [[] for _ in range(q.n)]
     full = [d == 0 for d in ti.dims]
     p0 = PRIMES[0]
-    spans = [_ModSpan(d, p0) for d in ti.dims]
-    taken = [0] * q.n  # columns of each buffer already in its span
+    # residues mod p0 of trace columns independent mod p0 (hence exactly),
+    # one float64 column each, at every vertex
+    kept = [np.zeros((d, 0)) for d in ti.dims]
 
     ynp_max = max((max_abs(a) for a in sys.ynp.values()), default=0)
     ydim_max = max(ti.dims, default=0)
 
-    def absorb(u: tuple[list[int], int]) -> None:
-        w = u[0]  # the numerators span the same trace as the solution
+    def trace_columns(w: list[int]) -> list[list[np.ndarray]]:
+        """The trace columns of one solution at each vertex not yet full."""
         wmax = max(map(abs, w), default=0)
         # int64 matvecs are exact under this bound; otherwise fall back to
         # object arithmetic
@@ -1287,6 +1198,7 @@ def gen_contains(m: Rep, x: Rep) -> bool:
             if ynp_max * wmax * max(1, ydim_max) < 2**62
             else object
         )
+        new: list[list[np.ndarray]] = [[] for _ in range(q.n)]
         for j, (v, _) in enumerate(sys.summands):
             uj = np.array(
                 w[sys.offsets[j] : sys.offsets[j] + ti.dim(v)], dtype=dtype
@@ -1300,22 +1212,29 @@ def gen_contains(m: Rep, x: Rep) -> bool:
                     ym = sys.ynp[(v, pth)]
                     if dtype is np.int64 and ym.dtype == object:
                         ym = ym.astype(np.int64)
-                    buffers[tv - 1].append(ym @ uj)
+                    new[tv - 1].append(ym @ uj)
+        return new
 
-    def saturated() -> bool:
-        for v in range(q.n):
-            if not full[v] and taken[v] < len(buffers[v]):
-                spans[v].extend(_columns_mod_p(buffers[v][taken[v] :], ti.dims[v], p0))
-                taken[v] = len(buffers[v])
-                full[v] = spans[v].rank == ti.dims[v]
-        return all(full)
-
-    for u in sys.solutions():
-        absorb(u)
-        if saturated():
+    # the numerators of a solution span the same trace as the solution
+    for w, _ in sys.solutions():
+        for v, cols in enumerate(trace_columns(w)):
+            if not cols:
+                continue
+            buffers[v] += cols
+            res = np.stack(cols, axis=1) % p0
+            res = np.concatenate([kept[v], res.astype(np.float64)], axis=1)
+            # a vertex too large for one elimination is not known to be full
+            try:
+                pivots = pivot_columns_mod_p(res.copy(), p0)
+            except ValueError:
+                continue
+            kept[v] = res[:, pivots]
+            full[v] = len(pivots) == ti.dims[v]
+        if all(full):
             return True
     # the verified solutions span Hom(g, t), so the buffers span the exact
     # trace
     return all(
-        _exact_column_span_full(buffers[v], ti.dims[v]) for v in range(q.n)
+        full[v] or _exact_column_span_full(buffers[v], ti.dims[v])
+        for v in range(q.n)
     )

@@ -136,6 +136,12 @@ class TestWitnessCases:
             assert case_quiver(got_case, *abc) == q
         assert detect_case(case_quiver("i", 3, 2, 1)) == ("i", (3, 2, 1))
 
+    @pytest.mark.parametrize("abc", [(2, 0, 0), (1, 1, 1)])
+    def test_detect_case_without_a_matching_case(self, abc):
+        # every case needs a >= 2 and b >= 1 among the three multiplicities
+        with pytest.raises(QuiverError, match="no orientation case"):
+            detect_case(triple_quiver(*abc))
+
     def test_build_requires_wild(self):
         with pytest.raises(QuiverError):
             build_wild_witness(triple_quiver(1, 1, 0))  # Dynkin A3 layout

@@ -3,6 +3,7 @@ they are held here to the dense `hom_basis` system and the dense Gen
 oracle, on small pairs, twisted copies, direct sums and random inputs."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,14 +17,16 @@ from qtors import (
     Rep,
     direct_sum,
     enumerate_indecomposables,
+    forms_context,
     gen_contains,
     hom_basis,
     hom_dim,
+    kronecker_window,
     simple_rep,
     zero_rep,
 )
-from qtors.modkernel import PRIMES, _MAX_COLS, echelon_mod_p
-from qtors.rep import _modp_full, _modp_pivot_columns
+from qtors.modkernel import PRIMES, _MAX_COLS, echelon_mod_p, pivot_columns_mod_p
+from qtors.rep import _exact_column_span_full
 
 from conftest import dense_gen_contains, linear_quiver, star_quiver
 
@@ -189,19 +192,31 @@ class TestWideRadical:
 
 
 class TestWideColumnBuffers:
+    """The exact Gen route ranks trace columns as `gen_contains` does: their
+    residues mod PRIMES[0] as float64 go to `pivot_columns_mod_p`, and a
+    vertex left short is decided by `_exact_column_span_full`."""
+
+    @staticmethod
+    def _pivots(cols):
+        p = PRIMES[0]
+        return pivot_columns_mod_p(
+            (np.stack(cols, axis=1) % p).astype(np.float64), p
+        )
+
     def test_more_columns_than_one_echelon_takes(self):
         cols = [np.array([1, 0], dtype=np.int64)] * _MAX_COLS + [
             np.array([0, 1], dtype=np.int64)
         ]
-        assert _modp_pivot_columns(cols, 2) == [0, _MAX_COLS]
-        assert _modp_full(cols, 2)
-        assert not _modp_full(cols[:-1], 2)
+        assert self._pivots(cols) == [0, _MAX_COLS]
+        assert _exact_column_span_full(cols, 2)
+        assert not _exact_column_span_full(cols[:-1], 2)
 
     def test_object_columns(self):
         big = 10**30
         cols = [np.array([big, 2 * big], dtype=object), np.array([1, 0], dtype=object)]
-        assert _modp_pivot_columns(cols, 2) == [0, 1]
-        assert _modp_full(cols, 2)
+        assert self._pivots(cols) == [0, 1]
+        assert _exact_column_span_full(cols, 2)
+        assert not _exact_column_span_full(cols[:1], 2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_same_greedy_columns_as_one_echelon(self, seed):
@@ -212,5 +227,39 @@ class TestWideColumnBuffers:
         cols = [a[:, j] for j in range(n)]
         p = PRIMES[0]
         _, piv = echelon_mod_p((a % p).astype(np.float64), p)
-        assert _modp_pivot_columns(cols, dim) == piv
-        assert _modp_full(cols, dim) == (len(piv) == dim)
+        assert self._pivots(cols) == piv
+        assert _exact_column_span_full(cols, dim) == (len(piv) == dim)
+
+
+class TestExactGenRoute:
+    def test_full_over_q_but_zero_mod_the_first_prime(self):
+        assert _exact_column_span_full([np.array([PRIMES[0]], dtype=np.int64)], 1)
+
+    def test_rank_deficient_columns(self):
+        cols = [np.array(c, dtype=np.int64) for c in ([1, 2, 3], [2, 4, 6], [1, 1, 1])]
+        assert not _exact_column_span_full(cols, 3)
+        assert not _exact_column_span_full([], 1)
+        assert _exact_column_span_full(cols + [np.array([0, 0, 1])], 3)
+
+    def test_unpinned_yes_stops_lifting_once_the_trace_is_full(self):
+        """A3 + B1 of the 2-Kronecker window maps onto A5 through an
+        unpinned system (upper bound 3 against a Euler bound of -3); its
+        trace is full after two of the three basis vectors, and the lift
+        stops there."""
+        w = kronecker_window(2, 5)
+        m = direct_sum([w.preprojectives[2], w.preinjectives[0]])
+        x = w.preprojectives[4]
+        lifted = []
+        solutions = qtors.rep._HomSystem.solutions
+
+        def counted(sys):
+            for u in solutions(sys):
+                lifted.append(u)
+                yield u
+
+        with mock.patch.object(qtors.rep._HomSystem, "solutions", counted):
+            assert gen_contains(m, x)
+        lower = forms_context(m.quiver).euler_form(list(m.dims), list(x.dims))
+        assert lower == -3 and hom_dim(m, x) == 3
+        assert len(lifted) == 2
+        assert dense_gen_contains(m, x)
