@@ -2,12 +2,12 @@
 computations built on them: Hom spaces, Ext groups as the cokernel of the
 intertwining matrix (Ringel's standard resolution), BGP reflection
 functors, the Auslander-Reiten translate as a Coxeter functor,
-Gen-membership, surjection search and extension realization."""
+Gen-membership, surjection and isomorphism tests and extension
+realization."""
 
 from __future__ import annotations
 
 import itertools
-import random
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -33,15 +33,6 @@ from .quiver import Quiver, QuiverError, opposite
 # cached bytecode every module is compiled when first imported, and a
 # compile that runs after numpy is loaded raises the process's peak memory
 import numpy as np  # noqa: E402
-
-DEFAULT_SEED = 0
-
-# randomized-search policy: Zariski-open conditions (surjectivity,
-# invertibility) are tried on random combinations first, then on a
-# deterministic coefficient grid before answering "no"
-RANDOM_TRIALS = 32
-RANDOM_BOUND = 7
-FALLBACK_RANGE = range(-2, 3)
 
 Morphism = tuple[Matrix, ...]  # one matrix per vertex, maps X_v -> Y_v
 
@@ -246,29 +237,12 @@ def hom_dim(x: Rep, y: Rep) -> int:
         raise ValueError("Hom requires representations of the same quiver")
     memo = _pair_memo(x, y)
     if "dim" not in memo:
-        lower = max(forms_context(x.quiver).euler_form(list(x.dims), list(y.dims)), 0)
         sys = _best_dim_system(_integer_form(x), _integer_form(y))
-        if not _pinned(sys, lower):
+        if not _pinned(sys, x, y):
             for _ in sys.solutions():  # all verify, so dim Hom = upper
                 pass
         memo["dim"] = sys.upper
     return memo["dim"]
-
-
-def compose(g: Morphism, f: Morphism) -> Morphism:
-    """g after f, vertexwise."""
-    return tuple(gm * fm for gm, fm in zip(g, f))
-
-
-def morphism_combination(basis: list[Morphism], coeffs: list[Fraction]) -> Morphism:
-    n_vertices = len(basis[0])
-    out = []
-    for v in range(n_vertices):
-        acc = basis[0][v].scale(coeffs[0])
-        for m, c in zip(basis[1:], coeffs[1:]):
-            acc = acc + m[v].scale(c)
-        out.append(acc)
-    return tuple(out)
 
 
 def ext1_dim(x: Rep, y: Rep) -> int:
@@ -528,76 +502,61 @@ def ar_translate_inverse(x: Rep) -> Rep:
 # -- surjections and isomorphism ---------------------------------------------
 
 
-def _search_combination(basis: list[Morphism], accept, seed: int) -> bool:
-    """Look for a linear combination of Hom basis elements passing `accept`;
-    random rational trials first, then a deterministic small-integer grid."""
-    if not basis:
-        return False
-    rng = random.Random(seed)
-    m = len(basis)
-    for _ in range(RANDOM_TRIALS):
-        coeffs = [
-            Fraction(rng.randint(-RANDOM_BOUND, RANDOM_BOUND), rng.randint(1, RANDOM_BOUND))
-            for _ in range(m)
-        ]
-        if accept(morphism_combination(basis, coeffs)):
-            return True
-    for combo in itertools.product(FALLBACK_RANGE, repeat=m):
-        if all(c == 0 for c in combo):
-            continue
-        if accept(morphism_combination(basis, [Fraction(c) for c in combo])):
-            return True
-    return False
-
-
-def exists_surjection(x: Rep, y: Rep, seed: int = DEFAULT_SEED) -> bool:
+def exists_surjection(x: Rep, y: Rep) -> bool:
     """True iff some morphism x -> y is surjective at every vertex.
 
-    A True answer exhibits the surjection.  A False answer is certified
-    when a dimension of y exceeds that of x, or when y is not in Fac(x)
-    (`gen_contains`, exact); otherwise it means that the random and grid
-    search of `_search_combination` found none."""
+    Decided on the reduced Hom system, where the image of a morphism at a
+    vertex is spanned by the path images of its generator images
+    (`_trace_columns`).  A dimension of y above that of x, or y not in
+    Fac(x), is a certain "no".  On a pinned system one random solution
+    mod p whose trace has rank dim y_v at every vertex v certifies "yes"
+    (`_gen_certified_mod_p`).  Otherwise seeded random combinations of the
+    lifted solution basis, with integer coefficients in [1, p] for
+    p = PRIMES[0], are tested exactly; every "yes" is certified.
+
+    The last "no" is probabilistic, not a proof: if a surjection exists, a
+    product of one dim y_v minor of the trace columns per vertex is a
+    non-zero polynomial of degree D = total dim y in the coefficients, so
+    by Schwartz-Zippel a draw misses it with probability at most D/p; the
+    number k of draws is the least with (D/p)^k <= 2^-64."""
     if x.quiver != y.quiver:
         raise ValueError("surjection test requires a common quiver")
     if y.is_zero():
         return True
     if any(dx < dy for dx, dy in zip(x.dims, y.dims)) or not gen_contains(x, y):
         return False
-    basis = hom_basis(x, y)
+    gi, ti = _integer_form(x), _integer_form(y)
+    sys = _hom_system(gi, ti)
+    if _pinned(sys, x, y) and _gen_certified_mod_p(sys, ti, solutions=1):
+        return True
+    p, d = PRIMES[0], ti.total_dim()
+    if d >= p:
+        raise ValueError("surjection test requires total dim y below the draw prime")
+    basis = np.array([w for w, _ in sys.solutions()], dtype=object)
+    rng = np.random.default_rng(0)
+    skip = [not dv for dv in ti.dims]
+    for _ in range(next(k for k in itertools.count(1) if d**k << 64 <= p**k)):
+        coeffs = rng.integers(1, p, size=len(basis), endpoint=True).astype(object)
+        cols = _trace_columns(sys, ti, (coeffs @ basis).tolist(), skip)
+        if all(_exact_column_span_full(c, dv) for c, dv in zip(cols, ti.dims)):
+            return True
+    return False
 
-    def accept(phi: Morphism) -> bool:
-        return all(
-            phi[v].rank() == y.dims[v] for v in range(y.quiver.n) if y.dims[v] > 0
-        )
 
-    return _search_combination(basis, accept, seed)
-
-
-def is_isomorphic(x: Rep, y: Rep, seed: int = DEFAULT_SEED) -> bool:
+def is_isomorphic(x: Rep, y: Rep) -> bool:
     """True iff x and y are isomorphic.
 
-    A True answer exhibits the isomorphism.  A False answer is certified
-    when the dimension vectors differ, or when dim Hom(x, y) differs from
-    dim End(x) or dim End(y) (an isomorphism identifies all three, and
-    `hom_dim` is exact); otherwise it means that the random and grid
-    search of `_search_combination` found none."""
+    A False answer is certified when the dimension vectors differ, or when
+    dim Hom(x, y) differs from dim End(x) or dim End(y) (an isomorphism
+    identifies all three, and `hom_dim` is exact).  Otherwise the answer
+    is `exists_surjection(x, y)`, with its bound on a "no": between equal
+    dimension vectors a surjection is an isomorphism."""
     if x.quiver != y.quiver:
         raise ValueError("isomorphism test requires a common quiver")
     if x.dims != y.dims:
         return False
-    if x.is_zero():
-        return True
     h = hom_dim(x, y)
-    if h != hom_dim(x, x) or h != hom_dim(y, y):
-        return False
-    basis = hom_basis(x, y)
-
-    def accept(phi: Morphism) -> bool:
-        return all(
-            phi[v].rank() == x.dims[v] for v in range(x.quiver.n) if x.dims[v] > 0
-        )
-
-    return _search_combination(basis, accept, seed)
+    return h == hom_dim(x, x) == hom_dim(y, y) and exists_surjection(x, y)
 
 
 # -- indecomposables of Dynkin quivers ---------------------------------------
@@ -625,27 +584,28 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
     return reps
 
 
-# -- the reduced Hom system: Hom dimensions and Gen-membership ---------------
+# -- the reduced Hom system: Hom dimensions, Gen-membership, surjections --
 #
-# Every Hom dimension and Gen test runs on a reduced linear system, never on
-# the dense intertwining system of `hom_basis`, which only supplies morphism
-# matrices to the callers that need them.  Fixing a projective presentation
-# P1 -> P0 -> x -> 0, a morphism x -> y is a choice of images in y for the
-# top generators of x, subject to one linear condition per kernel column of
-# the presentation; the trace of x in y is then spanned by the path images
-# of those generator images, so Gen-membership needs no decoded morphism
-# matrices at all.  After rescaling both representations to integer form
-# (an isomorphism, always possible over an acyclic quiver), the system has
+# Every Hom dimension, Gen test and surjection test runs on a reduced linear
+# system.  `hom_basis` and its dense intertwining system have no caller in
+# the package; they stay as the oracle of the tests and as a boundary of the
+# benchmark tracer.  Fixing a projective presentation P1 -> P0 -> x -> 0, a
+# morphism x -> y is a choice of images in y for the top generators of x,
+# subject to one linear condition per kernel column of the presentation;
+# the image of a morphism, and the trace of x in y, are then spanned by the
+# path images of generator images, so no decoded morphism matrices are
+# needed.  After rescaling both representations to integer form (an
+# isomorphism, always possible over an acyclic quiver), the system has
 # integer entries and its kernel is analyzed by qtors.modkernel: modular
 # nullities are certified upper bounds, verified lifted vectors certified
 # lower bounds, and every value returned here is exact.  A system is
 # *pinned* when its upper bound meets the Euler-form lower bound; then its
-# dimension needs no lifting, and a Gen "yes" is certified modulo one prime
-# (`_gen_certified_mod_p`).  Every other Gen question lifts the verified
-# canonical kernel basis.  The integer and dual forms, presentations and
-# path maps are cached on the Rep they describe; Hom systems and dimensions
-# on the first argument, keyed by a weak reference to the second
-# (`_pair_memo`).
+# dimension needs no lifting, and a Gen or surjection "yes" is certified
+# modulo one prime (`_gen_certified_mod_p`).  Every other question lifts
+# the verified canonical kernel basis.  The integer and dual forms,
+# presentations and path maps are cached on the Rep they describe; Hom
+# systems and dimensions on the first argument, keyed by a weak reference
+# to the second (`_pair_memo`).
 
 # slack of the one-prime Gen certificate: trace columns it draws at each
 # vertex beyond dim t_v
@@ -835,6 +795,11 @@ class _HomSystem:
         """Certified upper bound for dim Hom(x, y)."""
         return self.mk.dim_upper_bound if self.mk is not None else self.ncols
 
+    @cached_property
+    def ynp_max(self) -> int:
+        """Largest absolute entry of the path maps of y."""
+        return max((max_abs(a) for a in self.ynp.values()), default=0)
+
     def path_residues(self, p: int) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
         """The maps of y along the non-empty paths reduced mod p, as float64
         arrays, built once per prime (an empty path maps by the
@@ -1021,11 +986,13 @@ def _hom_system(x: Rep, y: Rep) -> _HomSystem:
     return memo["system"]
 
 
-def _pinned(sys: _HomSystem, lower: int) -> bool:
-    """Whether the upper bound of the system meets the lower bound `lower`
-    of dim Hom.  A system that does not first gets one more prime (the
-    bound can only fall): an unlucky first prime then no longer sets the
-    pivot structure that lifting reconstructs from."""
+def _pinned(sys: _HomSystem, x: Rep, y: Rep) -> bool:
+    """Whether the upper bound of a system for Hom(x, y) meets the
+    Euler-form lower bound max(0, <dim x, dim y>) of dim Hom.  A system
+    that does not first gets one more prime (the bound can only fall): an
+    unlucky first prime then no longer sets the pivot structure that
+    lifting reconstructs from."""
+    lower = max(forms_context(x.quiver).euler_form(list(x.dims), list(y.dims)), 0)
     if sys.upper != lower:
         sys.refine()
     return sys.upper == lower
@@ -1079,7 +1046,7 @@ def _exact_column_span_full(columns: list[np.ndarray], dim: int) -> bool:
         return exact.rank() == dim
 
 
-def _gen_certified_mod_p(sys: _HomSystem, ti: Rep) -> bool:
+def _gen_certified_mod_p(sys: _HomSystem, ti: Rep, solutions: int = 0) -> bool:
     """True only with a certificate that the trace of g in t is full, read
     off random kernel vectors of a pinned Hom system modulo one prime, with
     no lifting; False means unknown.  The caller must have checked that the
@@ -1101,7 +1068,9 @@ def _gen_certified_mod_p(sys: _HomSystem, ti: Rep) -> bool:
     Each solution adds one trace column at v per path into v from the
     vertex of a generator.  Vertex v takes enough solutions for
     d_v + `_GEN_RANDOM_TRIES` columns, all of them at most dim Hom, and is
-    tested by one elimination."""
+    tested by one elimination.  A non-zero `solutions` caps the count; with
+    one solution the columns span the image of one morphism, so True
+    certifies a surjection g -> t by the same proof."""
     q = ti.quiver
     dims = ti.dims
     # runs of consecutive generators at one vertex v with t_v != 0
@@ -1112,11 +1081,11 @@ def _gen_certified_mod_p(sys: _HomSystem, ti: Rep) -> bool:
     ]
     if any(d and not c for d, c in zip(dims, per)):
         return False
-    if any(-(-d // c) > sys.upper for d, c in zip(dims, per) if d):
-        return False  # the trace cannot be full, which the exact route proves
     # solutions used at each vertex: enough for dim t_v + slack columns
     need = [-(-(d + _GEN_RANDOM_TRIES) // c) if d else 0 for d, c in zip(dims, per)]
-    count = min(sys.upper, max(need))
+    count = min(sys.upper, solutions or max(need))
+    if any(-(-d // c) > count for d, c in zip(dims, per) if d):
+        return False  # too few columns for rank dim t_v
     u, p = sys.mk.random_residues(count)
     pmod = sys.path_residues(p)
     for tv in range(1, q.n + 1):
@@ -1142,6 +1111,31 @@ def _gen_certified_mod_p(sys: _HomSystem, ti: Rep) -> bool:
         if rank < d:
             return False
     return True
+
+
+def _trace_columns(
+    sys: _HomSystem, t: Rep, w: list[int], skip: list[bool]
+) -> list[list[np.ndarray]]:
+    """The trace columns of one integer solution w of the Hom system into t
+    at each vertex (0-based), none where `skip` is set: the path images of
+    its generator images, which span the image of the morphism there."""
+    # int64 matvecs are exact under this bound, object arithmetic beyond it
+    exact = sys.ynp_max * max(map(abs, w), default=0) * max(1, *t.dims) < 2**62
+    dtype = np.int64 if exact else object
+    new: list[list[np.ndarray]] = [[] for _ in t.dims]
+    for j, (v, _) in enumerate(sys.summands):
+        uj = np.array(w[sys.offsets[j] : sys.offsets[j] + t.dim(v)], dtype=dtype)
+        if not uj.size or not uj.any():
+            continue
+        for tv in range(1, t.quiver.n + 1):
+            if skip[tv - 1]:
+                continue
+            for pth in sys.paths[v][tv]:
+                ym = sys.ynp[(v, pth)]
+                if dtype is np.int64 and ym.dtype == object:
+                    ym = ym.astype(np.int64)
+                new[tv - 1].append(ym @ uj)
+    return new
 
 
 def gen_contains(m: Rep, x: Rep) -> bool:
@@ -1175,8 +1169,7 @@ def gen_contains(m: Rep, x: Rep) -> bool:
             sys.paths[v][tv] for v, _ in sys.summands
         ):
             return False
-    lower = forms_context(q).euler_form(list(gi.dims), list(ti.dims))
-    if _pinned(sys, max(lower, 0)) and _gen_certified_mod_p(sys, ti):
+    if _pinned(sys, m, x) and _gen_certified_mod_p(sys, ti):
         return True
     buffers: list[list[np.ndarray]] = [[] for _ in range(q.n)]
     full = [d == 0 for d in ti.dims]
@@ -1184,40 +1177,9 @@ def gen_contains(m: Rep, x: Rep) -> bool:
     # residues mod p0 of trace columns independent mod p0 (hence exactly),
     # one float64 column each, at every vertex
     kept = [np.zeros((d, 0)) for d in ti.dims]
-
-    ynp_max = max((max_abs(a) for a in sys.ynp.values()), default=0)
-    ydim_max = max(ti.dims, default=0)
-
-    def trace_columns(w: list[int]) -> list[list[np.ndarray]]:
-        """The trace columns of one solution at each vertex not yet full."""
-        wmax = max(map(abs, w), default=0)
-        # int64 matvecs are exact under this bound; otherwise fall back to
-        # object arithmetic
-        dtype: type | np.dtype = (
-            np.int64
-            if ynp_max * wmax * max(1, ydim_max) < 2**62
-            else object
-        )
-        new: list[list[np.ndarray]] = [[] for _ in range(q.n)]
-        for j, (v, _) in enumerate(sys.summands):
-            uj = np.array(
-                w[sys.offsets[j] : sys.offsets[j] + ti.dim(v)], dtype=dtype
-            )
-            if not uj.size or not uj.any():
-                continue
-            for tv in range(1, q.n + 1):
-                if full[tv - 1]:
-                    continue
-                for pth in sys.paths[v][tv]:
-                    ym = sys.ynp[(v, pth)]
-                    if dtype is np.int64 and ym.dtype == object:
-                        ym = ym.astype(np.int64)
-                    new[tv - 1].append(ym @ uj)
-        return new
-
     # the numerators of a solution span the same trace as the solution
     for w, _ in sys.solutions():
-        for v, cols in enumerate(trace_columns(w)):
+        for v, cols in enumerate(_trace_columns(sys, ti, w, full)):
             if not cols:
                 continue
             buffers[v] += cols

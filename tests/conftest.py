@@ -12,6 +12,7 @@ for _var in (
 ):
     os.environ.setdefault(_var, "1")
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -56,6 +57,52 @@ def dense_gen_contains(m, x) -> bool:
         if not cols or Matrix.hstack(cols).rank() < x.dims[v]:
             return False
     return True
+
+
+def _dense_rank_search(x, y, ranks) -> bool:
+    """Whether some combination of a dense Hom(x, y) basis has rank
+    ranks[v] at every vertex: 32 random rational points, then every point
+    of the grid {-2..2}^m, m = dim Hom (exponential in m; small inputs
+    only)."""
+    basis = hom_basis(x, y)
+
+    def accept(coeffs) -> bool:
+        for v, r in enumerate(ranks):
+            if r == 0:
+                continue
+            phi = basis[0][v].scale(coeffs[0])
+            for f, c in zip(basis[1:], coeffs[1:]):
+                phi = phi + f[v].scale(c)
+            if phi.rank() != r:
+                return False
+        return True
+
+    draw = random.Random(0)
+    points = [
+        [Fraction(draw.randint(-7, 7), draw.randint(1, 7)) for _ in basis]
+        for _ in range(32)
+    ]
+    grid = itertools.product(range(-2, 3), repeat=len(basis))
+    return bool(basis) and any(
+        accept(c) for c in itertools.chain(points, grid) if any(c)
+    )
+
+
+def dense_exists_surjection(x, y) -> bool:
+    """Surjection oracle: the dense search on the rank dim y_v at every
+    vertex, after the certain "no"s (a dimension of y above that of x, or
+    y not in Fac(x) by `dense_gen_contains`)."""
+    if y.is_zero():
+        return True
+    if any(dx < dy for dx, dy in zip(x.dims, y.dims)) or not dense_gen_contains(x, y):
+        return False
+    return _dense_rank_search(x, y, y.dims)
+
+
+def dense_is_isomorphic(x, y) -> bool:
+    """Isomorphism oracle: equal dimension vectors and the dense search on
+    the rank dim x_v at every vertex."""
+    return x.dims == y.dims and (x.is_zero() or _dense_rank_search(x, y, x.dims))
 
 
 @pytest.fixture

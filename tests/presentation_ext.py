@@ -20,7 +20,12 @@ from qtors import (
     projective_presentation,
 )
 from qtors.linalg import complement_indices
-from qtors.rep import Morphism, PresentationData, _paths_from, compose
+from qtors.rep import Morphism, PresentationData, _paths_from
+
+
+def compose(g: Morphism, f: Morphism) -> Morphism:
+    """g after f, vertexwise."""
+    return tuple(gm * fm for gm, fm in zip(g, f))
 
 
 def _flatten(f: Morphism) -> list[Fraction]:

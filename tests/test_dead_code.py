@@ -1,6 +1,7 @@
-"""No code that nothing calls: every private module-level function, class
-and constant (`_NAME = ...`), and every private method, of the package is
-named somewhere in the package outside its own definition."""
+"""No code that nothing calls: every module-level function, class and
+constant of the package, public or private, and every private method, is
+named somewhere in the package outside its own definition.  The imports of
+`__init__.py` count, so the public API is used by definition."""
 
 import ast
 from collections import Counter
@@ -22,19 +23,23 @@ def _names(node):
             yield sub.name
 
 
-def _private_defs(tree):
-    """Module-level private functions, classes and constants, and private
-    methods of module-level classes, as (qualified name, name, node);
-    dunder names are left out."""
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """Module-level functions, classes and constants, and private methods
+    of module-level classes, as (qualified name, name, node); dunder names
+    are left out."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if isinstance(node, defs) and node.name.startswith("_"):
+        if isinstance(node, defs) and not _dunder(node.name):
             yield node.name, node.name, node
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 name = getattr(target, "id", "")
-                if name.startswith("_") and not name.endswith("__"):
+                if name and not _dunder(name):
                     yield name, name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -48,20 +53,20 @@ def _private_defs(tree):
 
 
 def _unused(trees):
-    """`file:qualname` of the private definitions in the parsed modules
-    `trees` (file name -> module) that no other code names."""
+    """`file:qualname` of the definitions in the parsed modules `trees`
+    (file name -> module) that no other code names."""
     uses = Counter()
     for tree in trees.values():
         uses.update(_names(tree))
     out = []
     for fname, tree in trees.items():
-        for qualname, name, node in _private_defs(tree):
+        for qualname, name, node in _definitions(tree):
             if uses[name] - Counter(_names(node))[name] <= 0:
                 out.append(f"{fname}:{qualname}")
     return out
 
 
-def test_every_private_definition_is_used():
+def test_every_definition_is_used():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert _unused(trees) == []
 
@@ -77,15 +82,22 @@ def test_the_guard_flags_definitions_named_only_in_their_own_body():
         "    def _used(self):\n        pass\n"
         "    def _method(self):\n        return self._method()\n"
         "def _imported():\n    pass\n"
+        "def exported():\n    return LIMIT\n"
+        "def public():\n    return public()\n"
         "_LIMIT = 3\n"
         "_PANEL = 192\n"
         "_TYPED: int = _LIMIT\n"
+        "LIMIT = 4\n"
+        "TABLE = {}\n"
         "__all__ = []\n"
     )
-    assert _unused({"a.py": called, "m.py": module}) == [
+    init = ast.parse("from .m import exported\n")
+    assert _unused({"__init__.py": init, "a.py": called, "m.py": module}) == [
         "m.py:_dead",
         "m.py:_Box",
         "m.py:_Box._method",
+        "m.py:public",
         "m.py:_PANEL",
         "m.py:_TYPED",
+        "m.py:TABLE",
     ]

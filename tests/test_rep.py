@@ -32,10 +32,10 @@ from qtors import (
 )
 from qtors import rep
 from qtors.linalg import extend_to_basis
-from qtors.rep import ExtGroup, compose
+from qtors.rep import ExtGroup
 
 from conftest import dense_gen_contains, linear_quiver, star_quiver
-from presentation_ext import PresentationExt, projective_hom_basis
+from presentation_ext import PresentationExt, compose, projective_hom_basis
 
 A3 = linear_quiver(3)
 D4 = star_quiver(3)
@@ -398,22 +398,28 @@ class TestGenAndSurjections:
         assert not exists_surjection(s1, p1)
 
     def test_certified_no_answers_skip_the_search(self):
-        # both inputs hang in the coefficient search: on 1 -> 2 the first
-        # has dim Hom 11 against End dimensions 10 and 13, a grid of 5**11
-        # points; the second is not generated, and its search grows about
-        # five-fold per pair of summands
+        # no answer here reads a morphism matrix.  On 1 -> 2 the first pair
+        # has dim Hom 11 against End dimensions 10 and 13; the second is not
+        # generated.  P1^k + S2^k generates S2^2k and is as large at every
+        # vertex, yet P1 maps to S2 by zero, so every morphism has rank at
+        # most k at vertex 2: a dense grid over dim Hom 2k^2 would have
+        # 5**18 points at k = 3
         q = linear_quiver(2)
         p1, s1, s2 = projective_rep(q, 1), simple_rep(q, 1), simple_rep(q, 2)
         x = direct_sum([p1, p1, s2, s1])
         y = direct_sum([p1, s2, s2, s1, s1])
         simples = direct_sum([s1] * 6 + [s2] * 6)
-        with mock.patch.object(rep, "_search_combination", side_effect=AssertionError):
+        tops = direct_sum([p1] * 3 + [s2] * 3)
+        socles = direct_sum([s2] * 6)
+        with mock.patch.object(rep, "hom_basis", side_effect=AssertionError):
             start = time.perf_counter()
             assert not is_isomorphic(x, y)
             assert not exists_surjection(simples, p1)
+            assert not exists_surjection(tops, socles)
             assert time.perf_counter() - start < 1
         assert (hom_dim(x, y), hom_dim(x, x), hom_dim(y, y)) == (11, 10, 13)
         assert not gen_contains(simples, p1)
+        assert gen_contains(tops, socles) and hom_dim(tops, socles) == 18
 
     def test_enumerate_indecomposables_counts(self):
         # number of positive roots: n(n+1)/2 for A_n, 12 for D4
