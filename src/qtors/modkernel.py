@@ -206,16 +206,6 @@ def max_abs(a: np.ndarray) -> int:
     return int(np.abs(a).max()) if a.size else 0
 
 
-def nonzero_triples(
-    a: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
-    """The ModKernel input of a dense integer matrix (int64 or object): the
-    row indices, column indices and values of its non-zero entries, and its
-    shape."""
-    ri, ci = np.nonzero(a)
-    return ri, ci, a[ri, ci], a.shape
-
-
 def _components(
     ri: np.ndarray, ci: np.ndarray, shape: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -370,11 +360,11 @@ class ModKernel:
     structure, more primes refine CRT residues until rational kernel
     vectors reconstruct and verify.
 
-    The matrix is given by its non-zero entries (see `nonzero_triples`):
-    row indices, column indices and integer values (int64 or Python ints in
-    an object array), each position at most once, and its shape.  It is
-    split once into the connected components of its row-column graph and
-    every prime eliminates each component on its own.  The greedy pivot
+    The matrix is given by its non-zero entries: row indices, column
+    indices and integer values (int64 or Python ints in an object array),
+    each position at most once, and its shape.  It is split once into the
+    connected components of its row-column graph and every prime
+    eliminates each component on its own.  The greedy pivot
     columns of an echelon form are the columns outside the span of the
     columns before them, and that span splits along the components, so the
     pivots are those of one elimination of the whole matrix; the canonical
@@ -528,17 +518,14 @@ class ModKernel:
             u[cols[:, piv]] = matmul_mod_p(coords, u[cols[:, slot >= 0]], p)
         return u, p
 
-    def exact_vectors(
-        self, count: int | None = None
-    ) -> Iterator[tuple[list[int], int]]:
+    def exact_vectors(self) -> Iterator[tuple[list[int], int]]:
         """Yield verified rational kernel vectors as (numerators,
         denominator), one per free column in ascending order (so the
         collection is independent: each has entry 1, numerator equal to the
         denominator, at its own free column and 0 at the others).  Yields at
-        most `count` vectors, at most dim_upper_bound in total; if all
-        dim_upper_bound vectors verify they form a full kernel basis."""
+        most dim_upper_bound vectors; if all of them verify they form a full
+        kernel basis."""
         _, base_pivots, free = self._structure()
-        total = len(free) if count is None else min(count, len(free))
 
         def candidate(col: int, bi: int) -> tuple[list[int], int] | None:
             """CRT residues of the canonical kernel vector of a free column
@@ -560,7 +547,7 @@ class ModKernel:
                 primes.append(self._primes[k])
             return _reconstructed(residues, primes)
 
-        for col in free[:total]:
+        for col in free:
             bi = int(self._block_of[col])
             bc, bm = self._blocks[bi]
             while True:

@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .forms import forms_context
-from .linalg import Matrix, cokernel, extend_to_basis
+from .linalg import Matrix, _gauss_jordan, cokernel, extend_to_basis
 from .modkernel import (
     PRIMES,
     ModKernel,
@@ -24,7 +24,6 @@ from .modkernel import (
     int_array,
     matmul_mod_p,
     max_abs,
-    nonzero_triples,
     pivot_columns_mod_p,
 )
 from .quiver import Quiver, QuiverError, opposite
@@ -595,17 +594,20 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
 # the image of a morphism, and the trace of x in y, are then spanned by the
 # path images of generator images, so no decoded morphism matrices are
 # needed.  After rescaling both representations to integer form (an
-# isomorphism, always possible over an acyclic quiver), the system has
-# integer entries and its kernel is analyzed by qtors.modkernel: modular
-# nullities are certified upper bounds, verified lifted vectors certified
-# lower bounds, and every value returned here is exact.  A system is
-# *pinned* when its upper bound meets the Euler-form lower bound; then its
-# dimension needs no lifting, and a Gen or surjection "yes" is certified
-# modulo one prime (`_gen_certified_mod_p`).  Every other question lifts
-# the verified canonical kernel basis.  The integer and dual forms,
-# presentations and path maps are cached on the Rep they describe; Hom
-# systems and dimensions on the first argument, keyed by a weak reference
-# to the second (`_pair_memo`).
+# isomorphism, always possible over an acyclic quiver), the presentation
+# kernels come from one exact fraction-free elimination each
+# (`_certified_int_kernel`): the epis are mostly zero and unit columns, and
+# the elimination touches only the rows non-zero at each pivot.  The system
+# then has integer entries and its kernel is analyzed by qtors.modkernel:
+# modular nullities are certified upper bounds, verified lifted vectors
+# certified lower bounds, and every value returned here is exact.  A
+# system is *pinned* when its upper bound meets the Euler-form lower bound;
+# then its dimension needs no lifting, and a Gen or surjection "yes" is
+# certified modulo one prime (`_gen_certified_mod_p`).  Every other
+# question lifts the verified canonical kernel basis.  The integer and
+# dual forms, presentations and path maps are cached on the Rep they
+# describe; Hom systems and dimensions on the first argument, keyed by a
+# weak reference to the second (`_pair_memo`).
 
 # slack of the one-prime Gen certificate: trace columns it draws at each
 # vertex beyond dim t_v
@@ -698,34 +700,32 @@ def _complement_coords(r: Matrix) -> list[int]:
     return [i for i in range(d) if i not in independent]
 
 
-def _scaled_int_vector(nums: list[int]) -> list[int]:
-    """The primitive integer vector on the ray of an integer vector."""
-    g = 0
-    for c in nums:
-        g = gcd(g, c)
-        if g == 1:
-            return nums
-    return [c // g for c in nums] if g > 1 else nums
-
-
 def _certified_int_kernel(mat: np.ndarray) -> np.ndarray:
     """Integer basis of the rational kernel of an integer matrix, shape
-    (ncols, nullity).  Every basis vector is verified exactly and the count
-    matches the modular nullity bound, so completeness is certified; if
-    lifting fails the exact fallback runs instead."""
-    m, n = mat.shape
-    try:
-        mk = ModKernel(*nonzero_triples(mat))
-        cols = [_scaled_int_vector(nums) for nums, _ in mk.exact_vectors()]
-    except ReconstructionError:
-        exact = Matrix(m, n, mat.tolist())
-        cols = [
-            _scaled_int_vector([row[0] for row in Matrix.column(vec)._num])
-            for vec in exact.kernel_basis()
-        ]
-    if not cols:
-        return np.zeros((n, 0), dtype=np.int64)
-    return int_array(cols).T
+    (ncols, nullity), from one exact Gauss-Jordan elimination: for each
+    free column f in increasing order, the canonical kernel vector (1 at f,
+    minus column f of the RREF at the pivots) scaled to the primitive
+    integer vector with a positive entry at f.  int64 when every entry
+    fits, object otherwise."""
+    n = mat.shape[1]
+    rows = mat.tolist()
+    pivots = _gauss_jordan(rows, n)
+    free = sorted(set(range(n)).difference(pivots))
+    # row r is RREF row r times its pivot entry, so den * (canonical vector)
+    # is integral: den at f, -(den / head_r) * rows[r][f] at pivot r
+    heads = [row[c] for row, c in zip(rows, pivots)]
+    den = lcm(*heads)
+    own = [den] * len(free)
+    body = [[-(den // h) * row[f] for f in free] for row, h in zip(rows, heads)]
+    if den > 1:
+        gs = [gcd(den, *col) for col in zip(*body)]
+        own = [den // g for g in gs]
+        body = [[x // g for x, g in zip(row, gs)] for row in body]
+    vals = int_array([own] + body)
+    kernel = np.zeros((n, len(free)), dtype=vals.dtype)
+    kernel[free, np.arange(len(free))] = vals[0]
+    kernel[pivots] = vals[1:]
+    return kernel
 
 
 @dataclass
@@ -765,12 +765,11 @@ def _top_presentation(x: Rep) -> list[np.ndarray]:
             for v, c in tops.summands
             for pth in tops.paths[v][w]
         ]
-        if cols:
-            epi = np.stack(cols, axis=1)
-            if epi.dtype == object:  # int64 when every entry fits
-                epi = int_array(epi.tolist()).reshape(epi.shape)
-        else:
-            epi = np.zeros((x.dim(w), 0), dtype=np.int64)
+        epi = (
+            np.stack(cols, axis=1)
+            if cols
+            else np.zeros((x.dim(w), 0), dtype=np.int64)
+        )
         kernels.append(_certified_int_kernel(epi))
     return kernels
 
@@ -1021,29 +1020,10 @@ def _best_dim_system(xi: Rep, yi: Rep) -> _HomSystem:
 
 
 def _exact_column_span_full(columns: list[np.ndarray], dim: int) -> bool:
-    """Exact answer whether integer columns span the full space: deficiency
-    certified by a verified exact vector orthogonal to every column,
-    fullness by a zero kernel bound or, when lifting fails, the exact
-    rank."""
-    if dim == 0:
-        return True
-    if not columns:
-        return False
-    rows = np.empty((len(columns), dim), dtype=object)
-    for j, c in enumerate(columns):
-        rows[j, :] = c
-    try:
-        mk = ModKernel(*nonzero_triples(rows))
-        if mk.dim_upper_bound == 0:
-            return True
-        for _ in mk.exact_vectors(1):
-            return False
-        return True
-    except ReconstructionError:
-        exact = Matrix.from_columns(
-            [[int(v) for v in c] for c in columns], nrows=dim
-        )
-        return exact.rank() == dim
+    """Exact answer whether integer columns span the full space: the exact
+    rank of the matrix they form."""
+    exact = Matrix.from_columns([c.tolist() for c in columns], nrows=dim)
+    return exact.rank() == dim
 
 
 def _gen_certified_mod_p(sys: _HomSystem, ti: Rep, solutions: int = 0) -> bool:
@@ -1151,7 +1131,7 @@ def gen_contains(m: Rep, x: Rep) -> bool:
       and the trace, spanned by the path images of its generator images,
       grows by exact columns only: each vertex keeps the residues of its
       greedy pivot columns mod p, fullness mod p at every vertex decides
-      True, and once the whole basis is absorbed the exact certificate
+      True, and once the whole basis is absorbed the exact rank
       (`_exact_column_span_full`) decides each vertex not yet full."""
     if m.quiver != x.quiver:
         raise ValueError("Gen test requires a common quiver")

@@ -5,11 +5,19 @@ of the intertwining matrix: cocycles are morphisms K -> X, the
 coboundaries are the restrictions of morphisms P0 -> X, and the middle term
 of an extension is the pushout (X + P0) / graph.  It is kept only as a test
 oracle for the dimension, the cocycle classes and the middle terms.
+
+`modular_int_kernel` is the route `qtors.rep` took to the presentation
+kernels before they came from one exact elimination: `ModKernel`
+reconstruction one vector at a time, with the exact kernel as fallback.
+It is kept as the oracle of `_certified_int_kernel`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
+import numpy as np
 
 from qtors import (
     Matrix,
@@ -20,7 +28,48 @@ from qtors import (
     projective_presentation,
 )
 from qtors.linalg import complement_indices
+from qtors.modkernel import ModKernel, ReconstructionError, int_array
 from qtors.rep import Morphism, PresentationData, _paths_from
+
+
+def nonzero_triples(
+    a: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """The ModKernel input of a dense integer matrix (int64 or object): the
+    row indices, column indices and values of its non-zero entries, and its
+    shape."""
+    ri, ci = np.nonzero(a)
+    return ri, ci, a[ri, ci], a.shape
+
+
+def _scaled_int_vector(nums: list[int]) -> list[int]:
+    """The primitive integer vector on the ray of an integer vector."""
+    g = 0
+    for c in nums:
+        g = gcd(g, c)
+        if g == 1:
+            return nums
+    return [c // g for c in nums] if g > 1 else nums
+
+
+def modular_int_kernel(mat: np.ndarray) -> np.ndarray:
+    """Integer basis of the rational kernel of an integer matrix, shape
+    (ncols, nullity).  Every basis vector is verified exactly and the count
+    matches the modular nullity bound, so completeness is certified; if
+    lifting fails the exact fallback runs instead."""
+    m, n = mat.shape
+    try:
+        mk = ModKernel(*nonzero_triples(mat))
+        cols = [_scaled_int_vector(nums) for nums, _ in mk.exact_vectors()]
+    except ReconstructionError:
+        exact = Matrix(m, n, mat.tolist())
+        cols = [
+            _scaled_int_vector([row[0] for row in Matrix.column(vec)._num])
+            for vec in exact.kernel_basis()
+        ]
+    if not cols:
+        return np.zeros((n, 0), dtype=np.int64)
+    return int_array(cols).T
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:

@@ -1,7 +1,9 @@
 """No code that nothing calls: every module-level function, class and
 constant of the package, public or private, and every private method, is
 named somewhere in the package outside its own definition.  The imports of
-`__init__.py` count, so the public API is used by definition."""
+`__init__.py` count, so the public API is used by definition.  An import
+counts as a use, so every other module must also read each name it
+imports."""
 
 import ast
 from collections import Counter
@@ -66,6 +68,30 @@ def _unused(trees):
     return out
 
 
+def _unread_imports(trees):
+    """`file:name` of the names that a parsed module other than
+    `__init__.py` imports and never reads; `__future__` imports are
+    directives, not names."""
+    out = []
+    for fname, tree in trees.items():
+        if fname == "__init__.py":
+            continue
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        out.append(f"{fname}:{name}")
+    return out
+
+
 def test_every_definition_is_used():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert _unused(trees) == []
@@ -100,4 +126,28 @@ def test_the_guard_flags_definitions_named_only_in_their_own_body():
         "m.py:_PANEL",
         "m.py:_TYPED",
         "m.py:TABLE",
+    ]
+
+
+def test_every_import_is_read():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert _unread_imports(trees) == []
+
+
+def test_the_guard_flags_imports_that_are_never_read():
+    module = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "import xml.dom\n"
+        "from .m import used, unused, renamed as alias\n"
+        "def f(x: used) -> None:\n"
+        "    import json\n"
+        "    return np.zeros(1), xml.dom, alias\n"
+    )
+    init = ast.parse("from .m import exported\n")
+    assert _unread_imports({"__init__.py": init, "a.py": module}) == [
+        "a.py:os",
+        "a.py:unused",
+        "a.py:json",
     ]

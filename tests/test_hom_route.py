@@ -191,6 +191,13 @@ class TestWideRadical:
         assert not gen_contains(x, s2)
 
 
+# `_exact_column_span_full` is one exact rank: it builds no ModKernel
+_NO_MODKERNEL = mock.patch.object(
+    qtors.rep, "ModKernel", mock.Mock(side_effect=AssertionError("ModKernel"))
+)
+
+
+@_NO_MODKERNEL
 class TestWideColumnBuffers:
     """The exact Gen route ranks trace columns as `gen_contains` does: their
     residues mod PRIMES[0] as float64 go to `pivot_columns_mod_p`, and a
@@ -232,9 +239,11 @@ class TestWideColumnBuffers:
 
 
 class TestExactGenRoute:
+    @_NO_MODKERNEL
     def test_full_over_q_but_zero_mod_the_first_prime(self):
         assert _exact_column_span_full([np.array([PRIMES[0]], dtype=np.int64)], 1)
 
+    @_NO_MODKERNEL
     def test_rank_deficient_columns(self):
         cols = [np.array(c, dtype=np.int64) for c in ([1, 2, 3], [2, 4, 6], [1, 1, 1])]
         assert not _exact_column_span_full(cols, 3)
