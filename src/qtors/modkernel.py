@@ -4,16 +4,19 @@ Exact answers only: reduction mod a prime can merely *lower* the rank of an
 integer matrix, so a mod-p kernel dimension is a rigorous upper bound for
 the rational kernel dimension, while lower bounds are only ever claimed by
 exhibiting explicit rational kernel vectors that are re-verified in exact
-arithmetic.  The modular eliminations are Gauss-Jordan on numpy float64
-blocks with deferred reduction (products stay below 2**53, hence exact),
-one connected component of the matrix at a time; the canonical kernel
-vectors mod p are read off the reduced echelon form, and candidate rational
-vectors are recovered from them by CRT across several primes followed by
-rational reconstruction.
+arithmetic.  The modular eliminations are sparse: one connected component
+of the matrix at a time, each row a dict of its non-zero residues, Python
+ints reduced mod p at every step, forward elimination only.  The canonical
+kernel vectors mod p are back-substituted from the forward echelon form
+when first read, and candidate rational vectors are recovered from them by
+CRT across several primes followed by rational reconstruction.  Dense
+residue matrices (rank tests, products) stay numpy float64 with deferred
+reduction: products stay below 2**53, hence exact.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections.abc import Sequence
 from math import gcd, lcm
@@ -55,51 +58,73 @@ class ReconstructionError(RuntimeError):
     """Raised when no prime schedule yields verifiable rational vectors."""
 
 
-def echelon_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of `a` mod p: returns (rows, pivot_columns),
-    the r x n float64 array of the non-zero RREF rows in pivot order (row i
-    is 1 at pivot column i and 0 at the other pivot columns, every entry in
-    [0, p)) and their r pivot columns.  `a` holds residues mod p as float64
-    and is used as scratch: its contents afterwards are unspecified.
+def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Forward echelon form of the integer matrix `a` mod p: returns (rows,
+    pivot_columns), the r non-zero echelon rows in pivot order and their r
+    pivot columns.  Row i is a dict {column: residue} of its non-zero
+    residues in [1, p): 1 at pivot column i and nothing left of it; it is
+    not reduced above the later pivots (see `_BlockMatrix.kernel`).  `a`
+    holds integers, int64 or Python ints in an object array, and is only
+    read.
 
-    One Gauss-Jordan loop over the columns: a column is reduced mod p, any
-    row not yet holding a pivot with a non-zero residue there becomes its
-    pivot row (rows are tracked by index, never swapped; the pivot columns
-    of an echelon form do not depend on that choice), is normalized from
-    that column on, and the rank-1 update is subtracted from the rows whose
-    multiplier is non-zero, pivot rows included.  Every other reduction mod
-    p is deferred: with p < 2**19 each entry gains at most one product of
-    reduced residues, below 2**38, per pivot, and there are at most
-    min(rows, cols) <= 2**13 pivots, so float64 holds every value exactly.
+    A sparse elimination over the columns in order, on Python ints reduced
+    mod p at every step.  Every row that holds no pivot yet waits under its
+    leading column; when that column comes up, the waiting row with the
+    fewest entries becomes its pivot row and is normalized, and its
+    multiple is subtracted from the other waiting rows, which then wait
+    under their new leading columns.  Rows with a pivot are never touched
+    again.  The greedy pivot columns of an echelon form do not depend on
+    the choice of pivot row, and only non-zero entries are ever visited:
+    a fully dense n x n matrix costs about n**3/3 updates of Python ints,
+    a Hom block with little fill about as many as its entries.  A matrix
+    whose smaller side exceeds _MAX_COLS is refused before anything is
+    read; that is the size limit of one Hom block.
     """
     m, n = a.shape
     if min(m, n) > _MAX_COLS:
-        raise ValueError("matrix too large for exact deferred reduction")
-    unused = np.ones(m, dtype=bool)
-    rows: list[int] = []
+        raise ValueError("matrix too large for one block elimination")
+    ri, ci = np.nonzero(a)
+    res = (a[ri, ci] % p).tolist()
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, v in zip(ri.tolist(), ci.tolist(), res):
+        if v:
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {j: v}
+            else:
+                row[j] = v
+    # the rows without a pivot, each under its leading column
+    waiting: dict[int, list[dict[int, int]]] = {}
+    for row in rows.values():
+        waiting.setdefault(min(row), []).append(row)
+    heads = list(waiting)
+    heapq.heapify(heads)
+    out: list[dict[int, int]] = []
     pivots: list[int] = []
-    for c in range(n):
-        if len(rows) == m:
-            break
-        col = a[:, c]
-        np.remainder(col, p, out=col)
-        nz = col.nonzero()[0]
-        candidates = nz[unused[nz]]
-        if not candidates.size:
-            continue
-        r = int(candidates[0])
-        pivot = a[r, c:]
-        np.remainder(pivot, p, out=pivot)
-        pivot *= pow(int(col[r]), -1, p)
-        np.remainder(pivot, p, out=pivot)
-        nz = nz[nz != r]
-        if nz.size:
-            a[nz, c:] -= np.multiply.outer(col[nz], pivot)
-        unused[r] = False
-        rows.append(r)
+    while heads:
+        c = heapq.heappop(heads)
+        group = waiting.pop(c)
+        group.sort(key=len)  # stable: the first of the fewest entries
+        inv = pow(group[0][c], -1, p)
+        pivot = {j: v * inv % p for j, v in group[0].items()}
+        out.append(pivot)
         pivots.append(c)
-    ech = a[rows]
-    return np.remainder(ech, p, out=ech), pivots
+        for row in group[1:]:
+            f = row[c]
+            for j, v in pivot.items():
+                w = (row.get(j, 0) - f * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+            if row:
+                head = min(row)
+                if head in waiting:
+                    waiting[head].append(row)
+                else:
+                    waiting[head] = [row]
+                    heapq.heappush(heads, head)
+    return out, pivots
 
 
 def pivot_columns_mod_p(a: np.ndarray, p: int) -> list[int]:
@@ -111,9 +136,13 @@ def pivot_columns_mod_p(a: np.ndarray, p: int) -> list[int]:
 
     The k-th pivot row is swapped into row k, normalized right of its pivot
     and its rank-1 update is subtracted from the contiguous block of rows
-    below it and columns right of it; rows above are never touched.
-    Reductions mod p are deferred as in `echelon_mod_p`, under the same
-    size bound."""
+    below it and columns right of it; rows above are never touched.  A
+    column is reduced mod p when it is searched and a pivot row when it is
+    normalized; every other reduction is deferred: with p < 2**19 each entry
+    gains at most one product of reduced residues, below 2**38, per pivot,
+    and there are at most min(rows, cols) <= _MAX_COLS = 2**13 pivots, so
+    float64 holds every value exactly.  Dense residue matrices, such as
+    the Gen certificate's, go here; sparse blocks go to `echelon_mod_p`."""
     m, n = a.shape
     if min(m, n) > _MAX_COLS:
         raise ValueError("matrix too large for exact deferred reduction")
@@ -242,22 +271,28 @@ def _components(
 
 class _BlockMatrix:
     """Integer sub-matrix of one or more connected components of a ModKernel
-    matrix (components with identical entries share it), with one reduced
+    matrix (components with identical entries share it), with one forward
     echelon form per prime of the schedule, the canonical kernel
-    coordinates of each (read off its free columns when first needed) and
-    the residues of its verification primes."""
+    coordinates of each (back-substituted when first read) and the residues
+    of its verification primes."""
 
     def __init__(self, base: np.ndarray):
         self.base = base
         self.max_abs = max_abs(base)
-        self.echelons: list[tuple[np.ndarray, list[int]]] = []
+        self.echelons: list[tuple[list[dict[int, int]], list[int]]] = []
         self._kernels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.verify_residues: dict[int, np.ndarray] = {}
 
     def kernel(self, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
         """Canonical kernel vectors of the echelon at the k-th prime p: the
         slot of every local column among the free ones (-1 at a pivot) and
-        the pivot-coordinate block, one column per free column."""
+        the float64 pivot-coordinate block, one column per free column,
+        which is minus the free columns of the reduced echelon form.
+
+        Sparse back-substitution, last pivot row first: the reduced row of
+        pivot i is its forward row minus, for each later pivot j the row
+        holds, that entry times the reduced row of j.  Reduced rows are 0 at
+        the other pivots, so only their free entries are kept."""
         out = self._kernels.get(k)
         if out is None:
             ech, piv = self.echelons[k]
@@ -266,7 +301,27 @@ class _BlockMatrix:
             slot[piv] = -1
             free = np.flatnonzero(slot == 0)
             slot[free] = np.arange(len(free))
-            out = self._kernels[k] = (slot, np.remainder(-ech[:, free], p))
+            at = {c: i for i, c in enumerate(piv)}
+            reduced: dict[int, dict[int, int]] = {}
+            for i in range(len(piv) - 1, -1, -1):
+                row = {j: v for j, v in ech[i].items() if j not in at}
+                for j, f in ech[i].items():
+                    t = at.get(j, i)
+                    if t == i:
+                        continue
+                    for c, v in reduced[t].items():
+                        w = (row.get(c, 0) - f * v) % p
+                        if w:
+                            row[c] = w
+                        else:
+                            del row[c]
+                reduced[i] = row
+            ii = [i for i, row in reduced.items() for _ in row]
+            cc = [c for row in reduced.values() for c in row]
+            vv = [v for row in reduced.values() for v in row.values()]
+            coords = np.zeros((len(piv), len(free)), dtype=np.float64)
+            coords[ii, slot[cc]] = np.subtract(p, vv, dtype=np.float64)
+            out = self._kernels[k] = (slot, coords)
         return out
 
     def verified(self, w: list[int]) -> bool:
@@ -461,7 +516,7 @@ class ModKernel:
             raise ReconstructionError("prime schedule exhausted")
         pivots = []
         for bm, cols in zip(self._matrices, self._instances):
-            bm.echelons.append(echelon_mod_p((bm.base % p).astype(np.float64), p))
+            bm.echelons.append(echelon_mod_p(bm.base, p))
             pivots.append(cols[:, bm.echelons[-1][1]].ravel())
         self._primes.append(p)
         self._pivots.append(np.sort(np.concatenate(pivots)).tolist() if pivots else [])

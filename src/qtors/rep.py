@@ -21,6 +21,7 @@ from .modkernel import (
     PRIMES,
     ModKernel,
     ReconstructionError,
+    echelon_mod_p,
     int_array,
     matmul_mod_p,
     max_abs,
@@ -682,21 +683,19 @@ def _complement_coords(r: Matrix) -> list[int]:
     """Indices of standard basis vectors completing the column space of an
     integer matrix: e_i is taken exactly when row i of r lies in the span of
     the rows below it, tested mod p by the greedy pivot columns of the
-    reversed transpose of r (as wide as r is tall).  These are the identity
-    pivots of an echelon of [r | I] at the same prime.  The rows of r at the
-    indices not taken are independent mod p, hence over the rationals, so
-    the chosen vectors provably complete the span; an unlucky prime can
-    only make the choice non-minimal, never wrong."""
+    reversed transpose of r (as wide as r is tall), from one sparse
+    `echelon_mod_p`.  These are the identity pivots of an echelon of
+    [r | I] at the same prime.  The rows of r at the indices not taken are
+    independent mod p, hence over the rationals, so the chosen vectors
+    provably complete the span; an unlucky prime can only make the choice
+    non-minimal, never wrong."""
     d = r.rows
     if d == 0:
         return []
     if r.cols == 0:
         return list(range(d))
-    p = PRIMES[0]
-    arr = np.zeros((r.cols, d), dtype=np.float64)
-    for i in range(d):
-        arr[:, d - 1 - i] = [e % p for e in r._num[i]]
-    independent = {d - 1 - j for j in pivot_columns_mod_p(arr, p)}
+    _, pivots = echelon_mod_p(int_array(r._num)[::-1].T, PRIMES[0])
+    independent = {d - 1 - j for j in pivots}
     return [i for i in range(d) if i not in independent]
 
 

@@ -229,7 +229,7 @@ def test_tops_are_the_identity_pivots_of_radical_beside_identity():
         d, m, rank = (int(t) for t in rng.integers(1, 7, 3))
         r = rng.integers(-3, 4, (d, min(rank, d))) @ rng.integers(-3, 4, (min(rank, d), m))
         r[rng.integers(0, d)] *= p  # a row that vanishes mod p only
-        aug = np.hstack([r % p, np.eye(d, dtype=np.int64)]).astype(np.float64)
+        aug = np.hstack([r % p, np.eye(d, dtype=np.int64)])
         _, piv = echelon_mod_p(aug, p)
         want = [c - m for c in piv if c >= m]
         assert _complement_coords(Matrix.from_rows(r.tolist())) == want

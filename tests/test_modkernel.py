@@ -47,10 +47,11 @@ def _rank_deficient_rows(rng, rows, cols, rank):
 
 
 def test_echelon_mod_p_small():
-    a = np.array([[2.0, 4.0], [1.0, 2.0]])
-    ech, pivots = echelon_mod_p(a, 7)
+    a = np.array([[2, 4], [1, 2]])
+    rows, pivots = echelon_mod_p(a, 7)
     assert pivots == [0]
-    assert ech.tolist() == [[1.0, 2.0]]
+    assert rows == [{0: 1, 1: 2}]
+    assert _oracle_residues(a, 7) == _block_residues(a, 7) == ([0], [1], [[5]])
 
 
 def _rref_mod_p(rows, ncols, p):
@@ -99,21 +100,87 @@ def residue_matrices(draw):
     return a, p
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=residue_matrices())
+def _oracle_residues(base, p):
+    """The pivots, the free columns and the canonical kernel coordinates of
+    an integer matrix mod p from the plain-Python RREF of its residues: the
+    coordinates are minus its free columns."""
+    n = base.shape[1]
+    rref, piv = _rref_mod_p((base % p).tolist(), n, p)
+    free = [c for c in range(n) if c not in set(piv)]
+    return piv, free, [[-row[f] % p for f in free] for row in rref]
+
+
+def _block_residues(base, p):
+    """The same data from `echelon_mod_p` and the back-substitution of
+    `_BlockMatrix.kernel`."""
+    bm = modkernel._BlockMatrix(base)
+    bm.echelons.append(echelon_mod_p(base, p))
+    slot, coords = bm.kernel(0, p)
+    piv = bm.echelons[0][1]
+    free = np.flatnonzero(slot >= 0).tolist()
+    assert coords.dtype == np.float64 and coords.shape == (len(piv), len(free))
+    assert slot[free].tolist() == list(range(len(free)))
+    assert (slot[piv] == -1).all()
+    return piv, free, coords.astype(np.int64).tolist()
+
+
+def _assert_forward_echelon(rows, pivots, base, p):
+    """Row i holds residues in [1, p), 1 at pivot i and nothing left of it,
+    and the rows span the row space of `base` mod p: their RREF is that of
+    `base`."""
+    n = base.shape[1]
+    assert len(rows) == len(pivots) and pivots == sorted(set(pivots))
+    for row, c in zip(rows, pivots):
+        assert row[c] == 1 and min(row) == c
+        assert all(type(v) is int and 0 < v < p for v in row.values())
+    dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+    assert _rref_mod_p(dense, n, p) == _rref_mod_p((base % p).tolist(), n, p)
+
+
+@st.composite
+def integer_blocks(draw):
+    """(integer matrix, p) beyond the residue matrices: fully dense blocks
+    of random residues (the worst case for fill), rank-deficient blocks
+    built as a product of small integers, and object arrays of Python ints
+    beyond int64 whose residues are dense, sparse or of low rank."""
+    p = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(["dense", "rank deficient", "beyond int64"]))
+    m, n = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        return rng.integers(1, p, (m, n)), p
+    k = draw(st.integers(0, min(m, n)))
+    low = rng.integers(-3, 4, (m, k)) @ rng.integers(-3, 4, (k, n))
+    if kind == "rank deficient":
+        return low, p
+    shift = draw(st.sampled_from([63, 64, 100]))
+    res = draw(st.sampled_from(["dense", "sparse", "low rank"]))
+    if res == "low rank":
+        small = low.astype(object)
+    else:
+        keep = rng.random((m, n)) >= (0.9 if res == "sparse" else 0.0)
+        small = (rng.integers(0, p, (m, n)) * keep).astype(object)
+    lift = rng.integers(-(2**20), 2**20, (m, n)).astype(object)
+    return small + lift * p * 2**shift, p
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(residue_matrices(), integer_blocks()))
 @example(case=(np.zeros((0, 0), dtype=np.int64), PRIMES[0]))
 @example(case=(np.zeros((3, 0), dtype=np.int64), PRIMES[0]))
 @example(case=(np.zeros((0, 3), dtype=np.int64), PRIMES[0]))
 @example(case=(np.zeros((2, 3), dtype=np.int64), PRIMES[1]))
 @example(case=(np.array([[0, 1, 1], [0, 2, 2], [1, 0, 0]]), PRIMES[2]))
+@example(case=(np.array([[2**70 * PRIMES[0], 1]], dtype=object), PRIMES[0]))
+@example(case=(np.full((3, 3), -(2**64) - 1, dtype=object), PRIMES[1]))
 def test_echelon_mod_p_is_the_rref(case):
+    """The forward echelon rows span the rows of the matrix, their pivots
+    are those of the RREF, and back-substitution gives minus the free
+    columns of the RREF."""
     a, p = case
-    n = a.shape[1]
-    want_rows, want_pivots = _rref_mod_p(a.tolist(), n, p)
-    ech, pivots = echelon_mod_p(a.astype(np.float64), p)
-    assert pivots == want_pivots
-    assert ech.shape == (len(pivots), n)
-    assert ech.astype(np.int64).tolist() == want_rows
+    rows, pivots = echelon_mod_p(a, p)
+    _assert_forward_echelon(rows, pivots, a, p)
+    assert _block_residues(a, p) == _oracle_residues(a, p)
 
 
 def test_echelon_mod_p_guard_allocates_nothing():
@@ -137,7 +204,7 @@ def test_pivot_columns_mod_p_are_the_echelon_pivots(case, lift, seed):
     # that zero residues become non-zero entries
     a, p = case
     raised = a + p * np.random.default_rng(seed).integers(0, lift + 1, a.shape)
-    want = echelon_mod_p(a.astype(np.float64), p)[1]
+    want = echelon_mod_p(a, p)[1]
     assert pivot_columns_mod_p(raised.astype(np.float64), p) == want
     assert pivot_columns_mod_p(a.astype(np.float64), p) == want
 
@@ -314,15 +381,6 @@ def _canonical_residues(mk):
     return pivots, free, coords, p
 
 
-def _dense_residues(base, p):
-    """The same data from one dense elimination of the whole matrix: the
-    canonical kernel coordinates are minus the free columns of the RREF."""
-    n = base.shape[1]
-    ech, piv = echelon_mod_p((base % p).astype(np.float64), p)
-    free = [c for c in range(n) if c not in set(piv)]
-    return piv, free, np.remainder(-ech[:, free], p), p
-
-
 def _observe(mk, seed):
     """Everything ModKernel answers, in a fixed order (later calls may grow
     the prime schedule); a ReconstructionError is recorded, not raised."""
@@ -359,12 +417,12 @@ def test_block_split_matches_one_elimination(base, seed):
         whole = ModKernel(*nonzero_triples(base))
     assert len(whole._blocks) == (1 if n else 0)
 
-    # the single dense elimination at the first prime
-    piv, free, dense, _ = _dense_residues(base, P0)
+    # the RREF of the whole matrix at the first prime
+    piv, free, want = _oracle_residues(base, P0)
     pivots, got_free, coords, p = _canonical_residues(mk)
     assert (list(pivots), list(got_free), p) == (piv, free, P0)
     assert mk.dim_upper_bound == len(free)
-    assert coords.tolist() == dense.tolist()
+    assert coords.tolist() == want
 
     seen = _observe(mk, seed)
     assert seen == _observe(whole, seed)
@@ -425,9 +483,12 @@ def test_kronecker_window_echelon_traffic():
 
         return counted
 
-    # the block eliminations, and the rank tests of the Gen certificate
+    # the block eliminations, the top-generator tests and the rank tests
+    # of the Gen certificate
     with mock.patch.object(
         modkernel, "echelon_mod_p", counting(modkernel.echelon_mod_p)
+    ), mock.patch.object(
+        rep, "echelon_mod_p", counting(rep.echelon_mod_p)
     ), mock.patch.object(
         rep, "pivot_columns_mod_p", counting(rep.pivot_columns_mod_p)
     ):
@@ -436,6 +497,52 @@ def test_kronecker_window_echelon_traffic():
     assert max(sizes) <= 100_000
     assert sum(sizes) < 2_000_000
     assert len(sizes) < 1000
+
+
+def test_kronecker_window_sparse_elimination_traffic():
+    """The chain check of kronecker_window(3, 6) eliminates its Hom blocks
+    sparsely: every block's forward pivot rows hold at most twice the
+    block's non-zero entries (1.2 times at most when measured), and a
+    pinned hom_dim reads only the rank, so it back-substitutes no block
+    (every block record's `_kernels` stays empty)."""
+    from qtors import kronecker_chain_check, kronecker_window, rep
+    from qtors.forms import forms_context
+
+    fill = []
+
+    def echelon(a, p):
+        out = echelon_mod_p(a, p)
+        fill.append((sum(map(len, out[0])), int(np.count_nonzero(a))))
+        return out
+
+    fresh = []
+
+    def best_dim_system(xi, yi):
+        sys = best(xi, yi)
+        records = sys.mk._matrices if sys.mk is not None else []
+        fresh.append((sys, not any(bm._kernels for bm in records)))
+        return sys
+
+    pinned = []
+
+    def hom_dim(x, y):
+        del fresh[:]
+        out = dim(x, y)
+        lower = max(forms_context(x.quiver).euler_form(list(x.dims), list(y.dims)), 0)
+        for sys, was_fresh in fresh:
+            if was_fresh and sys.mk is not None and sys.upper == lower:
+                pinned.append([bool(bm._kernels) for bm in sys.mk._matrices])
+        return out
+
+    best, dim = rep._best_dim_system, rep.hom_dim
+    with mock.patch.object(modkernel, "echelon_mod_p", echelon), mock.patch.object(
+        rep, "_best_dim_system", best_dim_system
+    ), mock.patch.object(rep, "hom_dim", hom_dim):
+        report = kronecker_chain_check(kronecker_window(3, 6))
+    assert report.ok()
+    assert fill and all(held <= 2 * nonzero for held, nonzero in fill)
+    assert len(pinned) >= 10
+    assert not any(any(kernels) for kernels in pinned)
 
 
 def test_kronecker_window_memory_peak():
@@ -571,8 +678,7 @@ def test_random_residues_are_kernel_vectors_mod_p(base, seed, count):
     u, p = mk.random_residues(count, seed=seed)
     pivots, free, coords, q = _canonical_residues(mk)
     assert p == q and u.shape == (base.shape[1], count)
-    dense = _dense_residues(base, p)
-    assert (pivots, free, coords.tolist()) == (dense[0], dense[1], dense[2].tolist())
+    assert (pivots, free, coords.tolist()) == _oracle_residues(base, p)
     assert ((0 <= u) & (u < p)).all() and (u == np.round(u)).all()
     ints = u.astype(np.int64)
     # A u = 0 mod p, in exact integer arithmetic
@@ -595,7 +701,7 @@ def test_random_residues_span_the_mod_p_kernel():
     mk = ModKernel(*nonzero_triples(base))
     assert len(mk._matrices) == 1 and mk.dim_upper_bound == 18
     u, p = mk.random_residues(20, seed=5)
-    _, piv = echelon_mod_p(np.ascontiguousarray(u.T), p)
+    _, piv = echelon_mod_p(u.T.astype(np.int64), p)
     assert len(piv) == 18
 
 
