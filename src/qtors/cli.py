@@ -220,6 +220,11 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_euler_scan(args) -> int:
+    if args.amax < 2 or args.bmax < 1 or args.cmax < 0:
+        raise SystemExit(
+            "error: the grid a = 2..amax, b = 1..bmax, c = 0..cmax is empty; "
+            "need amax >= 2, bmax >= 1 and cmax >= 0"
+        )
     points = 0
     mismatches = []
     nonnegative = []

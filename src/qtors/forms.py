@@ -84,7 +84,9 @@ def tau_inverse_dimvec(q: Quiver, d: list[int]) -> list[int]:
 
 def triple_quiver(a: int, b: int, c: int) -> Quiver:
     """The three-vertex quiver with a arrows 1->2, b arrows 2->3 and c
-    arrows 1->3."""
+    arrows 1->3; a negative multiplicity raises QuiverError."""
+    if min(a, b, c) < 0:
+        raise QuiverError(f"arrow multiplicities must be non-negative, got {a},{b},{c}")
     arrows = [(1, 2)] * a + [(2, 3)] * b + [(1, 3)] * c
     return Quiver(3, tuple(arrows))
 

@@ -1,61 +1,88 @@
-"""Fast certified kernel computations for integer matrices.
+"""Certified kernel computations for integer matrices.
 
 Exact answers only: reduction mod a prime can merely *lower* the rank of an
 integer matrix, so a mod-p kernel dimension is a rigorous upper bound for
-the rational kernel dimension, while lower bounds are only ever claimed by
-exhibiting explicit rational kernel vectors that are re-verified in exact
-arithmetic.  The modular eliminations are sparse: one connected component
-of the matrix at a time, each row a dict of its non-zero residues, Python
-ints reduced mod p at every step, forward elimination only.  The canonical
-kernel vectors mod p are back-substituted from the forward echelon form
-when first read, and candidate rational vectors are recovered from them by
-CRT across several primes followed by rational reconstruction.  Dense
-residue matrices (rank tests, products) stay numpy float64 with deferred
-reduction: products stay below 2**53, hence exact.
+the rational kernel dimension, and the exact kernel dimension and vectors
+come from an elimination over the integers.  Both eliminations are sparse:
+one connected component of the matrix at a time, each row a dict of its
+non-zero entries, forward elimination first.  Modulo the prime the entries
+are Python ints reduced at every step, and the canonical kernel vectors mod
+p are back-substituted from the forward echelon form when first read.  Over
+the integers the elimination is fraction-free: every update is divided by
+its content, and the rows are back-substituted once, when the first exact
+answer is asked for.  Dense residue matrices (rank tests, products) stay
+numpy float64 with deferred reduction: products stay below 2**53, hence
+exact.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections.abc import Sequence
 from math import gcd, lcm
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-# primes just below 2**19: with p**2 < 2**38, up to ~2**14 accumulated
+# a prime just below 2**19: with p**2 < 2**38, up to ~2**14 accumulated
 # products of reduced values fit in float64 exactly, so reductions mod p can
 # be deferred across the whole elimination of a matrix with <= 8192 rows or
 # columns, and a dot product of reduced vectors over <= 8192 entries is exact
-PRIMES = (
-    524287, 524269, 524261, 524257, 524243, 524231, 524221, 524219,
-    524203, 524201, 524197, 524189, 524171, 524149, 524123, 524119,
-)
+PRIME = 524287
 
 _MAX_COLS = 8192  # deferred-reduction exactness bound for the prime size
 
-_MAX_PRIMES = 8  # primes a kernel may use before reconstruction gives up
-
-
-# verification primes, the 64 largest below 2**24: large enough that few are
-# needed to exceed the bit bound of an exact dot product, small enough that
-# the int64 matvec (base % q) @ (vec % q) cannot overflow for <= _MAX_COLS
-# columns
-_VERIFY_PRIMES = (
-    16777213, 16777199, 16777183, 16777153, 16777141, 16777139, 16777127, 16777121,
-    16777099, 16777049, 16777027, 16776989, 16776973, 16776971, 16776967, 16776961,
-    16776941, 16776937, 16776931, 16776919, 16776901, 16776899, 16776869, 16776857,
-    16776839, 16776833, 16776817, 16776763, 16776731, 16776719, 16776713, 16776691,
-    16776689, 16776679, 16776659, 16776631, 16776623, 16776619, 16776607, 16776593,
-    16776581, 16776547, 16776521, 16776491, 16776481, 16776469, 16776451, 16776401,
-    16776391, 16776379, 16776371, 16776367, 16776343, 16776337, 16776317, 16776313,
-    16776289, 16776217, 16776211, 16776191, 16776187, 16776173, 16776169, 16776167,
-)
-
 
 class ReconstructionError(RuntimeError):
-    """Raised when no prime schedule yields verifiable rational vectors."""
+    """A rational kernel vector that did not reconstruct from residues.
+    Exact kernels come from the fraction-free elimination and never raise
+    it; the benchmark tracer counts its instances by name."""
+
+
+def _row_dicts(ri: np.ndarray, ci: np.ndarray, vals: list[int]) -> Iterable[dict[int, int]]:
+    """The rows of a matrix whose entry at (ri[k], ci[k]) is vals[k], each
+    a dict {column: value} of its non-zero values, in row order; rows
+    without one are left out."""
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, v in zip(ri.tolist(), ci.tolist(), vals):
+        if v:
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {j: v}
+            else:
+                row[j] = v
+    return rows.values()
+
+
+def _pivot_groups(
+    rows: Iterable[dict[int, int]],
+) -> Iterator[tuple[int, list[dict[int, int]]]]:
+    """The steps of a sparse forward elimination of non-zero row dicts.
+    Every row that holds no pivot yet waits under its leading column; the
+    columns come up in ascending order, and each step yields (c, group),
+    the rows waiting under c with the one of fewest entries first (the
+    first such).  The caller makes group[0] the pivot row of c and clears
+    column c from the others in place; those left non-zero then wait
+    under their new leading columns.  Rows with a pivot are never touched
+    again."""
+    waiting: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        waiting.setdefault(min(row), []).append(row)
+    heads = list(waiting)
+    heapq.heapify(heads)
+    while heads:
+        c = heapq.heappop(heads)
+        group = waiting.pop(c)
+        group.sort(key=len)  # stable: the first of the fewest entries
+        yield c, group
+        for row in group[1:]:
+            if row:
+                head = min(row)
+                if head in waiting:
+                    waiting[head].append(row)
+                else:
+                    waiting[head] = [row]
+                    heapq.heappush(heads, head)
 
 
 def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[dict[int, int]], list[int]]:
@@ -67,13 +94,10 @@ def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[dict[int, int]], list[int
     holds integers, int64 or Python ints in an object array, and is only
     read.
 
-    A sparse elimination over the columns in order, on Python ints reduced
-    mod p at every step.  Every row that holds no pivot yet waits under its
-    leading column; when that column comes up, the waiting row with the
-    fewest entries becomes its pivot row and is normalized, and its
-    multiple is subtracted from the other waiting rows, which then wait
-    under their new leading columns.  Rows with a pivot are never touched
-    again.  The greedy pivot columns of an echelon form do not depend on
+    A sparse elimination over the columns in order (`_pivot_groups`), on
+    Python ints reduced mod p at every step: the pivot row is normalized,
+    and its multiple is subtracted from the other rows waiting under its
+    column.  The greedy pivot columns of an echelon form do not depend on
     the choice of pivot row, and only non-zero entries are ever visited:
     a fully dense n x n matrix costs about n**3/3 updates of Python ints,
     a Hom block with little fill about as many as its entries.  A matrix
@@ -84,27 +108,9 @@ def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[dict[int, int]], list[int
     if min(m, n) > _MAX_COLS:
         raise ValueError("matrix too large for one block elimination")
     ri, ci = np.nonzero(a)
-    res = (a[ri, ci] % p).tolist()
-    rows: dict[int, dict[int, int]] = {}
-    for i, j, v in zip(ri.tolist(), ci.tolist(), res):
-        if v:
-            row = rows.get(i)
-            if row is None:
-                rows[i] = {j: v}
-            else:
-                row[j] = v
-    # the rows without a pivot, each under its leading column
-    waiting: dict[int, list[dict[int, int]]] = {}
-    for row in rows.values():
-        waiting.setdefault(min(row), []).append(row)
-    heads = list(waiting)
-    heapq.heapify(heads)
     out: list[dict[int, int]] = []
     pivots: list[int] = []
-    while heads:
-        c = heapq.heappop(heads)
-        group = waiting.pop(c)
-        group.sort(key=len)  # stable: the first of the fewest entries
+    for c, group in _pivot_groups(_row_dicts(ri, ci, (a[ri, ci] % p).tolist())):
         inv = pow(group[0][c], -1, p)
         pivot = {j: v * inv % p for j, v in group[0].items()}
         out.append(pivot)
@@ -117,13 +123,49 @@ def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[dict[int, int]], list[int
                     row[j] = w
                 else:
                     del row[j]
-            if row:
-                head = min(row)
-                if head in waiting:
-                    waiting[head].append(row)
-                else:
-                    waiting[head] = [row]
-                    heapq.heappush(heads, head)
+    return out, pivots
+
+
+def _clear(row: dict[int, int], pivot: dict[int, int], c: int) -> None:
+    """Clear column c of the integer row dict `row` with `pivot`, in place,
+    both non-zero at c: with h = pivot[c], f = row[c] and g = gcd(h, f),
+    row becomes (h/g) row - (f/g) pivot, divided by its content.  Every
+    value stays an integer and no division leaves a remainder."""
+    h, f = pivot[c], row.pop(c)
+    g = gcd(h, f)
+    h, f = h // g, f // g
+    if h != 1:
+        for j in row:
+            row[j] *= h
+    for j, v in pivot.items():
+        if j != c:
+            w = row.get(j, 0) - f * v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+
+
+def _exact_echelon(a: np.ndarray) -> tuple[list[dict[int, int]], list[int]]:
+    """Forward echelon form of the integer matrix `a` over the integers, as
+    `echelon_mod_p` gives it mod p: (rows, pivot_columns), row i a dict
+    {column: int} of its non-zero entries, non-zero at pivot column i and
+    nothing left of it.  The same sparse elimination (`_pivot_groups`),
+    fraction-free: the pivot row is left as it is, and column c is cleared
+    from the other rows by `_clear`, an integer combination divided by its
+    content, in the manner of Bareiss (Math. Comp. 22, 1968)."""
+    ri, ci = np.nonzero(a)
+    out: list[dict[int, int]] = []
+    pivots: list[int] = []
+    for c, group in _pivot_groups(_row_dicts(ri, ci, a[ri, ci].tolist())):
+        out.append(group[0])
+        pivots.append(c)
+        for row in group[1:]:
+            _clear(row, group[0], c)
     return out, pivots
 
 
@@ -193,33 +235,6 @@ def _draw(seed: int, shape: tuple[int, int], modulus: int) -> np.ndarray:
     return (np.frombuffer(raw, dtype=np.uint32) % np.uint32(modulus)).reshape(shape)
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    t = ((r2 - r1) * pow(m1, -1, m2)) % m2
-    return r1 + m1 * t, m1 * m2
-
-
-def _rational_reconstruct(u: int, m: int) -> tuple[int, int] | None:
-    """Wang's algorithm: the unique n/d with |n|, d <= sqrt(m/2), d > 0,
-    gcd(d, m) = 1 and n = u*d mod m, as (n, d) in lowest terms, if it
-    exists."""
-    a0, a1 = m, u % m
-    x0, x1 = 0, 1
-    while a1 * a1 * 2 > m:
-        q = a0 // a1
-        a0, a1 = a1, a0 - q * a1
-        x0, x1 = x1, x0 - q * x1
-    if x1 == 0 or x1 * x1 * 2 > m:
-        return None
-    n, d = a1, x1
-    if d < 0:
-        n, d = -n, -d
-    if gcd(n, d) != 1:
-        return None
-    if n * n * 2 > m:
-        return None
-    return n, d
-
-
 def int_array(rows: list[list[int]]) -> np.ndarray:
     """Integer rows as an int64 array when every entry fits, as an object
     array of Python ints otherwise."""
@@ -271,31 +286,29 @@ def _components(
 
 class _BlockMatrix:
     """Integer sub-matrix of one or more connected components of a ModKernel
-    matrix (components with identical entries share it), with one forward
-    echelon form per prime of the schedule, the canonical kernel
-    coordinates of each (back-substituted when first read) and the residues
-    of its verification primes."""
+    matrix (components with identical entries share it), with its forward
+    echelon form mod PRIME, the canonical kernel coordinates mod PRIME
+    (back-substituted when first read) and its exact kernel (eliminated
+    when first asked for)."""
 
     def __init__(self, base: np.ndarray):
         self.base = base
-        self.max_abs = max_abs(base)
-        self.echelons: list[tuple[list[dict[int, int]], list[int]]] = []
-        self._kernels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.verify_residues: dict[int, np.ndarray] = {}
+        self.pivot_rows, self.pivots = echelon_mod_p(base, PRIME)
+        self._kernel: tuple[np.ndarray, np.ndarray] | None = None
+        self._exact: dict[int, list[tuple[int, int, int]]] | None = None
 
-    def kernel(self, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical kernel vectors of the echelon at the k-th prime p: the
-        slot of every local column among the free ones (-1 at a pivot) and
-        the float64 pivot-coordinate block, one column per free column,
-        which is minus the free columns of the reduced echelon form.
+    def kernel(self) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical kernel vectors mod PRIME: the slot of every local
+        column among the free ones (-1 at a pivot) and the float64
+        pivot-coordinate block, one column per free column, which is minus
+        the free columns of the reduced echelon form.
 
         Sparse back-substitution, last pivot row first: the reduced row of
         pivot i is its forward row minus, for each later pivot j the row
         holds, that entry times the reduced row of j.  Reduced rows are 0 at
         the other pivots, so only their free entries are kept."""
-        out = self._kernels.get(k)
-        if out is None:
-            ech, piv = self.echelons[k]
+        if self._kernel is None:
+            p, ech, piv = PRIME, self.pivot_rows, self.pivots
             n = self.base.shape[1]
             slot = np.zeros(n, dtype=np.intp)
             slot[piv] = -1
@@ -321,113 +334,56 @@ class _BlockMatrix:
             vv = [v for row in reduced.values() for v in row.values()]
             coords = np.zeros((len(piv), len(free)), dtype=np.float64)
             coords[ii, slot[cc]] = np.subtract(p, vv, dtype=np.float64)
-            out = self._kernels[k] = (slot, coords)
-        return out
+            self._kernel = (slot, coords)
+        return self._kernel
 
-    def verified(self, w: list[int]) -> bool:
-        """Exact zero test of base @ w for an integer vector w (numerators
-        over any common denominator): the integers base @ w are checked to
-        vanish modulo verification primes whose product exceeds twice the
-        a-priori magnitude bound, so vanishing modulo all of them implies
-        vanishing over the integers."""
-        if self.base.shape[0] == 0:
-            return True
-        bound = 2 * len(w) * self.max_abs * max(
-            (abs(c) for c in w), default=0
-        ) + 1
-        nzi = [j for j, c in enumerate(w) if c]
-        sparse = len(nzi) * 2 < len(w)
-        modulus = 1
-        for q in _VERIFY_PRIMES:
-            if modulus > bound:
-                return True
-            rq = self.verify_residues.get(q)
-            if rq is None:
-                rq = (self.base % q).astype(np.int64)
-                self.verify_residues[q] = rq
-            if sparse:
-                wq = np.array([w[j] % q for j in nzi], dtype=np.int64)
-                rq = rq[:, nzi]
-            else:
-                wq = np.array([c % q for c in w], dtype=np.int64)
-            prod = np.zeros(rq.shape[0], dtype=np.int64)
-            for c in range(0, len(wq), _MAX_COLS):  # no int64 overflow
-                prod = (prod + rq[:, c : c + _MAX_COLS] @ wq[c : c + _MAX_COLS]) % q
-            if prod.any():
-                return False
-            modulus *= q
-        # the candidate's entries are too tall for the prime pool; fall back
-        # to the direct exact dot products
-        nz = [(j, c) for j, c in enumerate(w) if c]
-        return not any(
-            sum(int(row[j]) * c for j, c in nz) for row in self.base
-        )
+    def exact_columns(self) -> dict[int, list[tuple[int, int, int]]]:
+        """The exact kernel: for every exact free column f, in ascending
+        order, the entries (c, h, v) of column f of the reduced echelon
+        form over the integers, one per row non-zero at f, with c the
+        row's pivot column and h its entry there.  The canonical kernel
+        vector of f is 1 at f, -v/h at each such c and 0 elsewhere.
 
-
-class _Blocks(Sequence):
-    """The (columns, block matrix) pair of every component of a ModKernel
-    matrix, in component order, read off the flat block arrays when
-    asked."""
-
-    def __init__(self, corder, coff, csize, matrix_of, matrices):
-        self._corder, self._coff, self._csize = corder, coff, csize
-        self._matrix_of, self._matrices = matrix_of, matrices
-
-    def __len__(self) -> int:
-        return len(self._coff)
-
-    def __getitem__(self, i: int) -> tuple[np.ndarray, _BlockMatrix]:
-        at = int(self._coff[i])
-        return (
-            self._corder[at : at + int(self._csize[i])],
-            self._matrices[int(self._matrix_of[i])],
-        )
-
-
-def _reconstructed(
-    residues: list[list[int]], primes: list[int]
-) -> tuple[list[int], int] | None:
-    """Rational vector whose entries reduce to the given residue vectors
-    modulo the given primes (CRT, then rational reconstruction), as integer
-    numerators over one positive denominator, in lowest terms; None when
-    some entry does not reconstruct."""
-    res, mod = residues[0], primes[0]
-    for vec, p in zip(residues[1:], primes[1:]):
-        res = [_crt_pair(r1, mod, r2, p)[0] for r1, r2 in zip(res, vec)]
-        mod *= p
-    fracs: list[tuple[int, int]] = []
-    den = 1
-    for u in res:
-        if not u:
-            fracs.append((0, 1))
-            continue
-        fr = _rational_reconstruct(u, mod)
-        if fr is None:
-            return None
-        fracs.append(fr)
-        den = lcm(den, fr[1])
-    return [n * (den // d) for n, d in fracs], den
+        One `_exact_echelon`, back-substituted once, last pivot row first:
+        each later pivot column that a forward row holds is cleared by
+        that pivot's reduced row (`_clear`).  Reduced rows are 0 at the
+        other pivots, so a reduced row is non-zero only at its own pivot
+        and at free columns, and every kernel vector is one read of a
+        column."""
+        if self._exact is None:
+            rows, piv = _exact_echelon(self.base)
+            at = dict(zip(piv, rows))
+            for row, c in zip(reversed(rows), reversed(piv)):
+                for j in [j for j in row if j != c and j in at]:
+                    _clear(row, at[j], j)
+            out = {f: [] for f in range(self.base.shape[1]) if f not in at}
+            for row, c in zip(rows, piv):
+                h = row[c]
+                for f, v in row.items():
+                    if f != c:
+                        out[f].append((c, h, v))
+            self._exact = out
+        return self._exact
 
 
 class ModKernel:
-    """Kernel analysis of one integer matrix, growing a prime schedule
-    lazily: one prime gives the dimension upper bound and the pivot/free
-    structure, more primes refine CRT residues until rational kernel
-    vectors reconstruct and verify.
+    """Kernel analysis of one integer matrix: the rank mod PRIME gives the
+    dimension upper bound and random kernel vectors mod PRIME, and an
+    exact elimination gives the exact dimension and kernel vectors.
 
     The matrix is given by its non-zero entries: row indices, column
     indices and integer values (int64 or Python ints in an object array),
     each position at most once, and its shape.  It is split once into the
-    connected components of its row-column graph and every prime
-    eliminates each component on its own.  The greedy pivot
-    columns of an echelon form are the columns outside the span of the
-    columns before them, and that span splits along the components, so the
-    pivots are those of one elimination of the whole matrix; the canonical
+    connected components of its row-column graph and each component is
+    eliminated on its own.  The greedy pivot columns of an echelon form
+    are the columns outside the span of the columns before them, and that
+    span splits along the components, so the pivots are those of one
+    elimination of the whole matrix, mod PRIME or exactly; the canonical
     kernel vector of a free column is non-zero only inside that column's
     component.  Components with the same shape, dtype and entries share one
-    `_BlockMatrix`: equal integer matrices have equal echelons, kernel
-    vectors and verification results, so each is eliminated once per
-    prime.  The split itself is held in flat arrays (the columns in
+    `_BlockMatrix`: equal integer matrices have equal echelons and kernel
+    vectors, so each is eliminated once mod PRIME and at most once
+    exactly.  The split itself is held in flat arrays (the columns in
     component order, every block's offset and size in that order, every
     block's matrix), so only the distinct block matrices are Python
     objects.
@@ -444,16 +400,16 @@ class ModKernel:
     ):
         m, n = shape
         self.ncols = n
-        rowcomp, self._block_of = _components(rows, cols, shape)
-        nb = int(self._block_of.max(initial=-1)) + 1
+        rowcomp, block_of = _components(rows, cols, shape)
+        nb = int(block_of.max(initial=-1)) + 1
         # the columns in block order, ascending within a block, with every
         # block's offset into that order and its size; the local position of
         # every column and of every row inside its block
-        corder = np.argsort(self._block_of, kind="stable")
-        csize = np.bincount(self._block_of, minlength=nb)
+        corder = np.argsort(block_of, kind="stable")
+        csize = np.bincount(block_of, minlength=nb)
         coff = np.cumsum(csize) - csize
-        self._local = np.empty(n, dtype=np.intp)
-        self._local[corder] = np.arange(n) - np.repeat(coff, csize)
+        local = np.empty(n, dtype=np.intp)
+        local[corder] = np.arange(n) - np.repeat(coff, csize)
         # (zero rows, numbered -1, sort first and are left out)
         rorder = np.argsort(rowcomp, kind="stable")[np.count_nonzero(rowcomp < 0) :]
         rsize = np.bincount(rowcomp[rorder], minlength=nb)
@@ -469,12 +425,13 @@ class ModKernel:
         boff = np.empty(nb, dtype=np.intp)
         boff[border] = np.cumsum(cells[border]) - cells[border]
         buf = np.zeros(int(cells.sum()), dtype=vals.dtype)
-        eb = self._block_of[cols]
-        buf[boff[eb] + local_row[rows] * csize[eb] + self._local[cols]] = vals
+        eb = block_of[cols]
+        buf[boff[eb] + local_row[rows] * csize[eb] + local[cols]] = vals
         # blocks with equal entries share one matrix: per matrix, the first
-        # block holding it, its entries and the blocks and columns holding
-        # it; the matrices are numbered in the order of their first blocks
-        shared: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        # block holding it, its entries and the columns of the blocks
+        # holding it; the matrices are numbered in the order of their first
+        # blocks
+        shared: list[tuple[int, np.ndarray, np.ndarray]] = []
         ends = np.flatnonzero(np.diff(shape_key[border])) + 1
         ends = ends.tolist() + [nb] if nb else []
         start = 0
@@ -495,122 +452,80 @@ class ModKernel:
             distinct = stack[[ms[0] for ms in members.values()]]  # a copy
             columns = corder[coff[group, None] + np.arange(c)]
             for base, ms in zip(distinct, members.values()):
-                shared.append((int(group[ms[0]]), base, group[ms], columns[ms]))
+                shared.append((int(group[ms[0]]), base, columns[ms]))
         shared.sort(key=lambda rec: rec[0])
-        matrix_of = np.empty(nb, dtype=np.intp)
-        for mi, (_, _, blocks, _) in enumerate(shared):
-            matrix_of[blocks] = mi
-        self._matrices = [_BlockMatrix(base) for _, base, _, _ in shared]
-        self._blocks = _Blocks(corder, coff, csize, matrix_of, self._matrices)
+        self._matrices = [_BlockMatrix(base) for _, base, _ in shared]
         # the columns of every block sharing a matrix, one row per block
-        self._instances = [columns for _, _, _, columns in shared]
-        self._primes: list[int] = []
-        self._pivots: list[list[int]] = []  # whole-matrix pivots per prime
-        self._add_prime()
-
-    def _add_prime(self) -> None:
-        for p in PRIMES:
-            if p not in self._primes:
-                break
-        else:
-            raise ReconstructionError("prime schedule exhausted")
-        pivots = []
-        for bm, cols in zip(self._matrices, self._instances):
-            bm.echelons.append(echelon_mod_p(bm.base, p))
-            pivots.append(cols[:, bm.echelons[-1][1]].ravel())
-        self._primes.append(p)
-        self._pivots.append(np.sort(np.concatenate(pivots)).tolist() if pivots else [])
+        self._instances = [columns for _, _, columns in shared]
+        free = np.ones(n, dtype=bool)
+        for bm, columns in zip(self._matrices, self._instances):
+            free[columns[:, bm.pivots]] = False
+        self._free = np.flatnonzero(free)
 
     @property
     def dim_upper_bound(self) -> int:
-        """Exact upper bound for the rational kernel dimension."""
-        return self.ncols - max(len(piv) for piv in self._pivots)
+        """Exact upper bound for the rational kernel dimension: the nullity
+        mod PRIME."""
+        return len(self._free)
 
-    def _structure(self) -> tuple[int, list[int], list[int]]:
-        """Index of the prime of largest rank (the first among equals), its
-        pivot columns and its free columns."""
-        k = max(range(len(self._primes)), key=lambda i: len(self._pivots[i]))
-        pivset = set(self._pivots[k])
-        free = [c for c in range(self.ncols) if c not in pivset]
-        return k, self._pivots[k], free
+    def _exact_blocks(self) -> Iterator[tuple[_BlockMatrix, np.ndarray]]:
+        """(matrix, columns of its blocks) of every block matrix with a free
+        column mod PRIME; the rank mod PRIME is at most the rank over the
+        rationals, so no other block has a rational kernel vector."""
+        for bm, columns in zip(self._matrices, self._instances):
+            if len(bm.pivots) < bm.base.shape[1]:
+                yield bm, columns
 
-    def _lucky(self, base_pivots: list[int]) -> list[int]:
-        """Indices of the primes whose pivots are the base pivots; the
-        others are unlucky (rank dropped or structure shifted)."""
-        ks = [k for k, piv in enumerate(self._pivots) if piv == base_pivots]
-        if not ks:
-            raise RuntimeError("no prime with the base pivots to reconstruct from")
-        return ks
-
-    def _grow(self, base_pivots: list[int]) -> None:
-        """Add a prime after a failed candidate, keeping the structure."""
-        if len(self._primes) >= _MAX_PRIMES:
-            raise ReconstructionError(
-                "kernel vector did not reconstruct from "
-                f"{len(self._primes)} primes"
-            )
-        self._add_prime()
-        if self._structure()[1] != base_pivots:
-            raise ReconstructionError("unstable pivot structure")
+    @property
+    def nullity(self) -> int:
+        """The exact dimension of the rational kernel."""
+        return sum(
+            len(columns) * len(bm.exact_columns()) for bm, columns in self._exact_blocks()
+        )
 
     def random_residues(self, count: int, seed: int = 0) -> tuple[np.ndarray, int]:
-        """`count` random kernel vectors modulo the prime p of the largest
-        rank, with no lifting: the columns of an (ncols, count) float64
-        array of residues whose free coordinates are uniform in [0, p)
-        (deterministic in `seed`) and whose pivot coordinates follow from
-        the canonical kernel vectors, in one product per block matrix for
-        all the blocks that share it.  Returns the array and p."""
-        k, _, free = self._structure()
-        p = self._primes[k]
+        """`count` random kernel vectors modulo p = PRIME, with no lifting:
+        the columns of an (ncols, count) float64 array of residues whose
+        free coordinates are uniform in [0, p) (deterministic in `seed`)
+        and whose pivot coordinates follow from the canonical kernel
+        vectors, in one product per block matrix for all the blocks that
+        share it.  Returns the array and p."""
+        p = PRIME
         u = np.zeros((self.ncols, count), dtype=np.float64)
-        u[free] = _draw(seed, (len(free), count), p)
+        u[self._free] = _draw(seed, (len(self._free), count), p)
         for bm, cols in zip(self._matrices, self._instances):
-            piv = bm.echelons[k][1]
-            slot, coords = bm.kernel(k, p)
+            slot, coords = bm.kernel()
             if not coords.size:  # no pivots, or no free columns
                 continue
             # (blocks, free, count) -> (blocks, pivots, count)
-            u[cols[:, piv]] = matmul_mod_p(coords, u[cols[:, slot >= 0]], p)
+            u[cols[:, bm.pivots]] = matmul_mod_p(coords, u[cols[:, slot >= 0]], p)
         return u, p
 
     def exact_vectors(self) -> Iterator[tuple[list[int], int]]:
-        """Yield verified rational kernel vectors as (numerators,
-        denominator), one per free column in ascending order (so the
-        collection is independent: each has entry 1, numerator equal to the
-        denominator, at its own free column and 0 at the others).  Yields at
-        most dim_upper_bound vectors; if all of them verify they form a full
-        kernel basis."""
-        _, base_pivots, free = self._structure()
+        """Yield the canonical basis of the rational kernel as (numerators,
+        denominator), one vector per free column of the exact pivot
+        structure, in ascending order: 1 at its own free column and 0 at
+        the others, so the vectors are independent, and there are
+        `nullity` of them.  Each is the primitive integer vector on its
+        ray with its positive entry at its free column, over that entry as
+        denominator: a canonical vector in lowest terms.
 
-        def candidate(col: int, bi: int) -> tuple[list[int], int] | None:
-            """CRT residues of the canonical kernel vector of a free column
-            across the lucky primes, restricted to its block and rationally
-            reconstructed; None if reconstruction fails (the caller should
-            add a prime and retry)."""
-            bc, bm = self._blocks[bi]
-            residues: list[list[int]] = []
-            primes: list[int] = []
-            for k in self._lucky(base_pivots):
-                piv = bm.echelons[k][1]
-                slot, coords = bm.kernel(k, self._primes[k])
-                coords = coords[:, slot[self._local[col]]]
-                vec = [0] * len(bc)
-                vec[self._local[col]] = 1
-                for c, e in zip(piv, coords.tolist()):
-                    vec[c] = int(e)
-                residues.append(vec)
-                primes.append(self._primes[k])
-            return _reconstructed(residues, primes)
-
-        for col in free:
-            bi = int(self._block_of[col])
-            bc, bm = self._blocks[bi]
-            while True:
-                part = candidate(col, bi)
-                if part is not None and bm.verified(part[0]):
-                    out = [0] * self.ncols
-                    for c, e in zip(bc.tolist(), part[0]):
-                        out[c] = e
-                    yield out, part[1]
-                    break
-                self._grow(base_pivots)
+        The exact free columns of every block are collected before the
+        first vector is yielded: under an unlucky prime they differ from
+        the free columns mod PRIME, so the global order is only known once
+        every block with a free column mod PRIME is eliminated."""
+        found = []
+        for bm, columns in self._exact_blocks():
+            kernel = bm.exact_columns()
+            for cols in columns.tolist():
+                found += [(cols[f], cols, entries) for f, entries in kernel.items()]
+        found.sort(key=lambda rec: rec[0])
+        for col, cols, entries in found:
+            # the least d with d * v / h integral for every entry: then the
+            # vector d at f and -d * v / h at c is primitive
+            den = lcm(1, *(h // gcd(h, v) for _, h, v in entries))
+            out = [0] * self.ncols
+            out[col] = den
+            for c, h, v in entries:
+                out[cols[c]] = -(den * v // h)
+            yield out, den

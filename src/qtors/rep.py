@@ -18,9 +18,8 @@ from math import gcd, lcm
 from .forms import forms_context
 from .linalg import Matrix, _gauss_jordan, cokernel, extend_to_basis
 from .modkernel import (
-    PRIMES,
+    PRIME,
     ModKernel,
-    ReconstructionError,
     echelon_mod_p,
     int_array,
     matmul_mod_p,
@@ -231,17 +230,15 @@ def hom_dim(x: Rep, y: Rep) -> int:
     """dim Hom(x, y) from the reduced Hom system, kept on x for the pair
     (`_pair_memo`).  The modular upper bound meets the Euler-form lower
     bound (dim Hom >= <dim x, dim y> over a hereditary algebra) in the
-    common rigid cases; otherwise every solution of the reduced system is
-    lifted and verified, which pins the dimension exactly."""
+    common rigid cases; otherwise the dimension is the exact nullity of the
+    system, read off its exact elimination without building any kernel
+    vector."""
     if x.quiver != y.quiver:
         raise ValueError("Hom requires representations of the same quiver")
     memo = _pair_memo(x, y)
     if "dim" not in memo:
         sys = _best_dim_system(_integer_form(x), _integer_form(y))
-        if not _pinned(sys, x, y):
-            for _ in sys.solutions():  # all verify, so dim Hom = upper
-                pass
-        memo["dim"] = sys.upper
+        memo["dim"] = sys.upper if _pinned(sys, x, y) else sys.mk.nullity
     return memo["dim"]
 
 
@@ -511,8 +508,8 @@ def exists_surjection(x: Rep, y: Rep) -> bool:
     Fac(x), is a certain "no".  On a pinned system one random solution
     mod p whose trace has rank dim y_v at every vertex v certifies "yes"
     (`_gen_certified_mod_p`).  Otherwise seeded random combinations of the
-    lifted solution basis, with integer coefficients in [1, p] for
-    p = PRIMES[0], are tested exactly; every "yes" is certified.
+    exact solution basis, with integer coefficients in [1, p] for
+    p = PRIME, are tested exactly; every "yes" is certified.
 
     The last "no" is probabilistic, not a proof: if a surjection exists, a
     product of one dim y_v minor of the trace columns per vertex is a
@@ -529,7 +526,7 @@ def exists_surjection(x: Rep, y: Rep) -> bool:
     sys = _hom_system(gi, ti)
     if _pinned(sys, x, y) and _gen_certified_mod_p(sys, ti, solutions=1):
         return True
-    p, d = PRIMES[0], ti.total_dim()
+    p, d = PRIME, ti.total_dim()
     if d >= p:
         raise ValueError("surjection test requires total dim y below the draw prime")
     basis = np.array([w for w, _ in sys.solutions()], dtype=object)
@@ -600,12 +597,13 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
 # (`_certified_int_kernel`): the epis are mostly zero and unit columns, and
 # the elimination touches only the rows non-zero at each pivot.  The system
 # then has integer entries and its kernel is analyzed by qtors.modkernel:
-# modular nullities are certified upper bounds, verified lifted vectors
-# certified lower bounds, and every value returned here is exact.  A
+# the nullity modulo one prime is a certified upper bound, and a sparse
+# fraction-free elimination of each block gives the exact nullity and the
+# exact canonical kernel basis, so every value returned here is exact.  A
 # system is *pinned* when its upper bound meets the Euler-form lower bound;
-# then its dimension needs no lifting, and a Gen or surjection "yes" is
-# certified modulo one prime (`_gen_certified_mod_p`).  Every other
-# question lifts the verified canonical kernel basis.  The integer and
+# then its dimension needs no exact elimination, and a Gen or surjection
+# "yes" is certified modulo the prime (`_gen_certified_mod_p`).  Every
+# other question reads the exact kernel.  The integer and
 # dual forms, presentations and path maps are cached on the Rep they
 # describe; Hom systems and dimensions on the first argument, keyed by a
 # weak reference to the second (`_pair_memo`).
@@ -694,7 +692,7 @@ def _complement_coords(r: Matrix) -> list[int]:
         return []
     if r.cols == 0:
         return list(range(d))
-    _, pivots = echelon_mod_p(int_array(r._num)[::-1].T, PRIMES[0])
+    _, pivots = echelon_mod_p(int_array(r._num)[::-1].T, PRIME)
     independent = {d - 1 - j for j in pivots}
     return [i for i in range(d) if i not in independent]
 
@@ -786,7 +784,6 @@ class _HomSystem:
     mk: ModKernel | None
     ynp: dict[tuple[int, tuple[int, ...]], np.ndarray]
     _residues: dict[int, dict] = field(default_factory=dict, repr=False)
-    _refined: bool = field(default=False, repr=False)
 
     @property
     def upper(self) -> int:
@@ -811,32 +808,13 @@ class _HomSystem:
             }
         return maps
 
-    def refine(self) -> None:
-        """Add one prime to the schedule, once per system (none when the
-        schedule is exhausted)."""
-        if self.mk is None or self._refined:
-            return
-        self._refined = True
-        try:
-            self.mk._add_prime()
-        except ReconstructionError:
-            pass
-
     def solutions(self):
-        """Verified exact solution vectors as (numerators, denominator), one
-        per free column of the pivot structure.  A prime that raises the
-        rank, so that the primes before it were unlucky and the structure
-        shifts, starts a new pass on the new structure.  Every vector is an
-        exact solution; once the iterator is exhausted, the last pass has
-        yielded `upper` independent vectors, a basis."""
-        while self.mk is not None:
-            upper = self.upper
-            try:
-                yield from self.mk.exact_vectors()
-                return
-            except ReconstructionError:
-                if self.upper == upper:
-                    raise
+        """The canonical basis of the solutions, from one exact elimination
+        per block (`ModKernel.exact_vectors`): (numerators, denominator),
+        one vector per free column of the exact pivot structure, in
+        ascending order."""
+        if self.mk is not None:
+            yield from self.mk.exact_vectors()
 
 
 def _generator_runs(
@@ -986,13 +964,10 @@ def _hom_system(x: Rep, y: Rep) -> _HomSystem:
 
 def _pinned(sys: _HomSystem, x: Rep, y: Rep) -> bool:
     """Whether the upper bound of a system for Hom(x, y) meets the
-    Euler-form lower bound max(0, <dim x, dim y>) of dim Hom.  A system
-    that does not first gets one more prime (the bound can only fall): an
-    unlucky first prime then no longer sets the pivot structure that
-    lifting reconstructs from."""
+    Euler-form lower bound max(0, <dim x, dim y>) of dim Hom, which pins
+    dim Hom to it.  An unlucky prime leaves the system unpinned, and its
+    questions go to the exact kernel."""
     lower = max(forms_context(x.quiver).euler_form(list(x.dims), list(y.dims)), 0)
-    if sys.upper != lower:
-        sys.refine()
     return sys.upper == lower
 
 
@@ -1029,9 +1004,8 @@ def _gen_certified_mod_p(sys: _HomSystem, ti: Rep, solutions: int = 0) -> bool:
     """True only with a certificate that the trace of g in t is full, read
     off random kernel vectors of a pinned Hom system modulo one prime, with
     no lifting; False means unknown.  The caller must have checked that the
-    system is pinned: its upper bound equals the Euler-form lower bound.
-    The bound is read at the prime p that `ModKernel._structure` picks (the
-    one of largest rank), so at p, dim K_p = dim_Q ker A for the system
+    system is pinned: its upper bound, the nullity modulo p = PRIME, equals
+    the Euler-form lower bound, so dim K_p = dim_Q ker A for the system
     matrix A and K_p = ker(A mod p).
 
     Proof.  Let L = ker_Q(A) ∩ Z^n.  L is saturated (v in L and v = 0 mod p
@@ -1126,7 +1100,7 @@ def gen_contains(m: Rep, x: Rep) -> bool:
     - a pinned system (upper bound equal to the Euler-form lower bound)
       certifies "yes" from random solutions modulo one prime
       (`_gen_certified_mod_p`);
-    - otherwise the verified canonical solution basis is lifted in order,
+    - otherwise the exact canonical solution basis is read in order,
       and the trace, spanned by the path images of its generator images,
       grows by exact columns only: each vertex keeps the residues of its
       greedy pivot columns mod p, fullness mod p at every vertex decides
@@ -1152,7 +1126,7 @@ def gen_contains(m: Rep, x: Rep) -> bool:
         return True
     buffers: list[list[np.ndarray]] = [[] for _ in range(q.n)]
     full = [d == 0 for d in ti.dims]
-    p0 = PRIMES[0]
+    p0 = PRIME
     # residues mod p0 of trace columns independent mod p0 (hence exactly),
     # one float64 column each, at every vertex
     kept = [np.zeros((d, 0)) for d in ti.dims]
@@ -1173,7 +1147,7 @@ def gen_contains(m: Rep, x: Rep) -> bool:
             full[v] = len(pivots) == ti.dims[v]
         if all(full):
             return True
-    # the verified solutions span Hom(g, t), so the buffers span the exact
+    # the exact solutions span Hom(g, t), so the buffers span the exact
     # trace
     return all(
         full[v] or _exact_column_span_full(buffers[v], ti.dims[v])

@@ -6,16 +6,15 @@ coboundaries are the restrictions of morphisms P0 -> X, and the middle term
 of an extension is the pushout (X + P0) / graph.  It is kept only as a test
 oracle for the dimension, the cocycle classes and the middle terms.
 
-`modular_int_kernel` is the route `qtors.rep` took to the presentation
-kernels before they came from one exact elimination: `ModKernel`
-reconstruction one vector at a time, with the exact kernel as fallback.
-It is kept as the oracle of `_certified_int_kernel`.
+`fraction_int_kernel` is the oracle of `_certified_int_kernel`: the
+kernel basis of the entry-wise `Fraction` matrix of `fraction_linalg`,
+each vector scaled to a primitive integer vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -28,8 +27,10 @@ from qtors import (
     projective_presentation,
 )
 from qtors.linalg import complement_indices
-from qtors.modkernel import ModKernel, ReconstructionError, int_array
+from qtors.modkernel import int_array
 from qtors.rep import Morphism, PresentationData, _paths_from
+
+import fraction_linalg
 
 
 def nonzero_triples(
@@ -42,33 +43,21 @@ def nonzero_triples(
     return ri, ci, a[ri, ci], a.shape
 
 
-def _scaled_int_vector(nums: list[int]) -> list[int]:
-    """The primitive integer vector on the ray of an integer vector."""
-    g = 0
-    for c in nums:
-        g = gcd(g, c)
-        if g == 1:
-            return nums
-    return [c // g for c in nums] if g > 1 else nums
-
-
-def modular_int_kernel(mat: np.ndarray) -> np.ndarray:
+def fraction_int_kernel(mat: np.ndarray) -> np.ndarray:
     """Integer basis of the rational kernel of an integer matrix, shape
-    (ncols, nullity).  Every basis vector is verified exactly and the count
-    matches the modular nullity bound, so completeness is certified; if
-    lifting fails the exact fallback runs instead."""
+    (ncols, nullity): the `Fraction` kernel basis (1 at each free column in
+    increasing order, 0 at the other free columns), each vector times the
+    least common multiple of its denominators, which makes it primitive
+    with a positive entry at its free column.  int64 when every entry
+    fits, object otherwise."""
     m, n = mat.shape
-    try:
-        mk = ModKernel(*nonzero_triples(mat))
-        cols = [_scaled_int_vector(nums) for nums, _ in mk.exact_vectors()]
-    except ReconstructionError:
-        exact = Matrix(m, n, mat.tolist())
-        cols = [
-            _scaled_int_vector([row[0] for row in Matrix.column(vec)._num])
-            for vec in exact.kernel_basis()
-        ]
-    if not cols:
+    basis = fraction_linalg.Matrix(m, n, mat.tolist()).kernel_basis()
+    if not basis:
         return np.zeros((n, 0), dtype=np.int64)
+    cols = []
+    for vec in basis:
+        den = lcm(*(x.denominator for x in vec))
+        cols.append([int(x * den) for x in vec])
     return int_array(cols).T
 
 

@@ -341,3 +341,33 @@ class TestExitCodes:
     def test_malformed_abc(self, capsys):
         code, _, err = run(capsys, "witness", "--abc", "2;1;0")
         assert code == 2
+
+    def test_negative_multiplicity_is_usage_error(self, capsys, monkeypatch):
+        # a negative multiplicity is refused before any witness is built,
+        # not read as no arrows
+        def refuse(*args):
+            raise AssertionError("a witness was built")
+
+        monkeypatch.setattr(cli, "build_wild_witness", refuse)
+        for abc in ("2,-3,1", "-1,1,0", "2,1,-1"):
+            code, out, err = run(capsys, "witness", f"--abc={abc}")
+            assert code == 2 and out == "", abc
+            assert err.startswith("error:") and "non-negative" in err
+
+    def test_empty_euler_grid_is_usage_error(self, capsys, monkeypatch):
+        # a grid with no point is refused before any form is computed, not
+        # reported "ok" over 0 points
+        def refuse(*args):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(cli, "triple_quiver", refuse)
+        for a, b, c in ((-1, 1, 0), (1, 2, 2), (3, 0, 2), (3, 2, -1)):
+            code, out, err = run(
+                capsys, "euler-scan", f"--amax={a}", f"--bmax={b}", f"--cmax={c}"
+            )
+            assert code == 2 and out == "", (a, b, c)
+            assert err.startswith("error:") and "empty" in err
+        # the smallest grid is one point
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "euler-scan", "--amax", "2", "--bmax", "1", "--cmax", "0")
+        assert code == 0 and json.loads(out)["points"] == 1

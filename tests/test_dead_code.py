@@ -3,7 +3,9 @@ constant of the package, public or private, and every private method, is
 named somewhere in the package outside its own definition.  The imports of
 `__init__.py` count, so the public API is used by definition.  An import
 counts as a use, so every other module must also read each name it
-imports."""
+imports.  The names that the benchmark tracer reads count too: it wraps
+package functions and classes by name from outside the package.  Its
+source is parsed as text here, never imported or executed."""
 
 import ast
 from collections import Counter
@@ -12,6 +14,7 @@ from pathlib import Path
 import qtors
 
 SRC = Path(qtors.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _names(node):
@@ -54,11 +57,12 @@ def _definitions(tree):
                     yield f"{node.name}.{name}", name, item
 
 
-def _unused(trees):
+def _unused(trees, outside=()):
     """`file:qualname` of the definitions in the parsed modules `trees`
-    (file name -> module) that no other code names."""
+    (file name -> module) that no other code names, in the package or in
+    the parsed modules `outside`."""
     uses = Counter()
-    for tree in trees.values():
+    for tree in [*trees.values(), *outside]:
         uses.update(_names(tree))
     out = []
     for fname, tree in trees.items():
@@ -94,7 +98,7 @@ def _unread_imports(trees):
 
 def test_every_definition_is_used():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    assert _unused(trees) == []
+    assert _unused(trees, [ast.parse(TRACING.read_text())]) == []
 
 
 def test_the_guard_flags_definitions_named_only_in_their_own_body():
@@ -127,6 +131,14 @@ def test_the_guard_flags_definitions_named_only_in_their_own_body():
         "m.py:_TYPED",
         "m.py:TABLE",
     ]
+
+
+def test_the_guard_counts_names_read_outside_the_package():
+    module = ast.parse("class _Wrapped(Exception):\n    pass\ndef _dead():\n    pass\n")
+    tracer = ast.parse("def install(mods):\n    wrap(mods['m']._Wrapped)\n")
+    trees = {"m.py": module}
+    assert _unused(trees) == ["m.py:_Wrapped", "m.py:_dead"]
+    assert _unused(trees, [tracer]) == ["m.py:_dead"]
 
 
 def test_every_import_is_read():

@@ -112,6 +112,10 @@ def test_triple_quiver_layout():
     q = triple_quiver(2, 1, 3)
     assert q.n == 3
     assert sorted(q.arrows) == [(1, 2)] * 2 + [(1, 3)] * 3 + [(2, 3)]
+    assert triple_quiver(0, 0, 0).arrows == ()
+    for abc in [(2, -3, 1), (-1, 1, 0), (2, 1, -1)]:
+        with pytest.raises(QuiverError, match="non-negative"):
+            triple_quiver(*abc)
 
 
 def test_closed_form_matches_matrix_form_samples():

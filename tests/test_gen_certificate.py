@@ -16,15 +16,18 @@ from qtors import (
     build_wild_witness,
     direct_sum,
     enumerate_indecomposables,
+    exists_surjection,
     forms_context,
     gen_contains,
+    hom_basis,
     hom_dim,
+    is_isomorphic,
     kronecker_window,
     simple_rep,
     triple_quiver,
 )
-from qtors import rep
-from qtors.modkernel import PRIMES
+from qtors import modkernel, rep
+from qtors.modkernel import PRIME
 
 from conftest import linear_quiver, star_quiver
 from test_hom_route import _twisted
@@ -111,46 +114,52 @@ def test_path_maps_past_int64():
 
 
 def _unlucky_pair():
-    """S1 + S2 and t of dims (1, 1) on 1 -> 2 whose arrow map is the first
-    prime: modulo that prime t looks like S1 + S2, so the Hom system has
+    """S1 + S2 and t of dims (1, 1) on 1 -> 2 whose arrow map is the
+    prime: modulo the prime t looks like S1 + S2, so the Hom system has
     upper bound 2, while over the rationals Hom(S1 + S2, t) = Hom(S2, t)
     has dimension 1 and the trace misses vertex 1."""
     q = Quiver(2, ((1, 2),))
     g = direct_sum([simple_rep(q, 1), simple_rep(q, 2)])
-    t = Rep(q, (1, 1), (Matrix(1, 1, [[PRIMES[0]]]),))
+    t = Rep(q, (1, 1), (Matrix(1, 1, [[PRIME]]),))
     return g, t
 
 
 def _unlucky_unpinned_pair(arrow):
     """S1 + S2 and t of dims (1, 1) on the Kronecker quiver 1 => 2 whose
-    arrow maps are `arrow`, a product of leading primes, and 0: modulo those
-    primes t looks like S1 + S2, so the Hom system has upper bound 2 against
+    arrow maps are `arrow`, a multiple of the prime, and 0: modulo the
+    prime t looks like S1 + S2, so the Hom system has upper bound 2 against
     a Euler bound of 0 and is not pinned, while Hom(S1 + S2, t) = Hom(S2, t)
-    has dimension 1.  Lifting from the pivots of an unlucky prime cannot
-    reconstruct; the lift must move to a prime of larger rank."""
+    has dimension 1.  The free columns mod p are not the exact ones, so
+    the answers must come from the exact elimination."""
     q = Quiver(2, ((1, 2), (1, 2)))
     g = direct_sum([simple_rep(q, 1), simple_rep(q, 2)])
     t = Rep(q, (1, 1), (Matrix(1, 1, [[arrow]]), Matrix(1, 1, [[0]])))
     return g, t
 
 
+# a prime other than PRIME, so that PRIME * _OTHER_PRIME is unlucky at PRIME
+# and has a second large prime factor
+_OTHER_PRIME = 524269
+
+
 def test_unlucky_prime_cannot_certify():
     g, t = _unlucky_pair()
     assert not gen_contains(g, t)
     g, t = _unlucky_pair()
-    # a second prime pins the system, so its dimension needs no lifting
-    with mock.patch.object(rep._HomSystem, "solutions", side_effect=AssertionError):
-        assert hom_dim(g, t) == 1
-
-    g, t = _unlucky_pair()
     sys = rep._hom_system(rep._integer_form(g), rep._integer_form(t))
     euler = forms_context(t.quiver).euler_form(list(g.dims), list(t.dims))
+    # the unlucky prime leaves the system unpinned
     assert (sys.upper, euler) == (2, 1)
+    assert not rep._pinned(sys, g, t)
     # without the pin guard the mod-p trace is full and would answer True
     assert rep._gen_certified_mod_p(sys, rep._integer_form(t))
     assert not gen_contains(g, t)
+    g, t = _unlucky_pair()
+    # the exact nullity, with no kernel vector built
+    with mock.patch.object(rep.ModKernel, "exact_vectors", side_effect=AssertionError):
+        assert hom_dim(g, t) == 1
 
-    for arrow in (PRIMES[0], PRIMES[0] * PRIMES[1]):
+    for arrow in (PRIME, PRIME * _OTHER_PRIME):
         g, t = _unlucky_unpinned_pair(arrow)
         sys = rep._hom_system(rep._integer_form(g), rep._integer_form(t))
         euler = forms_context(t.quiver).euler_form(list(g.dims), list(t.dims))
@@ -160,12 +169,26 @@ def test_unlucky_prime_cannot_certify():
         assert not gen_contains(g, t)
         g, t = _unlucky_unpinned_pair(arrow)
         assert hom_dim(g, t) == 1
-    # a system takes its second prime once, not once per question
-    g, t = _unlucky_unpinned_pair(PRIMES[0])
-    for _ in range(3):
+        # t is a brick that looks like S1 + S2 mod p: End(t) has upper
+        # bound 2, and the identity is onto
+        _, t = _unlucky_unpinned_pair(arrow)
+        sys = rep._hom_system(rep._integer_form(t), rep._integer_form(t))
+        assert sys.upper == 2 and not rep._pinned(sys, t, t)
+        assert hom_dim(t, t) == 1
+        assert exists_surjection(t, t)
+        assert is_isomorphic(t, t)
+        assert len(hom_basis(t, t)) == 1
+
+    # a system eliminates its blocks exactly once, not once per question
+    g, t = _unlucky_unpinned_pair(PRIME)
+    with mock.patch.object(
+        modkernel, "_exact_echelon", wraps=modkernel._exact_echelon
+    ) as exact:
         assert not gen_contains(g, t)
-    sys = rep._hom_system(rep._integer_form(g), rep._integer_form(t))
-    assert len(sys.mk._primes) == 2
+        calls = exact.call_count
+        for _ in range(3):
+            assert not gen_contains(g, t)
+    assert calls and exact.call_count == calls
 
 
 def test_certificate_reads_cached_path_residues():
@@ -174,8 +197,8 @@ def test_certificate_reads_cached_path_residues():
     m = w.preprojectives[-1]
     assert gen_contains(top, m)
     sys = rep._hom_system(rep._integer_form(top), rep._integer_form(m))
-    maps = sys.path_residues(PRIMES[0])
-    assert sys.path_residues(PRIMES[0]) is maps
+    maps = sys.path_residues(PRIME)
+    assert sys.path_residues(PRIME) is maps
     assert all(pth for _, pth in maps)  # the identity is never stored
     for (v, pth), res in maps.items():
-        assert np.array_equal(res, sys.ynp[(v, pth)] % PRIMES[0])
+        assert np.array_equal(res, sys.ynp[(v, pth)] % PRIME)

@@ -14,7 +14,7 @@ from qtors import (
     enumerate_indecomposables,
     kronecker_window,
 )
-from qtors.modkernel import PRIMES, echelon_mod_p, max_abs
+from qtors.modkernel import PRIME, echelon_mod_p, max_abs
 from qtors.rep import (
     _complement_coords,
     _hom_rows,
@@ -224,7 +224,7 @@ def test_per_generator_bound_when_a_tall_generator_adds_no_term():
 
 def test_tops_are_the_identity_pivots_of_radical_beside_identity():
     rng = np.random.default_rng(3)
-    p = PRIMES[0]
+    p = PRIME
     for _ in range(40):
         d, m, rank = (int(t) for t in rng.integers(1, 7, 3))
         r = rng.integers(-3, 4, (d, min(rank, d))) @ rng.integers(-3, 4, (min(rank, d), m))

@@ -25,7 +25,7 @@ from qtors import (
     simple_rep,
     zero_rep,
 )
-from qtors.modkernel import PRIMES, _MAX_COLS, echelon_mod_p, pivot_columns_mod_p
+from qtors.modkernel import PRIME, _MAX_COLS, echelon_mod_p, pivot_columns_mod_p
 from qtors.rep import _exact_column_span_full
 
 from conftest import dense_gen_contains, linear_quiver, star_quiver
@@ -200,12 +200,12 @@ _NO_MODKERNEL = mock.patch.object(
 @_NO_MODKERNEL
 class TestWideColumnBuffers:
     """The exact Gen route ranks trace columns as `gen_contains` does: their
-    residues mod PRIMES[0] as float64 go to `pivot_columns_mod_p`, and a
+    residues mod PRIME as float64 go to `pivot_columns_mod_p`, and a
     vertex left short is decided by `_exact_column_span_full`."""
 
     @staticmethod
     def _pivots(cols):
-        p = PRIMES[0]
+        p = PRIME
         return pivot_columns_mod_p(
             (np.stack(cols, axis=1) % p).astype(np.float64), p
         )
@@ -232,7 +232,7 @@ class TestWideColumnBuffers:
         a = rng.integers(-3, 4, (dim, rank)) @ rng.integers(-3, 4, (rank, n))
         a[:, rng.integers(0, n, 20)] = 0
         cols = [a[:, j] for j in range(n)]
-        p = PRIMES[0]
+        p = PRIME
         _, piv = echelon_mod_p(a, p)
         assert self._pivots(cols) == piv
         assert _exact_column_span_full(cols, dim) == (len(piv) == dim)
@@ -241,7 +241,7 @@ class TestWideColumnBuffers:
 class TestExactGenRoute:
     @_NO_MODKERNEL
     def test_full_over_q_but_zero_mod_the_first_prime(self):
-        assert _exact_column_span_full([np.array([PRIMES[0]], dtype=np.int64)], 1)
+        assert _exact_column_span_full([np.array([PRIME], dtype=np.int64)], 1)
 
     @_NO_MODKERNEL
     def test_rank_deficient_columns(self):

@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 
 from qtors import Matrix, modkernel
 from qtors.modkernel import (
-    PRIMES,
+    PRIME,
     ModKernel,
-    ReconstructionError,
     echelon_mod_p,
     pivot_columns_mod_p,
 )
 
+import fraction_linalg
 from presentation_ext import nonzero_triples
+
+# primes below 2**19 at which the modular eliminations are tested
+PRIMES = (PRIME, 524269, 524261, 524257, 524243, 524231, 524221, 524219)
 
 
 def _fracs(vec):
@@ -112,11 +115,11 @@ def _oracle_residues(base, p):
 
 def _block_residues(base, p):
     """The same data from `echelon_mod_p` and the back-substitution of
-    `_BlockMatrix.kernel`."""
-    bm = modkernel._BlockMatrix(base)
-    bm.echelons.append(echelon_mod_p(base, p))
-    slot, coords = bm.kernel(0, p)
-    piv = bm.echelons[0][1]
+    `_BlockMatrix.kernel`, with p in place of PRIME."""
+    with mock.patch.object(modkernel, "PRIME", p):
+        bm = modkernel._BlockMatrix(base)
+        slot, coords = bm.kernel()
+    piv = bm.pivots
     free = np.flatnonzero(slot >= 0).tolist()
     assert coords.dtype == np.float64 and coords.shape == (len(piv), len(free))
     assert slot[free].tolist() == list(range(len(free)))
@@ -239,15 +242,15 @@ def test_exact_vectors_are_verified_kernel_members():
         data = _rank_deficient_rows(rng, rows, cols, rank)
         mk = ModKernel(*nonzero_triples(np.array(data)))
         m = Matrix.from_rows(data)
-        assert mk.dim_upper_bound == cols - m.rank()
+        assert mk.dim_upper_bound == mk.nullity == cols - m.rank()
         vecs = list(mk.exact_vectors())
-        assert len(vecs) == mk.dim_upper_bound
+        assert len(vecs) == mk.nullity
         assert all(_lowest_terms(v) for v in vecs)
         vecs = [nums for nums, _ in vecs]
         for v in vecs:
             assert all(x == 0 for x in m.apply(v))
-        # verified vectors are linearly independent: each has a unit at a
-        # free column no nonzero entry of another vector shares
+        # the vectors are linearly independent: each has a unit at a free
+        # column no nonzero entry of another vector shares
         if vecs:
             stacked = Matrix.from_columns(vecs, nrows=cols)
             assert stacked.rank() == len(vecs)
@@ -288,37 +291,41 @@ def test_zero_matrix():
 
 def test_random_vectors_of_a_block_wider_than_2_15_columns():
     # one dense row is one block of 100 000 columns.  Its canonical kernel
-    # coordinates are p - 2 and its verification residues q - 1 and q - 2,
-    # so over dense free coordinates the plain dot products pass 2**53
-    # (float64, in random_residues) and 2**63 (int64, in verified): only
-    # chunked reduction keeps them exact
+    # coordinates are p - 2, so over dense free coordinates the plain dot
+    # products pass 2**53 (float64, in random_residues): only chunked
+    # reduction keeps them exact.  Its exact kernel is back-substituted
+    # once, not once per vector
     n = 100_000
     row = np.full(n, -2, dtype=np.int64)
     row[0] = -1
     mk = ModKernel(*nonzero_triples(row[None, :]))
-    ((_, bm),) = mk._blocks
-    assert mk.dim_upper_bound == n - 1
+    (bm,) = mk._matrices
+    assert mk.dim_upper_bound == mk.nullity == n - 1
     first = itertools.islice(mk.exact_vectors(), 3)
     for j, (nums, den) in enumerate(first, start=1):
         assert den == 1 and nums[0] == -2 and nums[j] == 1
         assert sum(1 for e in nums if e) == 2
+    # column f of the exact reduced row -1 at 0, -2 at f: the canonical
+    # kernel vector 1 at f and -2 at 0
+    kernel = bm.exact_columns()
+    assert list(kernel) == list(range(1, n))
+    assert all(entries == [(0, -1, -2)] for entries in kernel.values())
     u, p = mk.random_residues(2, seed=1)
     for res in u.T.astype(np.int64).tolist():
         assert sum(1 for e in res if e) > n // 2
         assert res[0] == -2 * sum(res[1:]) % p
         # the exact kernel vector whose free coordinates are the symmetric
-        # lifts of the residues, about half of them negative
+        # lifts of the residues, about half of them negative: the
+        # combination of the exact basis by those coordinates
         w = [0] + [e - p if 2 * e > p else e for e in res[1:]]
-        w[0] = -2 * sum(w[1:])
+        w[0] = sum(w[f] * -v // h for f, ((_, h, v),) in kernel.items())
         assert w[0] % p == res[0]
-        assert bm.verified(w)
-        w[0] += p
-        assert not bm.verified(w)
+        assert -w[0] - 2 * sum(w[1:]) == 0
 
 
 # -- the block split against one elimination of the whole matrix ------------
 
-P0 = PRIMES[0]
+P0 = PRIME
 
 
 @st.composite
@@ -364,40 +371,33 @@ def _one_block(rows, cols, shape):
 
 def _canonical_residues(mk):
     """The mod-p canonical kernel vectors as the block records hold them:
-    the pivot and free columns of `_structure()`, its prime, and the
+    the pivot and free columns mod PRIME, the prime, and the
     pivot-coordinate block (column k belongs to the vector with 1 at the
     k-th free column and 0 at the others), gathered from the
     `_BlockMatrix.kernel` of every block."""
-    k, pivots, free = mk._structure()
-    p = mk._primes[k]
+    free = mk._free.tolist()
+    pivots = sorted(set(range(mk.ncols)).difference(free))
     row = {c: i for i, c in enumerate(pivots)}
     col = {c: j for j, c in enumerate(free)}
     coords = np.zeros((len(pivots), len(free)))
-    for bc, bm in mk._blocks:
-        slot, block = bm.kernel(k, p)
-        for i, c in enumerate(bm.echelons[k][1]):
-            for f in np.flatnonzero(slot >= 0):
-                coords[row[bc[c]], col[bc[f]]] = block[i, slot[f]]
-    return pivots, free, coords, p
+    for bm, instances in zip(mk._matrices, mk._instances):
+        slot, block = bm.kernel()
+        for bc in instances:
+            for i, c in enumerate(bm.pivots):
+                for f in np.flatnonzero(slot >= 0):
+                    coords[row[bc[c]], col[bc[f]]] = block[i, slot[f]]
+    return pivots, free, coords, PRIME
 
 
 def _observe(mk, seed):
-    """Everything ModKernel answers, in a fixed order (later calls may grow
-    the prime schedule); a ReconstructionError is recorded, not raised."""
-
-    def attempt(fn):
-        try:
-            return fn()
-        except ReconstructionError as e:
-            return ("ReconstructionError", str(e))
-
+    """Everything ModKernel answers, in a fixed order."""
     pivots, free, coords, p = _canonical_residues(mk)
     return {
         "dim": mk.dim_upper_bound,
         "residues": (list(pivots), list(free), coords.tolist(), p),
         "random": mk.random_residues(3, seed=seed)[0].tolist(),
-        "plain": attempt(lambda: list(mk.exact_vectors())),
-        "dim_after": mk.dim_upper_bound,
+        "nullity": mk.nullity,
+        "plain": list(mk.exact_vectors()),
     }
 
 
@@ -415,7 +415,7 @@ def test_block_split_matches_one_elimination(base, seed):
     mk = ModKernel(*nonzero_triples(base))
     with mock.patch.object(modkernel, "_components", _one_block):
         whole = ModKernel(*nonzero_triples(base))
-    assert len(whole._blocks) == (1 if n else 0)
+    assert sum(map(len, whole._instances)) == (1 if n else 0)
 
     # the RREF of the whole matrix at the first prime
     piv, free, want = _oracle_residues(base, P0)
@@ -427,18 +427,65 @@ def test_block_split_matches_one_elimination(base, seed):
     seen = _observe(mk, seed)
     assert seen == _observe(whole, seed)
 
-    # the rational kernel: every verified vector is a kernel vector with the
-    # free coordinates it claims; when the first prime keeps the rational
-    # pivots, the canonical vectors are exactly Matrix.kernel_basis
-    exact = Matrix(m, n, base.tolist())
-    kb = exact.kernel_basis()
-    assert seen["dim"] >= len(kb)
-    rational_pivots = list(exact.rref()[1]) if m and n else []
-    if not isinstance(seen["plain"], tuple):
-        assert len(seen["plain"]) == seen["dim"]
-        assert all(_lowest_terms(v) for v in seen["plain"])
-        if rational_pivots == piv:
-            assert [_fracs(v) for v in seen["plain"]] == kb
+    # the rational kernel: the exact vectors are exactly Matrix.kernel_basis,
+    # also when the prime lowers the rank
+    kb = Matrix(m, n, base.tolist()).kernel_basis()
+    assert seen["dim"] >= seen["nullity"] == len(kb)
+    assert all(_lowest_terms(v) for v in seen["plain"])
+    assert [_fracs(v) for v in seen["plain"]] == kb
+
+
+# -- exact vectors against the Fraction kernel basis ---------------------
+
+
+def _primitive(vec):
+    """A Fraction kernel basis vector (1 at its free column) as the
+    primitive integer vector on its ray over its entry at the free column:
+    the numerators times the least common multiple of the denominators."""
+    den = math.lcm(*(x.denominator for x in vec))
+    return [int(x * den) for x in vec], den
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Random sparse integer matrices with small entries, most of them
+    zero, so that they split into several blocks of every rank."""
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random((m, n)) < draw(st.sampled_from([0.1, 0.25, 0.5]))
+    return rng.integers(-3, 4, (m, n)) * keep
+
+
+@st.composite
+def exact_kernel_cases(draw):
+    """Sparse random matrices and block matrices (repeated blocks, entries
+    that are multiples of the prime), as int64, as object arrays of the
+    same ints, or as object arrays with some entries raised beyond int64."""
+    base = draw(st.one_of(sparse_integer_matrices(), block_matrices()))
+    kind = draw(st.sampled_from(["int64", "object", "beyond int64"]))
+    if kind == "int64":
+        return base
+    big = base.astype(object)
+    if kind == "beyond int64":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        big = np.where(rng.random(big.shape) < 0.3, big * (2**64 + 1), big)
+    return big
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=exact_kernel_cases())
+@example(base=np.zeros((0, 0), dtype=np.int64))
+@example(base=np.zeros((2, 3), dtype=np.int64))
+@example(base=np.array([[P0, 1]]))
+@example(base=np.array([[P0, 1], [P0, 1], [0, 0]], dtype=object))
+@example(base=np.array([[2, 4, 6], [3, 6, 9 + P0]]))
+@example(base=np.array([[2**64 + 1, -(2**70), 0], [0, 0, 3]], dtype=object))
+def test_exact_vectors_match_the_fraction_kernel_basis(base):
+    m, n = base.shape
+    mk = ModKernel(*nonzero_triples(base))
+    want = fraction_linalg.Matrix(m, n, base.tolist()).kernel_basis()
+    assert list(mk.exact_vectors()) == [_primitive(v) for v in want]
+    assert mk.dim_upper_bound >= mk.nullity == len(want)
 
 
 def test_identical_blocks_share_one_elimination():
@@ -449,21 +496,29 @@ def test_identical_blocks_share_one_elimination():
         base[r0 : r0 + 2, c0 : c0 + block.shape[1]] = block
         r0, c0 = r0 + 2, c0 + block.shape[1]
     calls = []
-    orig = modkernel.echelon_mod_p
 
-    def counted(a, p):
-        calls.append(a.shape)
-        return orig(a, p)
+    def counting(fn):
+        def counted(a, *p):
+            calls.append((fn.__name__, a.shape))
+            return fn(a, *p)
 
-    with mock.patch.object(modkernel, "echelon_mod_p", counted):
+        return counted
+
+    with mock.patch.object(
+        modkernel, "echelon_mod_p", counting(modkernel.echelon_mod_p)
+    ), mock.patch.object(
+        modkernel, "_exact_echelon", counting(modkernel._exact_echelon)
+    ):
         mk = ModKernel(*nonzero_triples(base))
-    assert len(mk._blocks) == 7
-    assert len(mk._matrices) == 2
-    assert calls == [(2, 3), (2, 2)]
-    assert mk.dim_upper_bound == 5
-    exact = Matrix.from_rows(base.tolist())
-    vecs = list(mk.exact_vectors())
+        assert sum(map(len, mk._instances)) == 7
+        assert len(mk._matrices) == 2
+        assert calls == [("echelon_mod_p", (2, 3)), ("echelon_mod_p", (2, 2))]
+        assert mk.dim_upper_bound == mk.nullity == 5
+        exact = Matrix.from_rows(base.tolist())
+        vecs = list(mk.exact_vectors())
     assert [_fracs(v) for v in vecs] == exact.kernel_basis()
+    # one exact elimination, of the only matrix with a kernel mod p
+    assert calls[2:] == [("_exact_echelon", (2, 3))]
 
 
 def test_kronecker_window_echelon_traffic():
@@ -504,7 +559,7 @@ def test_kronecker_window_sparse_elimination_traffic():
     sparsely: every block's forward pivot rows hold at most twice the
     block's non-zero entries (1.2 times at most when measured), and a
     pinned hom_dim reads only the rank, so it back-substitutes no block
-    (every block record's `_kernels` stays empty)."""
+    (every block record's `_kernel` stays unset)."""
     from qtors import kronecker_chain_check, kronecker_window, rep
     from qtors.forms import forms_context
 
@@ -520,7 +575,7 @@ def test_kronecker_window_sparse_elimination_traffic():
     def best_dim_system(xi, yi):
         sys = best(xi, yi)
         records = sys.mk._matrices if sys.mk is not None else []
-        fresh.append((sys, not any(bm._kernels for bm in records)))
+        fresh.append((sys, all(bm._kernel is None for bm in records)))
         return sys
 
     pinned = []
@@ -531,7 +586,7 @@ def test_kronecker_window_sparse_elimination_traffic():
         lower = max(forms_context(x.quiver).euler_form(list(x.dims), list(y.dims)), 0)
         for sys, was_fresh in fresh:
             if was_fresh and sys.mk is not None and sys.upper == lower:
-                pinned.append([bool(bm._kernels) for bm in sys.mk._matrices])
+                pinned.append([bm._kernel is not None for bm in sys.mk._matrices])
         return out
 
     best, dim = rep._best_dim_system, rep.hom_dim
@@ -628,11 +683,7 @@ def _per_block_construction(rows, cols, vals, shape):
 
 def _assert_same_construction(rows, cols, vals, shape):
     mk = ModKernel(rows, cols, vals, shape)
-    blocks, matrices, instances = _per_block_construction(rows, cols, vals, shape)
-    assert len(mk._blocks) == len(blocks)
-    for (c, bm), (want_c, mi) in zip(mk._blocks, blocks):
-        assert c.tolist() == want_c.tolist()
-        assert bm is mk._matrices[mi]
+    _, matrices, instances = _per_block_construction(rows, cols, vals, shape)
     assert len(mk._matrices) == len(matrices)
     for bm, want in zip(mk._matrices, matrices):
         assert (bm.base.dtype, bm.base.shape) == (want.dtype, want.shape)
@@ -661,7 +712,7 @@ def test_ten_thousand_identical_one_by_one_components():
     rows, cols = np.arange(n), perm
     vals = np.full(n, 7, dtype=np.int64)
     mk = _assert_same_construction(rows, cols, vals, (n + 3, n))
-    assert len(mk._blocks) == n and len(mk._matrices) == 1
+    assert len(mk._matrices) == 1
     assert mk._instances[0].shape == (n, 1)
     assert mk.dim_upper_bound == 0
 
@@ -705,30 +756,12 @@ def test_random_residues_span_the_mod_p_kernel():
     assert len(piv) == 18
 
 
-def _primes_below(bound, count):
-    """The `count` largest odd primes below `bound`, by trial division."""
-    out = []
-    c = bound - 1 | 1
-    while len(out) < count and c > 2:
-        d, composite = 3, c % 2 == 0
-        while not composite and d * d <= c:
-            composite = c % d == 0
-            d += 2
-        if not composite:
-            out.append(c)
-        c -= 2
-    return tuple(out)
-
-
-def test_verify_primes_literal():
-    primes = modkernel._VERIFY_PRIMES
-    assert primes == _primes_below(1 << 24, 64)
-    assert len(set(primes)) == 64
-    assert all(
-        q > 2 and all(q % d for d in range(2, math.isqrt(q) + 1)) for q in primes
-    )
-    # the int64 matvec of reduced residues cannot overflow at _MAX_COLS
-    assert max(primes) ** 2 * modkernel._MAX_COLS < 2**63
+def test_prime_literal():
+    # the largest prime below 2**19 is 2**19 - 1, and a matmul_mod_p partial sum of
+    # _MAX_COLS products of residues stays below 2**53
+    p = PRIME
+    assert p == 2**19 - 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert (p - 1) ** 2 * modkernel._MAX_COLS < 2**53
 
 
 def test_no_fraction_in_modkernel():
@@ -736,16 +769,17 @@ def test_no_fraction_in_modkernel():
     assert "fractions" not in vars(modkernel)
 
 
-def test_random_residues_use_the_prime_of_largest_rank():
-    # column 0 vanishes modulo the first prime only, so that prime is
-    # unlucky; once more primes are added, the first of largest rank rules
+def test_random_residues_at_an_unlucky_prime():
+    # column 0 vanishes modulo the prime only, so the prime is unlucky: the
+    # random residues and the upper bound follow the mod-p kernel, the
+    # exact vectors the rational one
     base = np.array([[P0, 0], [0, 1]])
     mk = ModKernel(*nonzero_triples(base))
     u, p = mk.random_residues(3, seed=2)
     assert p == P0 and mk.dim_upper_bound == 1
     assert not u[1].any() and u[0].any()
-    mk._add_prime()
-    mk._add_prime()
-    u, p = mk.random_residues(3, seed=2)
-    assert p == PRIMES[1] and mk.dim_upper_bound == 0
-    assert not u.any()
+    assert mk.nullity == 0 and list(mk.exact_vectors()) == []
+    # the free column mod p is 0, the exact one 1
+    mk = ModKernel(*nonzero_triples(np.array([[P0, 1]])))
+    assert mk._free.tolist() == [0]
+    assert mk.nullity == 1 and list(mk.exact_vectors()) == [([-1, P0], P0)]

@@ -1,8 +1,8 @@
 """The presentation kernels come from one exact elimination
-(`_certified_int_kernel`), held here to the modular reconstruction they
-replaced (`presentation_ext.modular_int_kernel`) in shape, dtype and
-values; and no presentation needs `ModKernel`, which only the Hom systems
-build."""
+(`_certified_int_kernel`), held here to the `Fraction` kernel basis scaled
+to primitive integer vectors (`presentation_ext.fraction_int_kernel`) in
+shape, dtype and values; and no presentation needs `ModKernel`, which only
+the Hom systems build."""
 
 import time
 from unittest import mock
@@ -20,11 +20,11 @@ from qtors import (
 )
 from qtors.rep import _certified_int_kernel, _integer_form, _top_presentation
 
-from presentation_ext import modular_int_kernel
+from presentation_ext import fraction_int_kernel
 
 
 def _assert_same_kernel(mat):
-    new, old = _certified_int_kernel(mat), modular_int_kernel(mat)
+    new, old = _certified_int_kernel(mat), fraction_int_kernel(mat)
     assert new.shape == old.shape == (mat.shape[1], new.shape[1])
     assert new.dtype == old.dtype
     assert np.array_equal(new, old)

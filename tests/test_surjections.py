@@ -117,6 +117,6 @@ def test_draw_count_needs_total_dim_below_the_prime():
     q = linear_quiver(2)
     x = direct_sum([projective_rep(q, 1)] * 2 + [simple_rep(q, 2)] * 2)
     y = direct_sum([simple_rep(q, 2)] * 4)
-    with mock.patch.object(qtors.rep, "PRIMES", (3,)):
+    with mock.patch.object(qtors.rep, "PRIME", 3):
         with pytest.raises(ValueError, match="below the draw prime"):
             exists_surjection(x, y)
