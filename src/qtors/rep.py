@@ -505,17 +505,22 @@ def exists_surjection(x: Rep, y: Rep) -> bool:
     Decided on the reduced Hom system, where the image of a morphism at a
     vertex is spanned by the path images of its generator images
     (`_trace_columns`).  A dimension of y above that of x, or y not in
-    Fac(x), is a certain "no".  On a pinned system one random solution
-    mod p whose trace has rank dim y_v at every vertex v certifies "yes"
-    (`_gen_certified_mod_p`).  Otherwise seeded random combinations of the
-    exact solution basis, with integer coefficients in [1, p] for
-    p = PRIME, are tested exactly; every "yes" is certified.
+    Fac(x), is a certain "no".  The image of a morphism is a
+    subrepresentation, so by Nakayama's lemma (see `gen_contains`) it is
+    all of y once it fills y at the vertices in the top support of y;
+    every rank test below runs at those vertices only.  On a pinned system
+    one random solution mod p whose trace has rank dim y_v at every tested
+    vertex v certifies "yes" (`_gen_certified_mod_p`).  Otherwise seeded
+    random combinations of the exact solution basis, with integer
+    coefficients in [1, p] for p = PRIME, are tested exactly; every "yes"
+    is certified.
 
     The last "no" is probabilistic, not a proof: if a surjection exists, a
     product of one dim y_v minor of the trace columns per vertex is a
     non-zero polynomial of degree D = total dim y in the coefficients, so
     by Schwartz-Zippel a draw misses it with probability at most D/p; the
-    number k of draws is the least with (D/p)^k <= 2^-64."""
+    number k of draws is the least with (D/p)^k <= 2^-64.  Testing fewer
+    vertices only lowers the degree, so the bound still holds."""
     if x.quiver != y.quiver:
         raise ValueError("surjection test requires a common quiver")
     if y.is_zero():
@@ -531,11 +536,15 @@ def exists_surjection(x: Rep, y: Rep) -> bool:
         raise ValueError("surjection test requires total dim y below the draw prime")
     basis = np.array([w for w, _ in sys.solutions()], dtype=object)
     rng = np.random.default_rng(0)
-    skip = [not dv for dv in ti.dims]
+    top = ti._tops.support
+    skip = [not dv or v not in top for v, dv in enumerate(ti.dims, 1)]
     for _ in range(next(k for k in itertools.count(1) if d**k << 64 <= p**k)):
         coeffs = rng.integers(1, p, size=len(basis), endpoint=True).astype(object)
         cols = _trace_columns(sys, ti, (coeffs @ basis).tolist(), skip)
-        if all(_exact_column_span_full(c, dv) for c, dv in zip(cols, ti.dims)):
+        if all(
+            s or _exact_column_span_full(c, dv)
+            for s, c, dv in zip(skip, cols, ti.dims)
+        ):
             return True
     return False
 
@@ -603,13 +612,17 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
 # system is *pinned* when its upper bound meets the Euler-form lower bound;
 # then its dimension needs no exact elimination, and a Gen or surjection
 # "yes" is certified modulo the prime (`_gen_certified_mod_p`).  Every
-# other question reads the exact kernel.  The integer and
-# dual forms, presentations and path maps are cached on the Rep they
-# describe; Hom systems and dimensions on the first argument, keyed by a
+# other question reads the exact kernel.  Gen and surjection answers test
+# ranks only at the vertices where the target has a top: a trace or an
+# image is a subrepresentation, so by Nakayama's lemma it is everything
+# once it fills the top (`gen_contains`); two closed-form deciders, a top
+# "no" and a projective "yes", answer before any system is built.  The
+# integer and dual forms, presentations and path maps are cached on the Rep
+# they describe; Hom systems and dimensions on the first argument, keyed by a
 # weak reference to the second (`_pair_memo`).
 
 # slack of the one-prime Gen certificate: trace columns it draws at each
-# vertex beyond dim t_v
+# top vertex v of the target beyond dim t_v
 _GEN_RANDOM_TRIES = 6
 
 
@@ -731,11 +744,17 @@ class _Tops:
     completing the radical at each vertex), the paths out of their vertices
     and the dimension at each vertex of the projective P0 they span.  The
     generators map P0 onto the representation, so the presentation kernel
-    at w has p0_dims[w - 1] - dim x_w columns."""
+    at w has p0_dims[w - 1] - dim x_w columns.
+
+    `support` holds the vertices with a top generator.  At every other
+    vertex the radical is certified full: `_complement_coords` found all
+    rows of the radical independent mod p, hence over the rationals.  An
+    unlucky prime can only add vertices to the support."""
 
     summands: list[tuple[int, int]]
     paths: dict[int, dict[int, list[tuple[int, ...]]]]
     p0_dims: list[int]
+    support: frozenset[int]
 
 
 def _top_generators(x: Rep) -> _Tops:
@@ -748,7 +767,7 @@ def _top_generators(x: Rep) -> _Tops:
     p0_dims = [
         sum(len(paths[v][w]) for v, _ in summands) for w in range(1, q.n + 1)
     ]
-    return _Tops(summands, paths, p0_dims)
+    return _Tops(summands, paths, p0_dims, frozenset(paths))
 
 
 def _top_presentation(x: Rep) -> list[np.ndarray]:
@@ -1014,35 +1033,43 @@ def _gen_certified_mod_p(sys: _HomSystem, ti: Rep, solutions: int = 0) -> bool:
     all of K_p: every mod-p kernel vector reduces from an integer
     homomorphism g -> t.  The trace columns of such a homomorphism are
     integer vectors that reduce to the mod-p trace columns.  If the mod-p
-    columns have rank d_v = dim t_v at every vertex v, some d_v x d_v minor
-    of the integer columns is non-zero mod p, hence non-zero, so the trace
-    is full and t lies in Fac(g).
+    columns have rank d_v = dim t_v at a vertex v, some d_v x d_v minor of
+    the integer columns is non-zero mod p, hence non-zero, so the trace T
+    fills t_v.  Only the vertices in the top support of t are tested
+    (`_Tops.support`): T is a subrepresentation, and at every other vertex
+    rad t_v = t_v, so T fills the top, and by Nakayama's lemma (see
+    `gen_contains`) T = t.
 
     Each solution adds one trace column at v per path into v from the
-    vertex of a generator.  Vertex v takes enough solutions for
+    vertex of a generator.  A tested vertex v takes enough solutions for
     d_v + `_GEN_RANDOM_TRIES` columns, all of them at most dim Hom, and is
     tested by one elimination.  A non-zero `solutions` caps the count; with
-    one solution the columns span the image of one morphism, so True
-    certifies a surjection g -> t by the same proof."""
+    one solution the columns span the image of one morphism, a
+    subrepresentation too, so True certifies a surjection g -> t by the
+    same proof."""
     q = ti.quiver
     dims = ti.dims
+    top = ti._tops.support
+    # the dimension to reach at each vertex: dim t_v at the top vertices of
+    # t, 0 elsewhere
+    tested = [d if v in top else 0 for v, d in enumerate(dims, 1)]
     # runs of consecutive generators at one vertex v with t_v != 0
     runs = [r for r in _generator_runs(sys.summands, sys.offsets) if dims[r[0] - 1]]
     # trace columns one solution adds at each vertex
     per = [
         sum(len(sys.paths[v][tv]) * n for v, _, n in runs) for tv in range(1, q.n + 1)
     ]
-    if any(d and not c for d, c in zip(dims, per)):
+    if any(d and not c for d, c in zip(tested, per)):
         return False
     # solutions used at each vertex: enough for dim t_v + slack columns
-    need = [-(-(d + _GEN_RANDOM_TRIES) // c) if d else 0 for d, c in zip(dims, per)]
+    need = [-(-(d + _GEN_RANDOM_TRIES) // c) if d else 0 for d, c in zip(tested, per)]
     count = min(sys.upper, solutions or max(need))
-    if any(-(-d // c) > count for d, c in zip(dims, per) if d):
+    if any(-(-d // c) > count for d, c in zip(tested, per) if d):
         return False  # too few columns for rank dim t_v
     u, p = sys.mk.random_residues(count)
     pmod = sys.path_residues(p)
     for tv in range(1, q.n + 1):
-        d = dims[tv - 1]
+        d = tested[tv - 1]
         if not d:
             continue
         k = min(count, need[tv - 1])
@@ -1094,38 +1121,62 @@ def _trace_columns(
 def gen_contains(m: Rep, x: Rep) -> bool:
     """True iff x lies in Fac(m): the trace of m in x fills x vertexwise.
 
-    Decided on the reduced Hom system by three deciders, in order:
-    - the certain "no"s: Hom(m, x) = 0 (upper bound 0), or a non-zero
-      vertex of x that no path from a top generator of m reaches;
-    - a pinned system (upper bound equal to the Euler-form lower bound)
-      certifies "yes" from random solutions modulo one prime
-      (`_gen_certified_mod_p`);
-    - otherwise the exact canonical solution basis is read in order,
+    The trace T of m in x is a subrepresentation, so it is enough that T
+    fills x at the vertices in the top support of x (`_Tops.support`).
+    Proof (Nakayama's lemma): the arrow ideal J is nilpotent.  Let
+    T ⊆ X be a subrepresentation with T_v = X_v at every top vertex v.  At
+    every other vertex rad X_v = X_v, so T + rad X = X.  Then
+    X/T = J(X/T), and therefore X/T = 0.
+
+    Decided in this order, with no Hom system built before the last step:
+    - x = 0 is in Fac(m).  A non-zero vertex of x that no path from a top
+      generator vertex of m reaches has zero trace: "no".
+    - Top "no".  A surjection m^k -> x maps rad onto rad, so top x is a
+      quotient of (top m)^k.  If m has no top generator at a vertex w
+      (certified: its radical is full there) and top x is non-zero at w,
+      the answer is "no".  The top support of x can be over-counted mod p,
+      so top x_w != 0 is confirmed exactly first: the radical of x at w
+      has exact rank below dim x_w.
+    - Projective "yes".  Past the top "no", top x is non-zero only at
+      generator vertices of m.  When every presentation kernel of m is
+      empty (P0 = m), every choice of generator images is a morphism, so
+      T_v = x_v at every generator vertex v of m, hence at every vertex
+      where top x is non-zero, and T = x by the lemma above.
+    - Otherwise the reduced Hom system decides.  Its upper bound 0 means
+      "no".  A pinned system (upper bound equal to the Euler-form lower
+      bound) certifies "yes" from random solutions modulo one prime, with
+      rank tests at the top vertices of x only (`_gen_certified_mod_p`).
+      Failing that, the exact canonical solution basis is read in order,
       and the trace, spanned by the path images of its generator images,
-      grows by exact columns only: each vertex keeps the residues of its
-      greedy pivot columns mod p, fullness mod p at every vertex decides
-      True, and once the whole basis is absorbed the exact rank
-      (`_exact_column_span_full`) decides each vertex not yet full."""
+      grows by exact columns at the top vertices only, every other vertex
+      counting as full from the start: each top vertex keeps the residues
+      of its greedy pivot columns mod p, fullness mod p at every top vertex
+      decides True, and once the whole basis is absorbed the exact rank
+      (`_exact_column_span_full`) decides each top vertex not yet full."""
     if m.quiver != x.quiver:
         raise ValueError("Gen test requires a common quiver")
     if x.is_zero():
         return True
     gi, ti = _integer_form(m), _integer_form(x)
+    gens, top = gi._tops, ti._tops.support
+    q = ti.quiver
+    # a non-zero vertex of x reached by no path out of a generator vertex
+    for tv in range(1, q.n + 1):
+        if ti.dims[tv - 1] and not any(gens.paths[v][tv] for v in gens.support):
+            return False
+    # top "no": top x non-zero, exactly, where m has no top generator
+    if any(radical_generators(ti, w).rank() < ti.dim(w) for w in top - gens.support):
+        return False
+    # projective "yes": m is its own P0
+    if gens.p0_dims == list(gi.dims):
+        return True
     sys = _hom_system(gi, ti)
     if sys.upper == 0:
         return False
-    q = ti.quiver
-    # structural deficiency: a nonzero vertex of t reached by no path out
-    # of any generator vertex has zero trace
-    for tv in range(1, q.n + 1):
-        if ti.dims[tv - 1] and not any(
-            sys.paths[v][tv] for v, _ in sys.summands
-        ):
-            return False
     if _pinned(sys, m, x) and _gen_certified_mod_p(sys, ti):
         return True
     buffers: list[list[np.ndarray]] = [[] for _ in range(q.n)]
-    full = [d == 0 for d in ti.dims]
+    full = [d == 0 or v not in top for v, d in enumerate(ti.dims, 1)]
     p0 = PRIME
     # residues mod p0 of trace columns independent mod p0 (hence exactly),
     # one float64 column each, at every vertex

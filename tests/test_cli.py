@@ -354,6 +354,19 @@ class TestExitCodes:
             assert code == 2 and out == "", abc
             assert err.startswith("error:") and "non-negative" in err
 
+    def test_witness_file_and_abc_is_usage_error(self, capsys, monkeypatch):
+        # both inputs are refused before either is read, not answered about
+        # the triple with the file ignored
+        def refuse(*args):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "triple_quiver", refuse)
+        monkeypatch.setattr(cli, "_load_quiver", refuse)
+        monkeypatch.setattr(cli, "build_wild_witness", refuse)
+        code, out, err = run(capsys, "witness", "cycle15.q", "--abc", "2,1,0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "not both" in err
+
     def test_empty_euler_grid_is_usage_error(self, capsys, monkeypatch):
         # a grid with no point is refused before any form is computed, not
         # reported "ok" over 0 points

@@ -57,6 +57,10 @@ def _compare_routes(build):
     return seen, with_cert
 
 
+# (certificate, projective "yes") counts of the True answers
+_ROUTES = {(2, 5): (36, 10), (3, 4): (21, 8)}
+
+
 @pytest.mark.parametrize("n, depth", [(2, 5), (3, 4)])
 def test_kronecker_window_members(n, depth):
     def build():
@@ -64,8 +68,30 @@ def test_kronecker_window_members(n, depth):
         return w.preprojectives + w.preinjectives
 
     seen, answers = _compare_routes(build)
-    # every True on these pinned systems comes from the certificate
-    assert seen.count(True) == sum(map(sum, answers))
+    # every True on these pinned systems is certified, by one of two routes:
+    # the one-prime certificate, or the projective "yes", which answers
+    # before any Hom system is built, when the first member is its own P0
+    # and the top of the second lies on its generator vertices
+    calls = []
+    orig = rep._hom_system
+
+    def hom_system(x, y):
+        calls.append((x, y))
+        return orig(x, y)
+
+    projective = 0
+    reps = build()
+    with mock.patch.object(rep, "_hom_system", hom_system):
+        for a in reps:
+            for b in reps:
+                del calls[:]
+                if gen_contains(a, b) and not calls:
+                    tops = rep._integer_form(a)._tops
+                    assert tops.p0_dims == list(a.dims)
+                    assert rep._integer_form(b)._tops.support <= tops.support
+                    projective += 1
+    assert (seen.count(True), projective) == _ROUTES[n, depth]
+    assert seen.count(True) + projective == sum(map(sum, answers))
 
 
 @pytest.mark.parametrize("quiver", [linear_quiver(3), star_quiver(3)], ids=["A3", "D4"])
