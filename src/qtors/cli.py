@@ -14,6 +14,7 @@ from .families import (
     EXT_ROW_LIMIT,
     TOWER_LIMIT,
     WINDOW_LIMIT,
+    WITNESS_LIMIT,
     build_wild_witness,
     kronecker_chain_check,
     kronecker_window,
@@ -256,6 +257,7 @@ def _cmd_euler_scan(args) -> int:
     return EXIT_OK if not mismatches and not nonnegative else EXIT_CHECK_FAILED
 
 
+_WITNESS_HELP = f"arrows 1->2, 2->3, 1->3; n = ab + c may be at most {WITNESS_LIMIT}"
 _DYNKIN_FILE_HELP = f"quiver file; a Dynkin quiver may have at most {CLASS_LIMIT} torsion classes"
 
 
@@ -308,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kronecker)
 
     p = sub.add_parser("witness", help="build and verify a wild-quiver witness pair")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--abc", metavar="a,b,c")
+    p.add_argument("file", nargs="?", help="quiver file; its orientation case gives (a, b, c)")
+    p.add_argument("--abc", metavar="a,b,c", help=_WITNESS_HELP)
     p.add_argument(
         "--tower",
         type=int,

@@ -302,6 +302,11 @@ def _case_i_witness(a: int, b: int, c: int) -> WildWitness:
     return WildWitness(q, m, n, "i", (a, b, c))
 
 
+# Largest n = ab + c of a witness that `build_wild_witness` admits.  Every
+# case first builds the case-(i) pair, whose N has dim (n**2 - 1, b*n, n).
+WITNESS_LIMIT = 45
+
+
 def build_wild_witness(q: Quiver) -> WildWitness:
     """Witness pair (M, N) on a connected wild 3-vertex quiver: built
     directly in case (i), transported along a reflection functor for cases
@@ -312,6 +317,10 @@ def build_wild_witness(q: Quiver) -> WildWitness:
     if classify(q).tag != "Wild":
         raise QuiverError("witness construction needs a wild quiver")
     case, (a, b, c) = detect_case(q)
+    if a * b + c > WITNESS_LIMIT:
+        raise QuiverError(
+            f"witness too large: n = ab + c = {a * b + c} exceeds the limit of {WITNESS_LIMIT}"
+        )
     w = _build_case(case, a, b, c)
     target = _relabel_onto(w, q)
     target.report = verify_witness(target)

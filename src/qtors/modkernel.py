@@ -9,10 +9,10 @@ non-zero entries, forward elimination first.  Modulo the prime the entries
 are Python ints reduced at every step, and the canonical kernel vectors mod
 p are back-substituted from the forward echelon form when first read.  Over
 the integers the elimination is fraction-free: every update is divided by
-its content, and the rows are back-substituted once, when the first exact
-answer is asked for.  Dense residue matrices (rank tests, products) stay
-numpy float64 with deferred reduction: products stay below 2**53, hence
-exact.
+its content, and the rows are back-substituted once (`exact_kernel`, which
+gives the presentation kernels of qtors.rep too).  Dense residue matrices
+(rank tests, products) stay numpy float64 with deferred reduction:
+products stay below 2**53, hence exact.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[dict[int, int]], list[int
     pivot columns.  Row i is a dict {column: residue} of its non-zero
     residues in [1, p): 1 at pivot column i and nothing left of it; it is
     not reduced above the later pivots (see `_BlockMatrix.kernel`).  `a`
-    holds integers, int64 or Python ints in an object array, and is only
-    read.
+    holds integers of any integer dtype, or Python ints in an object
+    array, and is only read.
 
     A sparse elimination over the columns in order (`_pivot_groups`), on
     Python ints reduced mod p at every step: the pivot row is normalized,
@@ -100,17 +100,13 @@ def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[dict[int, int]], list[int
     column.  The greedy pivot columns of an echelon form do not depend on
     the choice of pivot row, and only non-zero entries are ever visited:
     a fully dense n x n matrix costs about n**3/3 updates of Python ints,
-    a Hom block with little fill about as many as its entries.  A matrix
-    whose smaller side exceeds _MAX_COLS is refused before anything is
-    read; that is the size limit of one Hom block.
+    a Hom block with little fill about as many as its entries.  Every
+    value is reduced when it is made, so no size bounds its exactness.
     """
-    m, n = a.shape
-    if min(m, n) > _MAX_COLS:
-        raise ValueError("matrix too large for one block elimination")
     ri, ci = np.nonzero(a)
     out: list[dict[int, int]] = []
     pivots: list[int] = []
-    for c, group in _pivot_groups(_row_dicts(ri, ci, (a[ri, ci] % p).tolist())):
+    for c, group in _pivot_groups(_row_dicts(ri, ci, [v % p for v in a[ri, ci].tolist()])):
         inv = pow(group[0][c], -1, p)
         pivot = {j: v * inv % p for j, v in group[0].items()}
         out.append(pivot)
@@ -167,6 +163,36 @@ def _exact_echelon(a: np.ndarray) -> tuple[list[dict[int, int]], list[int]]:
         for row in group[1:]:
             _clear(row, group[0], c)
     return out, pivots
+
+
+def exact_kernel(a: np.ndarray) -> dict[int, list[tuple[int, int, int]]]:
+    """The exact kernel of the integer matrix `a`: for every free column f,
+    ascending, the entries (c, h, v) of column f of the reduced echelon
+    form over the integers, one per row with pivot column c (ascending),
+    entry h there and v != 0 at f.  One `_exact_echelon`, back-substituted
+    last pivot row first: each later pivot column that a forward row holds
+    is cleared by that pivot's reduced row (`_clear`)."""
+    rows, piv = _exact_echelon(a)
+    at = dict(zip(piv, rows))
+    for row, c in zip(reversed(rows), reversed(piv)):
+        for j in [j for j in row if j != c and j in at]:
+            _clear(row, at[j], j)
+    out = {f: [] for f in range(a.shape[1]) if f not in at}
+    for row, c in zip(rows, piv):
+        h = row[c]
+        for f, v in row.items():
+            if f != c:
+                out[f].append((c, h, v))
+    return out
+
+
+def primitive_vector(entries: list[tuple[int, int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """The canonical kernel vector with the entries (c, h, v) of
+    `exact_kernel`, 1 at its free column and -v/h at each c, times the least
+    d that makes it integral, which makes it primitive: returns d and the
+    pairs (c, -d * v / h)."""
+    den = lcm(1, *(h // gcd(h, v) for _, h, v in entries))
+    return den, [(c, -(den * v // h)) for c, h, v in entries]
 
 
 def pivot_columns_mod_p(a: np.ndarray, p: int) -> list[int]:
@@ -338,31 +364,10 @@ class _BlockMatrix:
         return self._kernel
 
     def exact_columns(self) -> dict[int, list[tuple[int, int, int]]]:
-        """The exact kernel: for every exact free column f, in ascending
-        order, the entries (c, h, v) of column f of the reduced echelon
-        form over the integers, one per row non-zero at f, with c the
-        row's pivot column and h its entry there.  The canonical kernel
-        vector of f is 1 at f, -v/h at each such c and 0 elsewhere.
-
-        One `_exact_echelon`, back-substituted once, last pivot row first:
-        each later pivot column that a forward row holds is cleared by
-        that pivot's reduced row (`_clear`).  Reduced rows are 0 at the
-        other pivots, so a reduced row is non-zero only at its own pivot
-        and at free columns, and every kernel vector is one read of a
-        column."""
+        """The exact kernel of the block matrix (`exact_kernel`), eliminated
+        when first asked for."""
         if self._exact is None:
-            rows, piv = _exact_echelon(self.base)
-            at = dict(zip(piv, rows))
-            for row, c in zip(reversed(rows), reversed(piv)):
-                for j in [j for j in row if j != c and j in at]:
-                    _clear(row, at[j], j)
-            out = {f: [] for f in range(self.base.shape[1]) if f not in at}
-            for row, c in zip(rows, piv):
-                h = row[c]
-                for f, v in row.items():
-                    if f != c:
-                        out[f].append((c, h, v))
-            self._exact = out
+            self._exact = exact_kernel(self.base)
         return self._exact
 
 
@@ -521,11 +526,9 @@ class ModKernel:
                 found += [(cols[f], cols, entries) for f, entries in kernel.items()]
         found.sort(key=lambda rec: rec[0])
         for col, cols, entries in found:
-            # the least d with d * v / h integral for every entry: then the
-            # vector d at f and -d * v / h at c is primitive
-            den = lcm(1, *(h // gcd(h, v) for _, h, v in entries))
+            den, body = primitive_vector(entries)
             out = [0] * self.ncols
             out[col] = den
-            for c, h, v in entries:
-                out[cols[c]] = -(den * v // h)
+            for c, v in body:
+                out[cols[c]] = v
             yield out, den

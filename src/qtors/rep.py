@@ -13,18 +13,20 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from .forms import forms_context
-from .linalg import Matrix, _gauss_jordan, cokernel, extend_to_basis
+from .linalg import Matrix, cokernel, extend_to_basis
 from .modkernel import (
     PRIME,
     ModKernel,
     echelon_mod_p,
+    exact_kernel,
     int_array,
     matmul_mod_p,
     max_abs,
     pivot_columns_mod_p,
+    primitive_vector,
 )
 from .quiver import Quiver, QuiverError, opposite
 
@@ -93,7 +95,7 @@ class Rep:
         return _top_generators(self)
 
     @cached_property
-    def _presentation(self) -> list[np.ndarray]:
+    def _presentation(self) -> list[tuple]:
         return _top_presentation(self)
 
     @cached_property
@@ -602,24 +604,25 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
 # path images of generator images, so no decoded morphism matrices are
 # needed.  After rescaling both representations to integer form (an
 # isomorphism, always possible over an acyclic quiver), the presentation
-# kernels come from one exact fraction-free elimination each
-# (`_certified_int_kernel`): the epis are mostly zero and unit columns, and
-# the elimination touches only the rows non-zero at each pivot.  The system
-# then has integer entries and its kernel is analyzed by qtors.modkernel:
-# the nullity modulo one prime is a certified upper bound, and a sparse
-# fraction-free elimination of each block gives the exact nullity and the
-# exact canonical kernel basis, so every value returned here is exact.  A
-# system is *pinned* when its upper bound meets the Euler-form lower bound;
-# then its dimension needs no exact elimination, and a Gen or surjection
-# "yes" is certified modulo the prime (`_gen_certified_mod_p`).  Every
-# other question reads the exact kernel.  Gen and surjection answers test
-# ranks only at the vertices where the target has a top: a trace or an
-# image is a subrepresentation, so by Nakayama's lemma it is everything
-# once it fills the top (`gen_contains`); two closed-form deciders, a top
-# "no" and a projective "yes", answer before any system is built.  The
-# integer and dual forms, presentations and path maps are cached on the Rep
-# they describe; Hom systems and dimensions on the first argument, keyed by a
-# weak reference to the second (`_pair_memo`).
+# kernels come from the sparse fraction-free elimination of the Hom blocks
+# (`_kernel_triples`), each held as its non-zero entries: the epis are wide
+# and mostly zero and unit columns, so their kernels are almost all zero.
+# The system then has integer entries and its kernel is analyzed by
+# qtors.modkernel: the nullity modulo one prime is a certified upper bound,
+# and a sparse fraction-free elimination of each block gives the exact
+# nullity and the exact canonical kernel basis, so every value returned
+# here is exact.  A system is *pinned* when its upper bound meets the
+# Euler-form lower bound; then its dimension needs no exact elimination,
+# and a Gen or surjection "yes" is certified modulo the prime
+# (`_gen_certified_mod_p`).  Every other question reads the exact kernel.
+# Gen and surjection answers test ranks only at the vertices where the
+# target has a top: a trace or an image is a subrepresentation, so by
+# Nakayama's lemma it is everything once it fills the top (`gen_contains`);
+# two closed-form deciders, a top "no" and a projective "yes", answer before
+# any system is built.  The integer and dual forms, presentations and path
+# maps are cached on the Rep they describe; Hom systems and dimensions on
+# the first argument, keyed by a weak reference to the second
+# (`_pair_memo`).
 
 # slack of the one-prime Gen certificate: trace columns it draws at each
 # top vertex v of the target beyond dim t_v
@@ -710,32 +713,20 @@ def _complement_coords(r: Matrix) -> list[int]:
     return [i for i in range(d) if i not in independent]
 
 
-def _certified_int_kernel(mat: np.ndarray) -> np.ndarray:
-    """Integer basis of the rational kernel of an integer matrix, shape
-    (ncols, nullity), from one exact Gauss-Jordan elimination: for each
-    free column f in increasing order, the canonical kernel vector (1 at f,
-    minus column f of the RREF at the pivots) scaled to the primitive
-    integer vector with a positive entry at f.  int64 when every entry
-    fits, object otherwise."""
-    n = mat.shape[1]
-    rows = mat.tolist()
-    pivots = _gauss_jordan(rows, n)
-    free = sorted(set(range(n)).difference(pivots))
-    # row r is RREF row r times its pivot entry, so den * (canonical vector)
-    # is integral: den at f, -(den / head_r) * rows[r][f] at pivot r
-    heads = [row[c] for row, c in zip(rows, pivots)]
-    den = lcm(*heads)
-    own = [den] * len(free)
-    body = [[-(den // h) * row[f] for f in free] for row, h in zip(rows, heads)]
-    if den > 1:
-        gs = [gcd(den, *col) for col in zip(*body)]
-        own = [den // g for g in gs]
-        body = [[x // g for x, g in zip(row, gs)] for row in body]
-    vals = int_array([own] + body)
-    kernel = np.zeros((n, len(free)), dtype=vals.dtype)
-    kernel[free, np.arange(len(free))] = vals[0]
-    kernel[pivots] = vals[1:]
-    return kernel
+def _kernel_triples(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Integer basis of the rational kernel of an integer matrix: the
+    non-zero entries (rows, columns, values) of its (ncols, nullity) matrix,
+    sorted by row, then column, and the nullity.  Column k is the
+    `primitive_vector` of the k-th free column of `exact_kernel`; int64 if all fit."""
+    kernel = exact_kernel(mat)
+    entries = []
+    for k, (f, column) in enumerate(kernel.items()):
+        den, body = primitive_vector(column)
+        entries += [(f, k, den)] + [(c, k, v) for c, v in body]
+    entries.sort()  # each (row, column) pair occurs once
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    nullity = len(kernel)
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), int_array(vals), nullity
 
 
 @dataclass
@@ -770,11 +761,11 @@ def _top_generators(x: Rep) -> _Tops:
     return _Tops(summands, paths, p0_dims, frozenset(paths))
 
 
-def _top_presentation(x: Rep) -> list[np.ndarray]:
-    """Integer basis of the kernel of the top presentation at each
-    vertex."""
+def _top_presentation(x: Rep) -> list[tuple]:
+    """Integer basis of the kernel of the top presentation at each vertex,
+    as non-zero entries (`_kernel_triples`)."""
     tops = x._tops
-    kernels: list[np.ndarray] = []
+    kernels = []
     for w in range(1, x.quiver.n + 1):
         cols = [
             _np_path_map(x, pth, v)[:, c]
@@ -786,7 +777,7 @@ def _top_presentation(x: Rep) -> list[np.ndarray]:
             if cols
             else np.zeros((x.dim(w), 0), dtype=np.int64)
         )
-        kernels.append(_certified_int_kernel(epi))
+        kernels.append(_kernel_triples(epi))
     return kernels
 
 
@@ -849,21 +840,6 @@ def _generator_runs(
     return runs
 
 
-def _exact_products(ks: np.ndarray, ymaps: list[np.ndarray]) -> bool:
-    """Whether int64 arithmetic is exact for the terms of a run of
-    generators, with kernel rows ks (generators, paths, kernel columns) and
-    path maps ymaps: the a-priori bound max |kernel entry| * max |map
-    entry| * paths is below 2**62 for every generator that contributes a
-    term (a non-zero kernel entry at a path with a non-zero map)."""
-    ymax = max(map(max_abs, ymaps))
-    if max_abs(ks) * ymax * len(ymaps) < 2**62:
-        return True
-    live = [b for b, ym in enumerate(ymaps) if ym.any()]
-    return all(
-        max_abs(kj) * ymax * len(ymaps) < 2**62 for kj in ks if kj[live].any()
-    )
-
-
 def _hom_rows(
     x: Rep, y: Rep
 ) -> tuple[
@@ -903,28 +879,37 @@ def _hom_rows(
     nrows = 0
     # the kernels are only needed, and built, when there are unknowns
     for w in range(1, q.n + 1) if ncols else ():
-        kmat = x._presentation[w - 1]
+        krows, kcols, kvals, k_w = x._presentation[w - 1]
         e_w = y.dim(w)
-        k_w = kmat.shape[1]
         if k_w == 0 or e_w == 0:
             continue
         roff = 0
         for v, off, n_v in runs:
             pths = tops.paths[v][w]
-            # (generators, paths, kernel columns)
-            ks = kmat[roff : roff + n_v * len(pths)].reshape(n_v, len(pths), k_w)
-            roff += n_v * len(pths)
+            start, roff = roff, roff + n_v * len(pths)
+            lo, hi = np.searchsorted(krows, (start, roff)).tolist()
             c_v = y.dim(v)
-            if not pths or not c_v:
+            if lo == hi or not c_v:
                 continue
+            # kernel row start + g * len(pths) + b is generator g at path b
+            gen_of, path_of = np.divmod(krows[lo:hi] - start, len(pths))
+            ks, kq = kvals[lo:hi], kcols[lo:hi]
             ymaps = [ynp[(v, pth)] for pth in pths]
-            dtype = np.int64 if _exact_products(ks, ymaps) else object
-            for b, ym in enumerate(ymaps):
-                gi, qi = np.nonzero(ks[:, b])
+            # int64 is exact unless a generator with a term (an entry at a path
+            # with a non-zero map) has an entry k, |k| * max |map| * paths >= 2**62
+            scale = max(map(max_abs, ymaps)) * len(pths)
+            tall = {g for g, k in zip(gen_of.tolist(), ks.tolist()) if abs(k) * scale >= 2**62}
+            pairs = zip(gen_of.tolist(), path_of.tolist())
+            dtype = object if any(g in tall and ymaps[b].any() for g, b in pairs) else np.int64
+            # the entries grouped by path, each group in row order
+            by_path = np.argsort(path_of, kind="stable")
+            groups = np.split(by_path, np.searchsorted(path_of[by_path], range(1, len(pths))))
+            for ym, sel in zip(ymaps, groups):
                 ei, ci = np.nonzero(ym)
-                if not gi.size or not ei.size:
+                if not sel.size or not ei.size:
                     continue
-                kv, yv = ks[gi, b, qi].astype(dtype), ym[ei, ci].astype(dtype)
+                gi, qi = gen_of[sel], kq[sel]
+                kv, yv = ks[sel].astype(dtype), ym[ei, ci].astype(dtype)
                 parts.append(
                     (
                         np.add.outer(nrows + qi * e_w, ei).ravel(),

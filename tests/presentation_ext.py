@@ -6,9 +6,10 @@ coboundaries are the restrictions of morphisms P0 -> X, and the middle term
 of an extension is the pushout (X + P0) / graph.  It is kept only as a test
 oracle for the dimension, the cocycle classes and the middle terms.
 
-`fraction_int_kernel` is the oracle of `_certified_int_kernel`: the
-kernel basis of the entry-wise `Fraction` matrix of `fraction_linalg`,
-each vector scaled to a primitive integer vector.
+`fraction_int_kernel` is the oracle of `_kernel_triples`: the kernel
+basis of the entry-wise `Fraction` matrix of `fraction_linalg`, each
+vector scaled to a primitive integer vector; `dense_kernel` makes the
+triples a dense basis to compare with it.
 """
 
 from __future__ import annotations
@@ -59,6 +60,18 @@ def fraction_int_kernel(mat: np.ndarray) -> np.ndarray:
         den = lcm(*(x.denominator for x in vec))
         cols.append([int(x * den) for x in vec])
     return int_array(cols).T
+
+
+def dense_kernel(
+    triples: tuple[np.ndarray, np.ndarray, np.ndarray, int], nrows: int
+) -> np.ndarray:
+    """The (nrows, nullity) kernel basis whose non-zero entries are the
+    (rows, columns, values, nullity) of `qtors.rep._kernel_triples`, in the
+    dtype of the values."""
+    rows, cols, vals, nullity = triples
+    kernel = np.zeros((nrows, nullity), dtype=vals.dtype)
+    kernel[rows, cols] = vals
+    return kernel
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:

@@ -6,7 +6,7 @@ import pytest
 
 from qtors import cli, rep, taurig
 from qtors.cli import main
-from qtors.families import EXT_ROW_LIMIT, TOWER_LIMIT
+from qtors.families import EXT_ROW_LIMIT, TOWER_LIMIT, WITNESS_LIMIT
 
 
 @pytest.fixture
@@ -238,8 +238,10 @@ GOLDEN = Path(__file__).parent / "golden"
         (("kronecker", "--n", "2", "--depth", "6"), "kronecker_n2_depth6.txt"),
         (("witness", "--abc", "2,1,0", "--tower", "4"), "witness_abc210_tower4.txt"),
         (("witness", "--abc", "2,1,0", "--tower", "6"), "witness_abc210_tower6.txt"),
+        (("witness", "--abc", "4,5,0"), "witness_abc450.txt"),
+        (("witness", "--abc", "3,2,1", "--tower", "6"), "witness_abc321_tower6.txt"),
     ],
-    ids=["kronecker", "witness-tower", "witness-tower6"],
+    ids=["kronecker", "witness-tower", "witness-tower6", "witness-450", "witness-321-tower6"],
 )
 def test_stdout_matches_golden(capsys, argv, golden):
     # stdout recorded from a known-good build: refactors of the
@@ -309,6 +311,30 @@ class TestExitCodes:
         code, out, err = run(capsys, "witness", "--abc", "5,4,1", "--tower", "2")
         assert code == 2 and out == ""
         assert err.startswith("error: tower too large") and str(EXT_ROW_LIMIT) in err
+
+    def test_witness_past_the_size_limit(self, capsys, monkeypatch, tmp_path):
+        # n = ab + c is read off the arrow multiplicities: no witness module
+        # is built, for --abc or for a file in a dual case
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted(args)
+
+        monkeypatch.setattr("qtors.families._build_case", admitted)
+        n = WITNESS_LIMIT + 1
+        big = tmp_path / "big.quiver"
+        big.write_text(f"vertices 3\narrow 1 2\narrow 2 3 *{n}\n")
+        for argv in (["--abc", f"{n},1,0"], ["--abc", f"2,1,{n - 2}"], [str(big)]):
+            code, out, err = run(capsys, "witness", *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: witness too large") and str(WITNESS_LIMIT) in err
+        # case (iv) with (a, b, c) = (n - 1, 1, 0) sits at the limit
+        big.write_text(f"vertices 3\narrow 1 2\narrow 2 3 *{n - 1}\n")
+        with pytest.raises(Admitted, match=f"'iv', {n - 1}, 1, 0"):
+            main(["witness", str(big)])
+        with pytest.raises(Admitted):
+            main(["witness", "--abc", "3,15,0"])
 
     def test_kronecker_depth_past_the_size_limit(self, capsys, monkeypatch):
         # the limit is read off the dimension recursion: no module is built

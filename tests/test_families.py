@@ -8,6 +8,7 @@ from qtors import (
     build_wild_witness,
     case_quiver,
     detect_case,
+    forms_context,
     gen_contains,
     hom_dim,
     kronecker_chain_check,
@@ -154,6 +155,17 @@ class TestWitnessCases:
         report = verify_witness(w)
         assert report.ok(), report.failures
         assert report.closed_form is not None and report.closed_form < 0
+
+    def test_case_i_dim_n_closed_form(self):
+        # the witness limit reads dim N = (n^2 - 1, b*n, n), n = ab + c,
+        # off the multiplicities
+        for a in range(2, 7):
+            for b in range(1, 6):
+                for c in range(4):
+                    n = a * b + c
+                    tau_m = forms_context(triple_quiver(a, b, c)).tau_dimvec([1, a, 0])
+                    assert tau_m == [n * n - 1, b * n, n]
+        assert build_wild_witness(triple_quiver(3, 2, 1)).n.dims == (48, 14, 7)
 
     @pytest.mark.parametrize("case", CASES)
     def test_all_cases_verify_for_one_triple(self, case):

@@ -24,7 +24,14 @@ from qtors.rep import (
 )
 
 from conftest import linear_quiver, star_quiver
+from presentation_ext import dense_kernel
 from test_hom_route import _twisted
+
+
+def _dense_kernel(x: Rep, w: int) -> np.ndarray:
+    """The presentation kernel of x at w as a dense (dim P0_w, nullity)
+    basis."""
+    return dense_kernel(x._presentation[w - 1], x._tops.p0_dims[w - 1])
 
 
 def _dense_hom_rows(x: Rep, y: Rep) -> np.ndarray:
@@ -32,7 +39,7 @@ def _dense_hom_rows(x: Rep, y: Rep) -> np.ndarray:
     w with equations, k_w * e_w rows holding sum_b kernel[b, q] * ymap_b[e, c]
     at row q * e_w + e and column offsets[j] + c; the groups stacked in
     vertex order."""
-    tops, kernels = x._tops, x._presentation
+    tops = x._tops
     q = x.quiver
     offsets, ncols = [], 0
     for v, _ in tops.summands:
@@ -40,7 +47,7 @@ def _dense_hom_rows(x: Rep, y: Rep) -> np.ndarray:
         ncols += y.dim(v)
     groups = []
     for w in range(1, q.n + 1) if ncols else ():
-        kmat = kernels[w - 1].astype(object)
+        kmat = _dense_kernel(x, w).astype(object)
         e_w, k_w = y.dim(w), kmat.shape[1]
         if k_w == 0 or e_w == 0:
             continue
@@ -122,7 +129,7 @@ def _per_generator_hom_rows(x, y):
         ncols += y.dim(v)
     parts, nrows = [], 0
     for w in range(1, q.n + 1) if ncols else ():
-        kmat = x._presentation[w - 1]
+        kmat = _dense_kernel(x, w)
         e_w, k_w = y.dim(w), kmat.shape[1]
         if k_w == 0 or e_w == 0:
             continue
@@ -218,7 +225,7 @@ def test_per_generator_bound_when_a_tall_generator_adds_no_term():
     xb = Matrix.from_rows([[0, 1], [1, 0], [0, 0]])
     x = Rep(q, (2, 3), (xa, xb))
     y = Rep(q, (1, 1), (Matrix.from_rows([[1]]), Matrix.from_rows([[0]])))
-    assert _integer_form(x)._presentation[1].ravel().tolist() == [-1, 0, 0, 2**62]
+    assert _dense_kernel(_integer_form(x), 2).ravel().tolist() == [-1, 0, 0, 2**62]
     assert _assert_per_generator_match(x, y) == np.int64
 
 

@@ -1,8 +1,8 @@
-"""The presentation kernels come from one exact elimination
-(`_certified_int_kernel`), held here to the `Fraction` kernel basis scaled
-to primitive integer vectors (`presentation_ext.fraction_int_kernel`) in
-shape, dtype and values; and no presentation needs `ModKernel`, which only
-the Hom systems build."""
+"""The presentation kernels come from one exact elimination as the
+non-zero entries of their basis (`_kernel_triples`), held here, once made
+dense, to the `Fraction` kernel basis scaled to primitive integer vectors
+(`presentation_ext.fraction_int_kernel`) in shape, dtype and values; and no
+presentation needs `ModKernel`, which only the Hom systems build."""
 
 import time
 from unittest import mock
@@ -18,13 +18,24 @@ from qtors import (
     nonff_evidence,
     triple_quiver,
 )
-from qtors.rep import _certified_int_kernel, _integer_form, _top_presentation
+from qtors.rep import _integer_form, _kernel_triples, _top_presentation
 
-from presentation_ext import fraction_int_kernel
+from presentation_ext import dense_kernel, fraction_int_kernel
+
+
+def _dense(triples, ncols):
+    """The dense kernel basis of triples that are non-zero and sorted by
+    row and then by column, each position once."""
+    rows, cols, vals, nullity = triples
+    keys = rows.astype(object) * max(nullity, 1) + cols
+    assert list(keys) == sorted(set(keys))
+    assert all(v != 0 for v in vals)
+    return dense_kernel(triples, ncols)
 
 
 def _assert_same_kernel(mat):
-    new, old = _certified_int_kernel(mat), fraction_int_kernel(mat)
+    new = _dense(_kernel_triples(mat), mat.shape[1])
+    old = fraction_int_kernel(mat)
     assert new.shape == old.shape == (mat.shape[1], new.shape[1])
     assert new.dtype == old.dtype
     assert np.array_equal(new, old)
@@ -68,7 +79,7 @@ def test_entries_past_2_62(seed):
 
 def test_kernel_entries_past_int64():
     mat = np.array([[1, -(2**63)], [0, 0]], dtype=object)
-    kernel = _certified_int_kernel(mat)
+    kernel = _dense(_kernel_triples(mat), 2)
     assert kernel.dtype == object and kernel[:, 0].tolist() == [2**63, 1]
     _assert_same_kernel(mat)
 
@@ -79,10 +90,8 @@ def test_no_rows_or_no_columns(shape):
 
 
 def _recorded_epis(run):
-    """Every matrix `_certified_int_kernel` is called on while `run` runs."""
-    with mock.patch.object(
-        qtors.rep, "_certified_int_kernel", wraps=_certified_int_kernel
-    ) as spy:
+    """Every matrix `_kernel_triples` is called on while `run` runs."""
+    with mock.patch.object(qtors.rep, "_kernel_triples", wraps=_kernel_triples) as spy:
         run()
     return [c.args[0] for c in spy.call_args_list]
 
@@ -128,7 +137,7 @@ def test_presentations_need_no_modkernel(make):
         kernels = _top_presentation(x)
     # each epi maps onto x_w, so its nullity is dim P0_w - dim x_w
     tops = x._tops
-    assert [k.shape[1] for k in kernels] == [
+    assert [nullity for *_, nullity in kernels] == [
         p - d for p, d in zip(tops.p0_dims, x.dims)
     ]
 
@@ -138,3 +147,19 @@ def test_the_440_witness_verifies_within_budget():
     w = build_wild_witness(triple_quiver(4, 4, 0))
     assert w.report.ok()
     assert time.perf_counter() - start < 5
+
+
+def test_the_450_witness_memory_peak():
+    """No presentation kernel is held dense: building the (4,5,0) witness
+    stays under 64 MB of traced allocations (about 11 MB; the dense
+    7980 x 7960 kernel of N at vertex 3 alone took 485 MB)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        w = build_wild_witness(triple_quiver(4, 5, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.report.ok()
+    assert peak < 64 * 2**20
