@@ -11,7 +11,6 @@ import sys
 from functools import cache
 
 from .families import (
-    EXT_ROW_LIMIT,
     TOWER_LIMIT,
     WINDOW_LIMIT,
     WITNESS_LIMIT,
@@ -316,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tower",
         type=int,
         metavar="L",
-        help=f"tower length; dim X_1 + ... + dim X_L may be at most {TOWER_LIMIT}, "
-        f"and each Ext group of the tower {EXT_ROW_LIMIT} cocycle coordinates",
+        help=f"tower length; dim X_1 + ... + dim X_L may be at most {TOWER_LIMIT}",
     )
     p.set_defaults(func=_cmd_witness)
 

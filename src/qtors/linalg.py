@@ -399,24 +399,9 @@ def complement_indices(m: Matrix) -> list[int]:
     [m | I]: e_j is a pivot there exactly when it lies outside the span of
     m and e_0 .. e_{j-1}.
     """
-    return cokernel(m)[0]
-
-
-def cokernel(m: Matrix) -> tuple[list[int], Matrix]:
-    """The indices `complement_indices(m)`, and a projection P whose kernel
-    is the column span of m: P m = 0, and P e_j is a non-zero multiple of
-    the k-th unit vector for the k-th index j.
-
-    Eliminating [m | I] (numerators only: they span the same columns) gives
-    rows E [m | I] for an invertible E; the rows past the rank of m are zero
-    on m, and their identity parts, whose pivots are the picked e_j, are P.
-    """
     n, c = m.rows, m.cols
     rows = [list(r) + [0] * i + [1] + [0] * (n - 1 - i) for i, r in enumerate(m._num)]
-    pivots = _gauss_jordan(rows, c + n)
-    rank = sum(1 for p in pivots if p < c)
-    picked = [p - c for p in pivots[rank:]]
-    return picked, Matrix._canonical(len(picked), n, tuple(tuple(r[c:]) for r in rows[rank:]))
+    return [p - c for p in _gauss_jordan(rows, c + n) if p >= c]
 
 
 def extend_to_basis(m: Matrix) -> Matrix:

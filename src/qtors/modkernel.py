@@ -10,9 +10,9 @@ are Python ints reduced at every step, and the canonical kernel vectors mod
 p are back-substituted from the forward echelon form when first read.  Over
 the integers the elimination is fraction-free: every update is divided by
 its content, and the rows are back-substituted once (`exact_kernel`, which
-gives the presentation kernels of qtors.rep too).  Dense residue matrices
-(rank tests, products) stay numpy float64 with deferred reduction:
-products stay below 2**53, hence exact.
+gives the presentation kernels and Ext groups of qtors.rep too).  Dense
+residue matrices (rank tests, products) stay numpy float64 with deferred
+reduction: products stay below 2**53, hence exact.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class ReconstructionError(RuntimeError):
 
 def _row_dicts(ri: np.ndarray, ci: np.ndarray, vals: list[int]) -> Iterable[dict[int, int]]:
     """The rows of a matrix whose entry at (ri[k], ci[k]) is vals[k], each
-    a dict {column: value} of its non-zero values, in row order; rows
+    a dict {column: value} of its non-zero values, in the order of their
+    first entries (row order for the entries of `np.nonzero`); rows
     without one are left out."""
     rows: dict[int, dict[int, int]] = {}
     for i, j, v in zip(ri.tolist(), ci.tolist(), vals):
@@ -146,18 +147,21 @@ def _clear(row: dict[int, int], pivot: dict[int, int], c: int) -> None:
             row[j] //= g
 
 
-def _exact_echelon(a: np.ndarray) -> tuple[list[dict[int, int]], list[int]]:
-    """Forward echelon form of the integer matrix `a` over the integers, as
-    `echelon_mod_p` gives it mod p: (rows, pivot_columns), row i a dict
-    {column: int} of its non-zero entries, non-zero at pivot column i and
-    nothing left of it.  The same sparse elimination (`_pivot_groups`),
-    fraction-free: the pivot row is left as it is, and column c is cleared
-    from the other rows by `_clear`, an integer combination divided by its
-    content, in the manner of Bareiss (Math. Comp. 22, 1968)."""
-    ri, ci = np.nonzero(a)
+def _exact_echelon(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Forward echelon form over the integers of the integer matrix whose
+    non-zero entries are vals (int64, or Python ints in an object array)
+    at (rows, cols), each position at most once, as `echelon_mod_p` gives
+    it mod p: (rows, pivot_columns), row i a dict {column: int} of its
+    non-zero entries, non-zero at pivot column i and nothing left of it.
+    The same sparse elimination (`_pivot_groups`), fraction-free: the pivot
+    row is left as it is, and column c is cleared from the other rows by
+    `_clear`, an integer combination divided by its content, in the manner
+    of Bareiss (Math. Comp. 22, 1968)."""
     out: list[dict[int, int]] = []
     pivots: list[int] = []
-    for c, group in _pivot_groups(_row_dicts(ri, ci, a[ri, ci].tolist())):
+    for c, group in _pivot_groups(_row_dicts(rows, cols, vals.tolist())):
         out.append(group[0])
         pivots.append(c)
         for row in group[1:]:
@@ -165,20 +169,23 @@ def _exact_echelon(a: np.ndarray) -> tuple[list[dict[int, int]], list[int]]:
     return out, pivots
 
 
-def exact_kernel(a: np.ndarray) -> dict[int, list[tuple[int, int, int]]]:
-    """The exact kernel of the integer matrix `a`: for every free column f,
-    ascending, the entries (c, h, v) of column f of the reduced echelon
-    form over the integers, one per row with pivot column c (ascending),
-    entry h there and v != 0 at f.  One `_exact_echelon`, back-substituted
-    last pivot row first: each later pivot column that a forward row holds
-    is cleared by that pivot's reduced row (`_clear`)."""
-    rows, piv = _exact_echelon(a)
-    at = dict(zip(piv, rows))
-    for row, c in zip(reversed(rows), reversed(piv)):
+def exact_kernel(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int
+) -> dict[int, list[tuple[int, int, int]]]:
+    """The exact kernel of the integer matrix with ncols columns whose
+    non-zero entries are vals at (rows, cols) (`_exact_echelon`): for every
+    free column f, ascending, the entries (c, h, v) of column f of the
+    reduced echelon form over the integers, one per row with pivot column
+    c (ascending), entry h there and v != 0 at f.  One `_exact_echelon`,
+    back-substituted last pivot row first: each later pivot column that a
+    forward row holds is cleared by that pivot's reduced row (`_clear`)."""
+    ech, piv = _exact_echelon(rows, cols, vals)
+    at = dict(zip(piv, ech))
+    for row, c in zip(reversed(ech), reversed(piv)):
         for j in [j for j in row if j != c and j in at]:
             _clear(row, at[j], j)
-    out = {f: [] for f in range(a.shape[1]) if f not in at}
-    for row, c in zip(rows, piv):
+    out = {f: [] for f in range(ncols) if f not in at}
+    for row, c in zip(ech, piv):
         h = row[c]
         for f, v in row.items():
             if f != c:
@@ -367,7 +374,8 @@ class _BlockMatrix:
         """The exact kernel of the block matrix (`exact_kernel`), eliminated
         when first asked for."""
         if self._exact is None:
-            self._exact = exact_kernel(self.base)
+            ri, ci = np.nonzero(self.base)
+            self._exact = exact_kernel(ri, ci, self.base[ri, ci], self.base.shape[1])
         return self._exact
 
 

@@ -1,9 +1,9 @@
 """Quiver representations over the rationals and the module-level
 computations built on them: Hom spaces, Ext groups as the cokernel of the
-intertwining matrix (Ringel's standard resolution), BGP reflection
-functors, the Auslander-Reiten translate as a Coxeter functor,
-Gen-membership, surjection and isomorphism tests and extension
-realization."""
+intertwining matrix (Ringel's standard resolution), read off one sparse
+exact kernel of its transpose, BGP reflection functors, the
+Auslander-Reiten translate as a Coxeter functor, Gen-membership,
+surjection and isomorphism tests and extension realization."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from functools import cached_property
 from math import lcm
 
 from .forms import forms_context
-from .linalg import Matrix, cokernel, extend_to_basis
+from .linalg import Matrix, extend_to_basis
 from .modkernel import (
     PRIME,
     ModKernel,
@@ -173,52 +173,52 @@ def direct_sum(reps: list[Rep]) -> Rep:
 # -- Hom and basic invariants ----------------------------------------------
 
 
-def _intertwining_matrix(x: Rep, y: Rep) -> Matrix:
+def _intertwining_matrix(
+    x: Rep, y: Rep
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
     """The map delta(phi)_a = y_a phi_s - phi_t x_a from the sum over vertices
     v of Hom_k(x_v, y_v) to the sum over arrows a: s -> t of Hom_k(x_s, y_t),
-    as one exact matrix.  Its kernel is Hom(x, y) and its cokernel
-    Ext^1(x, y): over a path algebra
+    as the non-zero entries (rows, cols, values, shape) of one integer
+    matrix, the numerators over the lcm of all arrow denominators (int64
+    when all fit, Python ints in an object array otherwise).  Its kernel is
+    Hom(x, y) and its cokernel Ext^1(x, y): over a path algebra
     0 -> Hom(x, y) -> (+)_v Hom_k(x_v, y_v) -> (+)_a Hom_k(x_s, y_t) -> Ext^1(x, y) -> 0
     is exact (Ringel's standard resolution).  Variable (v, i, j) is entry
     (i, j) of phi_v; row (a, i, j) is entry (i, j) of delta(phi)_a, arrows in
-    quiver order.  Zero rows stay: the rows are the cocycle coordinates."""
+    quiver order, and it holds -x_a[c, j] at phi_t[i, c] and y_a[i, c] at
+    phi_s[c, j]; the quiver has no loops, so no position is met twice.  Zero
+    rows count: the rows are the cocycle coordinates."""
     q = x.quiver
     if y.quiver != q:
         raise ValueError("Hom requires representations of the same quiver")
-    offsets = []
-    nvars = 0
-    for v in range(q.n):
-        offsets.append(nvars)
-        nvars += y.dims[v] * x.dims[v]
-    # integer rows over the lcm of all arrow denominators
+    offsets = list(itertools.accumulate((dx * dy for dx, dy in zip(x.dims, y.dims)), initial=0))
     den = lcm(*(m._den for m in x.arrow_maps + y.arrow_maps))
-    rows: list[tuple[int, ...]] = []
+    parts = [(np.zeros(0, np.intp),) * 3]
+    nrows = 0
     for a, (s, t) in enumerate(q.arrows):
-        s -= 1
-        t -= 1
-        xa, ya = x.arrow_maps[a], y.arrow_maps[a]
-        fx, fy = den // xa._den, den // ya._den
-        for i in range(y.dims[t]):
-            yrow = ya._num[i]
-            for j in range(x.dims[s]):
-                row = [0] * nvars
-                # phi_t[i][c] at offsets[t] + i * x_t + c
-                o = offsets[t] + i * x.dims[t]
-                for c in range(x.dims[t]):
-                    row[o + c] -= fx * xa._num[c][j]
-                # phi_s[c][j] at offsets[s] + c * x_s + j
-                o = offsets[s] + j
-                for c in range(y.dims[s]):
-                    row[o + c * x.dims[s]] += fy * yrow[c]
-                rows.append(tuple(row))
-    return Matrix._reduce(len(rows), nvars, tuple(rows), den)
+        xs, xt, yt = x.dims[s - 1], x.dims[t - 1], y.dims[t - 1]
+        xa, ya = (_np_int(r.arrow_maps[a].scale(f)) for r, f in ((x, -den), (y, den)))
+        # entry (c, j) of x_a enters row (i, j) at phi_t[i, c] for every i,
+        # entry (i, c) of y_a enters row (i, j) at phi_s[c, j] for every j
+        c, j = np.nonzero(xa)
+        i = np.arange(yt)[:, None]
+        parts.append((nrows + i * xs + j, offsets[t - 1] + i * xt + c, np.tile(xa[c, j], (yt, 1))))
+        i, c = (u[:, None] for u in np.nonzero(ya))
+        j = np.arange(xs)
+        parts.append((nrows + i * xs + j, offsets[s - 1] + c * xs + j, np.tile(ya[i, c], (1, xs))))
+        nrows += yt * xs
+    rows, cols, vals = (np.concatenate([u.ravel() for u in k]) for k in zip(*parts))
+    return rows, cols, int_array(vals.tolist()), (nrows, offsets[-1])
 
 
 def hom_basis(x: Rep, y: Rep) -> list[Morphism]:
-    """Basis of Hom(x, y): the kernel basis of `_intertwining_matrix`, one
-    matrix X_v -> Y_v per vertex."""
+    """Basis of Hom(x, y): the kernel basis of `_intertwining_matrix` made
+    dense, one matrix X_v -> Y_v per vertex."""
+    rows, cols, vals, shape = _intertwining_matrix(x, y)
+    dense = np.zeros(shape, dtype=object)
+    dense[rows, cols] = vals
     basis = []
-    for vec in _intertwining_matrix(x, y).kernel_basis():
+    for vec in Matrix(*shape, dense.tolist()).kernel_basis():
         mats = []
         o = 0
         for dx, dy in zip(x.dims, y.dims):
@@ -299,29 +299,43 @@ class _UnitCocycles(Sequence):
 
 class ExtGroup:
     """Ext^1(Z, X) as the cokernel of delta: the cocycles are the standard
-    vectors that `cokernel` picks to complete the image of delta, in that
-    order, each an arrow tuple (eta_a: Z_s -> X_t) with a single entry 1,
-    built when it is read."""
+    vectors e_j completing the image of delta, taken greedily in index
+    order (e_j exactly when row j of delta lies in the span of the rows
+    below it), each an arrow tuple (eta_a: Z_s -> X_t) with a single entry
+    1, built when it is read.  The j taken are the free columns f = nrows -
+    1 - j of the reversed transpose of delta, and one `exact_kernel` of it
+    gives for each f a kernel vector: read backwards, an integer w with
+    w delta = 0, non-zero at j and zero at the other j taken."""
 
     def __init__(self, x: Rep, z: Rep):
         if x.quiver != z.quiver:
             raise ValueError("Ext requires representations of the same quiver")
         self.x = x
         self.z = z
-        delta = _intertwining_matrix(z, x)
-        picked, self._projection = cokernel(delta)
+        rows, cols, vals, (nrows, _) = _intertwining_matrix(z, x)
+        kernel = exact_kernel(cols, nrows - 1 - rows, vals, nrows)
+        # (f, w_f, the other non-zero entries (c, w_c) of w), by descending f
+        self._annihilator = [(f, *primitive_vector(kernel[f])) for f in reversed(kernel)]
         self._shapes = [(x.dims[t - 1], z.dims[s - 1]) for s, t in x.quiver.arrows]
+        picked = [nrows - 1 - f for f, _, _ in self._annihilator]
         self.cocycles: Sequence[Morphism] = _UnitCocycles(self._shapes, picked)
         self.dimension = len(self.cocycles)
 
     def is_coboundary(self, cocycle: Morphism) -> bool:
         """True iff the class of the cocycle vanishes, i.e. the extension
-        it realizes splits: exactly when eta lies in the image of delta."""
+        it realizes splits: exactly when eta lies in the image of delta,
+        which is when w eta = 0 for every annihilator vector w."""
         if len(cocycle) != len(self._shapes) or any(
             (m.rows, m.cols) != shape for m, shape in zip(cocycle, self._shapes)
         ):
             raise ValueError("a cocycle is one matrix Z_s -> X_t per arrow")
-        return not any(self._projection.apply([e for m in cocycle for e in m.entries()]))
+        den = lcm(*(m._den for m in cocycle))
+        # the numerators over den, in reversed row order
+        flat = [v * (den // m._den) for m in cocycle for r in m._num for v in r][::-1]
+        return not any(
+            w_f * flat[f] + sum(v * flat[c] for c, v in body)
+            for f, w_f, body in self._annihilator
+        )
 
 
 def extension_realize(x: Rep, z: Rep, cocycle: Morphism) -> tuple[Rep, Morphism, Morphism]:
@@ -685,10 +699,11 @@ def _np_path_map(x: Rep, path: tuple[int, ...], start: int) -> np.ndarray:
         arr = _np_int(x.arrow_maps[path[-1]])
         # each factor at least 1, so that a zero matrix cannot hide a tall one
         bound = max(max_abs(arr), 1) * max(max_abs(prev), 1) * max(arr.shape[1], 1)
-        if bound < 2**62:
-            pm = arr.astype(np.int64) @ prev.astype(np.int64)
-        else:
-            pm = arr @ prev.astype(object)
+        pm = arr.astype(np.int64) if bound < 2**62 else arr
+        # after the empty path, whose map is the identity, the arrow map is
+        # the path map
+        if len(path) > 1:
+            pm = pm @ prev.astype(pm.dtype)
     cache[key] = pm
     return pm
 
@@ -718,7 +733,8 @@ def _kernel_triples(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     non-zero entries (rows, columns, values) of its (ncols, nullity) matrix,
     sorted by row, then column, and the nullity.  Column k is the
     `primitive_vector` of the k-th free column of `exact_kernel`; int64 if all fit."""
-    kernel = exact_kernel(mat)
+    ri, ci = np.nonzero(mat)
+    kernel = exact_kernel(ri, ci, mat[ri, ci], mat.shape[1])
     entries = []
     for k, (f, column) in enumerate(kernel.items()):
         den, body = primitive_vector(column)

@@ -200,19 +200,6 @@ class TestElimination:
         assert linalg.complement_indices(m) == ref.complement_indices(o)
         assert_same(linalg.extend_to_basis(m), ref.extend_to_basis(o))
 
-    @given(tables(entry=light, max_dim=5))
-    @SETTINGS
-    def test_cokernel_projection(self, t):
-        # P kills the columns of m, is diagonal and non-zero on the picked
-        # e_j, so its kernel is exactly the column span of m
-        m, o = both(t)
-        picked, p = linalg.cokernel(m)
-        assert picked == ref.complement_indices(o)
-        assert (p.rows, p.cols) == (len(picked), m.rows)
-        assert (p * m).is_zero()
-        unit = p.submatrix(range(p.rows), picked)
-        assert all(bool(unit[i, j]) == (i == j) for i in range(p.rows) for j in range(p.rows))
-
     @given(tables(max_dim=3))
     @settings(max_examples=60, deadline=None)
     def test_rref_and_kernel_on_huge_entries(self, t):

@@ -35,6 +35,7 @@ from qtors.linalg import extend_to_basis
 from qtors.rep import ExtGroup
 
 from conftest import dense_gen_contains, linear_quiver, star_quiver
+from dense_ext import DenseExt
 from presentation_ext import PresentationExt, compose, projective_hom_basis
 
 A3 = linear_quiver(3)
@@ -184,23 +185,8 @@ class TestCocycleOracle:
 
 def _eager_cocycles(x, z):
     """The cocycles built all at once, as ExtGroup did before they became
-    lazy: one arrow tuple per picked cokernel coordinate."""
-    from qtors.linalg import cokernel
-    from qtors.rep import _intertwining_matrix
-
-    delta = _intertwining_matrix(z, x)
-    picked, _ = cokernel(delta)
-    shapes = [(x.dims[t - 1], z.dims[s - 1]) for s, t in x.quiver.arrows]
-    out = []
-    for k in picked:
-        flat = [0] * delta.rows
-        flat[k] = 1
-        maps, o = [], 0
-        for r, c in shapes:
-            maps.append(Matrix(r, c, [flat[o + i * c : o + (i + 1) * c] for i in range(r)]))
-            o += r * c
-        out.append(tuple(maps))
-    return out
+    lazy: one arrow tuple per picked cokernel coordinate (`DenseExt`)."""
+    return DenseExt(x, z).cocycles
 
 
 @pytest.mark.parametrize("abc", [(2, 1, 0), (2, 1, 1)])
