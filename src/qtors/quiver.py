@@ -333,27 +333,60 @@ def find_witness_subquiver(q: Quiver) -> tuple[frozenset[int], QuiverClass] | No
     wild with exactly 3 vertices; None iff q is Dynkin or has <= 2 vertices.
 
     Among the witnesses of smallest size the lexicographically first sorted
-    vertex tuple is returned.  Only connected vertex sets can be witnesses,
-    and only those are built: level s + 1 holds S + {w} for every connected
-    S of size s and every neighbour w of S outside S, which reaches every
-    connected set, since each has a vertex whose removal leaves it
-    connected.  From size 3 on, each level is classified in sorted-tuple
-    order, so the sets tested and their order are those of a scan of all
-    subsets by size and then lexicographically that skips the disconnected
-    ones.  Below the witness size every connected full subquiver is Dynkin,
-    which keeps each level polynomial in the number of vertices (README,
-    "Witness subquivers").
+    vertex tuple is returned.  An extended Dynkin quiver is its own witness
+    (`_witness`); a wild one is searched level by level
+    (`_smallest_witness`).
     """
     if not q.is_connected():
         raise QuiverError("witness search requires a connected quiver")
-    if q.n <= 2 or classify(q).tag == "Dynkin":
+    if q.n <= 2:
         return None
+    cls = classify(q)
+    if cls.tag == "Dynkin":
+        return None
+    return _witness(q, cls)
+
+
+def _witness(q: Quiver, cls: QuiverClass) -> tuple[frozenset[int], QuiverClass]:
+    """The witness of `find_witness_subquiver` on a connected non-Dynkin
+    quiver with at least 3 vertices whose class `cls` is known.
+
+    An extended Dynkin quiver is its own smallest witness, because every
+    proper full subquiver of it is Dynkin (the Perron-Frobenius argument
+    of Kac, Infinite dimensional Lie algebras, Lemma 4.3):
+    - The symmetrized Tits matrix B has off-diagonal entries <= 0, and
+      `classify` has certified it positive semidefinite with a
+      1-dimensional radical; so q(x) = 0 iff Bx = 0.
+    - If Bx = 0, then q(|x|) <= q(x) = 0, so B|x| = 0.  If x_i = 0, then
+      (B|x|)_i = 0 forces every neighbour of i to 0.  The quiver is
+      connected, so the radical is spanned by a sincere vector δ.
+    - Let x != 0 be supported on a proper vertex set.  If q(x) = 0, then
+      x ∈ ℚδ, which is impossible because δ is non-zero everywhere.  So
+      every proper full subquiver has a positive definite form, which
+      means it is Dynkin.
+    The witness is therefore the whole vertex set, with the class `cls`
+    that the search would also find, since `full_subquiver` on every
+    vertex is q itself.  Only wild input is searched.
+    """
+    if cls.tag == "ExtendedDynkin":
+        return frozenset(range(1, q.n + 1)), cls
     return _smallest_witness(q)
 
 
 def _smallest_witness(q: Quiver) -> tuple[frozenset[int], QuiverClass]:
-    """The search of `find_witness_subquiver` on a connected quiver already
-    known to be non-Dynkin with at least 3 vertices."""
+    """The smallest witness of a connected quiver already known to be
+    non-Dynkin with at least 3 vertices, found by search.
+
+    Only connected vertex sets can be witnesses, and only those are built:
+    level s + 1 holds S + {w} for every connected S of size s and every
+    neighbour w of S outside S, which reaches every connected set, since
+    each has a vertex whose removal leaves it connected.  From size 3 on,
+    each level is classified in sorted-tuple order, so the sets tested and
+    their order are those of a scan of all subsets by size and then
+    lexicographically that skips the disconnected ones.  Below the witness
+    size every connected full subquiver is Dynkin, which keeps each level
+    polynomial in the number of vertices (README, "Witness subquivers").
+    """
     adj: dict[int, set[int]] = {v: set() for v in range(1, q.n + 1)}
     for s, t in q.arrows:
         adj[s].add(t)
@@ -389,7 +422,7 @@ def decide_with_class(q: Quiver, cls: QuiverClass) -> tuple[bool, dict]:
         return True, {"reason": "Dynkin", "type": cls.type_name}
     if q.n <= 2:
         return True, {"reason": "at most 2 vertices", "vertices": q.n}
-    vs, wcls = _smallest_witness(q)
+    vs, wcls = _witness(q, cls)
     return False, {
         "reason": "witness subquiver",
         "vertices": sorted(vs),

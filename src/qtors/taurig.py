@@ -314,6 +314,13 @@ class TauTilting:
             position[k] = i
         #: the members of each torsion class as a bitmask, in element order
         self.class_masks: tuple[int, ...] = tuple(masks[k] for k in order)
+        items = cat._summands
+        # the catalog indices of the module summands of each pair, in
+        # element order
+        self._module_summands: tuple[tuple[int, ...], ...] = tuple(
+            tuple(items[b][1] for b in set_bits(walked[k]) if items[b][0] == "mod")
+            for k in order
+        )
         hasse = []
         for a, b in edges:
             if (masks[a] & ~masks[b]) == 0:
@@ -331,16 +338,18 @@ class TauTilting:
         """The torsion classes ordered by inclusion, as frozensets of
         catalog indices, with the exchange edges as Hasse diagram."""
         classes = self.class_masks
-        # t <= u iff u holds every member of t, so up(t) is the
-        # intersection, over the members m of t, of the classes holding m
+        # t = Fac M for the module M of its pair, and Fac M lies in a
+        # torsion class u iff M does; so up(t) is the intersection, over
+        # the at most n module summands m of the pair, of the classes
+        # holding m
         holding = [0] * self._members
         for k, t in enumerate(classes):
             for m in set_bits(t):
                 holding[m] |= 1 << k
         up = []
-        for t in classes:
+        for summands in self._module_summands:
             u = (1 << len(classes)) - 1
-            for m in set_bits(t):
+            for m in summands:
                 u &= holding[m]
             up.append(u)
         elements = [frozenset(set_bits(t)) for t in classes]

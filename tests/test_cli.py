@@ -242,6 +242,15 @@ GOLDEN = Path(__file__).parent / "golden"
         (("witness", "--abc", "3,2,1", "--tower", "6"), "witness_abc321_tower6.txt"),
         (("witness", "--abc", "4,3,1", "--tower", "3"), "witness_abc431_tower3.txt"),
         (("witness", "--abc", "3,3,2", "--tower", "4"), "witness_abc332_tower4.txt"),
+        # seeded relabelings and orientations of a 16-cycle, D~9, the E~8
+        # star and a 40-cycle with a pendant at one vertex
+        (("check-lattice", str(GOLDEN / "cycle16.quiver")), "check_lattice_cycle16.txt"),
+        (("check-lattice", str(GOLDEN / "affine_d9.quiver")), "check_lattice_affine_d9.txt"),
+        (("check-lattice", str(GOLDEN / "affine_e8.quiver")), "check_lattice_affine_e8.txt"),
+        (
+            ("check-lattice", str(GOLDEN / "cycle40_pendant.quiver")),
+            "check_lattice_cycle40_pendant.txt",
+        ),
     ],
     ids=[
         "kronecker",
@@ -251,11 +260,16 @@ GOLDEN = Path(__file__).parent / "golden"
         "witness-321-tower6",
         "witness-431-tower3",
         "witness-332-tower4",
+        "check-lattice-cycle16",
+        "check-lattice-D~9",
+        "check-lattice-E~8",
+        "check-lattice-cycle40-pendant",
     ],
 )
 def test_stdout_matches_golden(capsys, argv, golden):
     # stdout recorded from a known-good build: refactors of the
-    # representation code must keep it byte-identical
+    # representation code and of the witness search must keep it
+    # byte-identical
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()

@@ -16,6 +16,7 @@ from qtors import (
     poset_from_json,
     torsion_poset,
 )
+from qtors.poset import set_bits
 from qtors.taurig import class_count
 
 from conftest import linear_quiver
@@ -273,6 +274,38 @@ def test_catalog_route_matches_the_generic_poset(q):
     assert masks == tuple(sum(1 << m for m in t) for t in classes)
     # one meet-irreducible torsion class per brick, i.e. per positive root
     assert p.intersection_certificate(masks) == (True, catalog(q).size())
+
+
+def _member_up(classes):
+    """Oracle for the `up` masks of a family of sets: t <= u iff u holds
+    every member of t, so up(t) is the intersection, over the members m of
+    t, of the classes holding m."""
+    holding = [0] * max(t.bit_length() for t in classes)
+    for k, t in enumerate(classes):
+        for m in set_bits(t):
+            holding[m] |= 1 << k
+    up = []
+    for t in classes:
+        u = (1 << len(classes)) - 1
+        for m in set_bits(t):
+            u &= holding[m]
+        up.append(u)
+    return up
+
+
+@pytest.mark.parametrize(
+    "q",
+    [linear_quiver(n) for n in range(2, 7)]
+    + [Quiver(n, tuple((i, i + 1) for i in range(1, n - 2)) + ((n - 2, n - 1), (n - 2, n)))
+       for n in range(4, 7)]
+    + [Quiver(n, tuple((i, i + 1) for i in range(1, n - 1)) + ((3, n),)) for n in (6, 7)],
+    ids=["A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7"],
+)
+def test_up_masks_from_module_summands_match_every_member(q):
+    # the catalog forms up(t) from the module summands of the pair of t
+    # alone; the intersection over every member of t is the definition
+    tt = catalog(q).tau_tilting
+    assert tt.poset._up == _member_up(tt.class_masks)
 
 
 def test_from_hasse_checks_the_edges():

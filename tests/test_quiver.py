@@ -4,11 +4,12 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtors import (
     Quiver,
+    QuiverClass,
     QuiverError,
     QuiverSyntaxError,
     classify,
@@ -22,7 +23,7 @@ from qtors import (
     tits_matrix,
     triple_quiver,
 )
-from qtors import quiver
+from qtors import cli, quiver
 from qtors.cli import main
 
 from conftest import linear_quiver, star_quiver
@@ -231,14 +232,41 @@ def _affine_d(n):
     return _from_edges(n + 1, edges)
 
 
+def _seeded(q, seed):
+    """q with its vertices relabelled and each arrow turned round with
+    probability 1/2, by a seeded draw; a draw that makes an oriented cycle
+    is drawn again."""
+    rng = random.Random(seed)
+    label = list(range(1, q.n + 1))
+    rng.shuffle(label)
+    while True:
+        arrows = [
+            (label[s - 1], label[t - 1]) if rng.random() < 0.5 else (label[t - 1], label[s - 1])
+            for s, t in q.arrows
+        ]
+        try:
+            return Quiver(q.n, tuple(arrows))
+        except QuiverError:
+            continue
+
+
+# the extended Dynkin quivers with at least 3 vertices, as (id, quiver)
+AFFINE = (
+    [(f"A~{n - 1}", _cycle(n)) for n in range(3, 25)]
+    + [(f"D~{n}", _affine_d(n)) for n in range(4, 24)]
+    + [("E~6", _star_of_paths([2, 2, 2])), ("E~7", _star_of_paths([1, 3, 3])),
+       ("E~8", _star_of_paths([1, 2, 5]))]
+)
+
+
 @st.composite
-def connected_quivers(draw):
-    """A random connected acyclic quiver on at most 10 vertices: a random
-    spanning tree plus a few chords, edge multiplicities up to 3, arrows
-    oriented along a random vertex order.  Half the tree vertices hang off
-    the previous one and half the quivers are trees, so long paths, and
-    with them large witnesses, are common."""
-    n = draw(st.integers(1, 10))
+def connected_quivers(draw, min_vertices=1, max_vertices=10):
+    """A random connected acyclic quiver on min_vertices to max_vertices
+    vertices: a random spanning tree plus a few chords, edge multiplicities
+    up to 3, arrows oriented along a random vertex order.  Half the tree
+    vertices hang off the previous one and half the quivers are trees, so
+    long paths, and with them large witnesses, are common."""
+    n = draw(st.integers(min_vertices, max_vertices))
     label = draw(st.permutations(range(1, n + 1)))
     edges = [
         (v - 1 if draw(st.booleans()) else draw(st.integers(1, v - 1)), v)
@@ -313,6 +341,29 @@ class TestWitnessSearch:
         # all subsets builds about 2^n subquivers
         assert calls <= n * n
 
+    def test_wild_search_builds_polynomially_many_subquivers(self, monkeypatch):
+        calls = 0
+        real = quiver.full_subquiver
+
+        def counting(q, vs):
+            nonlocal calls
+            calls += 1
+            return real(q, vs)
+
+        monkeypatch.setattr(quiver, "full_subquiver", counting)
+        # a 40-cycle with a pendant at vertex 1: wild, and its smallest
+        # witness is the E~7 of the pendant and three cycle vertices on
+        # each side of vertex 1
+        n = 40
+        q = _from_edges(n + 1, [(i, i + 1) for i in range(1, n)] + [(1, n), (1, n + 1)])
+        vs, cls = find_witness_subquiver(q)
+        assert vs == frozenset({1, 2, 3, 4, n - 2, n - 1, n, n + 1})
+        assert cls == QuiverClass("ExtendedDynkin", "E~7")
+        # each of the six levels 3 to 8 holds the n arcs of the cycle and
+        # at most 7 arcs through vertex 1 with the pendant added; a scan of
+        # all subsets would build about binom(41, 8) = 95 million
+        assert calls <= 6 * (n + 7)
+
     @pytest.mark.parametrize(
         "q", [_cycle(24), _affine_d(23)], ids=["cycle-24", "D~23"]
     )
@@ -330,9 +381,9 @@ class TestWitnessSearch:
         assert elapsed < 10, f"check-lattice took {elapsed:.1f}s of 10s"
 
     def test_check_lattice_on_seeded_40_cycle(self, capsys, tmp_path):
-        # about 1500 connected sets, each classified by an exact
-        # definiteness test of its Tits matrix; the entry-wise Fraction
-        # elimination took about 8 s here on a 2-core host
+        # an extended Dynkin quiver is its own smallest witness, so one
+        # exact definiteness test of the 40 x 40 Tits matrix decides; the
+        # level search classified about 1500 connected sets here
         n = 40
         label = list(range(1, n + 1))
         random.Random(40).shuffle(label)
@@ -348,3 +399,86 @@ class TestWitnessSearch:
         assert data["certificate"]["vertices"] == list(range(1, n + 1))
         assert data["certificate"]["class"] == {"tag": "ExtendedDynkin", "type": "A~39"}
         assert elapsed < 4, f"check-lattice took {elapsed:.1f}s of 4s"
+
+
+class TestAffineWitness:
+    """On a connected extended Dynkin quiver with at least 3 vertices, every
+    proper full subquiver is Dynkin, so the whole quiver is the witness and
+    no search runs."""
+
+    @pytest.mark.parametrize("q", [q for _, q in AFFINE], ids=[name for name, _ in AFFINE])
+    def test_whole_quiver_is_the_smallest_witness(self, q):
+        for seed in range(3):
+            r = _seeded(q, seed)
+            witness = find_witness_subquiver(r)
+            assert witness == quiver._smallest_witness(r)
+            if r.n <= 12:
+                assert witness == _exhaustive_witness(r)
+            assert witness[0] == frozenset(range(1, r.n + 1))
+            verdict, cert = theorem_main_decision(r)
+            assert not verdict and cert["vertices"] == list(range(1, r.n + 1))
+
+    @pytest.mark.parametrize("mult", [2, 3])
+    def test_kronecker_quivers_have_at_most_2_vertices(self, mult):
+        q = Quiver(2, ((1, 2),) * mult)
+        assert find_witness_subquiver(q) is None
+        verdict, cert = theorem_main_decision(q)
+        assert verdict and cert == {"reason": "at most 2 vertices", "vertices": 2}
+
+    @pytest.mark.parametrize(
+        "q", [_seeded(_cycle(24), 1), _seeded(_affine_d(23), 1)], ids=["cycle-24", "D~23"]
+    )
+    def test_check_lattice_classifies_once_and_builds_no_subquiver(
+        self, capsys, tmp_path, monkeypatch, q
+    ):
+        calls = {"classify": 0, "full_subquiver": 0}
+
+        def counting(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "classify", counting("classify", quiver.classify))
+        monkeypatch.setattr(quiver, "classify", counting("classify", quiver.classify))
+        monkeypatch.setattr(
+            quiver, "full_subquiver", counting("full_subquiver", quiver.full_subquiver)
+        )
+        f = tmp_path / "q.quiver"
+        f.write_text(q.to_dsl())
+        assert main(["check-lattice", str(f)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["certificate"]["vertices"] == list(range(1, q.n + 1))
+        assert calls == {"classify": 1, "full_subquiver": 0}
+
+    def test_check_lattice_on_200_cycle(self, capsys, tmp_path):
+        n = 200
+        q = _seeded(_cycle(n), 200)
+        f = tmp_path / "q.quiver"
+        f.write_text(q.to_dsl())
+        started = time.perf_counter()
+        code = main(["check-lattice", str(f)])
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["theorem_decision"] is False
+        assert data["certificate"]["vertices"] == list(range(1, n + 1))
+        assert data["certificate"]["class"] == {"tag": "ExtendedDynkin", "type": "A~199"}
+        assert elapsed < 1, f"check-lattice took {elapsed:.2f}s of 1s"
+
+
+class TestWildWitness:
+    @settings(max_examples=300, deadline=None)
+    @given(connected_quivers(min_vertices=3, max_vertices=20))
+    def test_wild_quivers_have_a_witness_of_at_most_9_vertices(self, q):
+        # a multiple edge or a vertex with 4 neighbours gives a witness of
+        # at most 5 vertices; a shortest cycle of 8 or more vertices, with
+        # one more neighbour, holds an E~7; a tree holds a D~4, E~6, E~7
+        # or E~8
+        assume(classify(q).tag == "Wild")
+        vs, cls = find_witness_subquiver(q)
+        assert len(vs) <= 9
+        sub, _ = full_subquiver(q, set(vs))
+        assert sub.is_connected() and classify(sub) == cls
+        assert cls.tag == "ExtendedDynkin" or (cls.tag == "Wild" and len(vs) == 3)
