@@ -5,19 +5,23 @@ these matrices, so all arithmetic is exact; there is no floating point
 anywhere.  A matrix is stored as rows of Python ints (`_num`) over one
 positive common denominator (`_den`), kept canonical: the gcd of the
 denominator and all numerators is 1, so equal matrices have equal storage.
-Arithmetic works on the integers alone, and elimination is fraction-free
-in the manner of Bareiss (Math. Comp. 22, 1968): every intermediate value
-is an integer and every division is exact.  Entries are read out as
-`fractions.Fraction`.  Matrices are immutable after construction.
+Arithmetic works on the integers alone, and the package's one exact row
+elimination lives here (`_echelon`; `Matrix.rref` and qtors.modkernel run
+it): sparse, on dicts of the non-zero integer entries of each row, and
+fraction-free in the manner of Bareiss (Math. Comp. 22, 1968), so every
+intermediate value is an integer and every division is exact.  Entries are
+read out as `fractions.Fraction`.  Matrices are immutable after
+construction.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import index, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Scalar = int | Fraction
 
@@ -61,44 +65,95 @@ def _exact_quotient(values: list[int], d: int) -> list[int]:
     return [x // d for x in values]
 
 
-def _gauss_jordan(m: list[list[int]], ncols: int) -> list[int]:
-    """Integer Gauss-Jordan elimination of the rows m, in place; returns the
-    pivot columns.
+def _pivot_groups(
+    rows: Iterable[dict[int, int]],
+) -> Iterator[tuple[int, list[dict[int, int]]]]:
+    """The steps of a sparse forward elimination of non-zero row dicts
+    {column: value}.  Every row that holds no pivot yet waits under its
+    leading column; the columns come up in ascending order, and each step
+    yields (c, group), the rows waiting under c with the one of fewest
+    entries first (the first such).  The caller makes group[0] the pivot
+    row of c and clears column c from the others in place; those left
+    non-zero then wait under their new leading columns.  Rows with a pivot
+    are never touched again."""
+    waiting: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        waiting.setdefault(min(row), []).append(row)
+    heads = list(waiting)
+    heapq.heapify(heads)
+    while heads:
+        c = heapq.heappop(heads)
+        group = waiting.pop(c)
+        group.sort(key=len)  # stable: the first of the fewest entries
+        yield c, group
+        for row in group[1:]:
+            if row:
+                head = min(row)
+                if head in waiting:
+                    waiting[head].append(row)
+                else:
+                    waiting[head] = [row]
+                    heapq.heappush(heads, head)
 
-    The pivot rule is that of textbook RREF: in each column the first row
-    at or below the current pivot row that is non-zero there.  A row is
-    only defined up to a non-zero factor, so an update is the integer
-    combination (p/g)·row − (f/g)·pivot row with g = gcd(p, f), divided by
-    the gcd of its entries; every division is exact.  Afterwards row r is
-    row r of the reduced echelon form times its pivot entry, and the rows
-    past the rank are zero.
-    """
-    nrows = len(m)
+
+def _clear(row: dict[int, int], pivot: dict[int, int], c: int) -> None:
+    """Clear column c of the integer row dict `row` with `pivot`, in place,
+    both non-zero at c: with h = pivot[c], f = row[c] and g = gcd(h, f),
+    row becomes (h/g) row - (f/g) pivot, divided by its content.  Every
+    value stays an integer and no division leaves a remainder."""
+    h, f = pivot[c], row.pop(c)
+    g = gcd(h, f)
+    h, f = h // g, f // g
+    if h != 1:
+        for j in row:
+            row[j] *= h
+    for j, v in pivot.items():
+        if j != c:
+            w = row.get(j, 0) - f * v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+
+
+def _echelon(rows: Iterable[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
+    """Forward echelon form over the integers of non-zero integer row dicts
+    {column: value}, which it consumes: (rows, pivot_columns), row i a dict
+    of its non-zero entries, non-zero at pivot column i and nothing left of
+    it.  A sparse elimination over the columns in order (`_pivot_groups`),
+    fraction-free: the pivot row is left as it is, and column c is cleared
+    from the other rows by `_clear`.  Only non-zero entries are ever
+    visited."""
+    out: list[dict[int, int]] = []
     pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        for i in range(pr, nrows):
-            if m[i][pc]:
-                break
-        else:
-            continue
-        m[pr], m[i] = m[i], m[pr]
-        prow = m[pr]
-        p = prow[pc]
-        for i in range(nrows):
-            row = m[i]
-            f = row[pc]
-            if f and i != pr:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                new = [a * x - b * y for x, y in zip(row, prow)]
-                c = gcd(*new)
-                m[i] = [x // c for x in new] if c > 1 else new
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots
+    for c, group in _pivot_groups(rows):
+        out.append(group[0])
+        pivots.append(c)
+        for row in group[1:]:
+            _clear(row, group[0], c)
+    return out, pivots
+
+
+def _back_substitute(rows: list[dict[int, int]], pivots: list[int]) -> None:
+    """Reduce the forward echelon rows of `_echelon` in place, last pivot
+    row first: each later pivot column that a row holds is cleared by that
+    pivot's reduced row (`_clear`).  Afterwards row i is row i of the
+    reduced echelon form times its entry at pivot column i, and it is zero
+    at every other pivot column."""
+    at = dict(zip(pivots, rows))
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        for j in [j for j in row if j != c and j in at]:
+            _clear(row, at[j], j)
+
+
+def _sparse_rows(num: IntRows) -> list[dict[int, int]]:
+    """The non-zero integer rows as dicts of their non-zero entries."""
+    rows = ({j: x for j, x in enumerate(r) if x} for r in num)
+    return [row for row in rows if row]
 
 
 class Matrix:
@@ -327,19 +382,25 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...], int]:
-        """Reduced row echelon form; returns (rref, pivot columns, rank)."""
-        m = [list(r) for r in self._num]
-        pivots = _gauss_jordan(m, self.cols)
+        """Reduced row echelon form; returns (rref, pivot columns, rank).
+        One elimination of the numerators (`_echelon`, `_back_substitute`):
+        the RREF is unique, so the choice of pivot rows does not show."""
+        ech, pivots = _echelon(_sparse_rows(self._num))
+        _back_substitute(ech, pivots)
         # row r is reduced row r times its pivot entry, so the lcm of the
         # pivot entries is a common denominator
-        rank = len(pivots)
-        den = lcm(*(m[r][c] for r, c in enumerate(pivots)))
-        num = tuple(tuple(x * (den // row[c]) for x in row) for row, c in zip(m, pivots))
-        num += tuple(map(tuple, m[rank:]))
-        return Matrix._reduce(self.rows, self.cols, num, den), tuple(pivots), rank
+        den = lcm(*(row[c] for row, c in zip(ech, pivots)))
+        num = [[0] * self.cols for _ in range(self.rows)]
+        for out, row, c in zip(num, ech, pivots):
+            f = den // row[c]
+            for j, x in row.items():
+                out[j] = x * f
+        red = Matrix._reduce(self.rows, self.cols, tuple(map(tuple, num)), den)
+        return red, tuple(pivots), len(pivots)
 
     def rank(self) -> int:
-        return self.rref()[2]
+        """The number of pivots of a forward elimination (`_echelon`)."""
+        return len(_echelon(_sparse_rows(self._num))[1])
 
     def kernel_matrix(self) -> "Matrix":
         """Basis of the right null space as the columns of a cols x
@@ -386,22 +447,17 @@ class Matrix:
         return red.submatrix(range(n), range(n, 2 * n))
 
 
-def column_space_contains(m: Matrix, vec: Sequence[Scalar]) -> bool:
-    """True iff vec lies in the column span of m."""
-    return m.solve(vec) is not None
-
-
 def complement_indices(m: Matrix) -> list[int]:
     """Indices j of the standard basis vectors e_j completing the column
     span of m to k^rows, chosen greedily in index order.
 
-    They are the pivots that fall in the identity block of one RREF of
-    [m | I]: e_j is a pivot there exactly when it lies outside the span of
-    m and e_0 .. e_{j-1}.
+    They are the pivots that fall in the identity block of a forward
+    elimination of [m | I] (`_echelon`): e_j is a pivot there exactly when
+    it lies outside the span of m and e_0 .. e_{j-1}.
     """
     n, c = m.rows, m.cols
-    rows = [list(r) + [0] * i + [1] + [0] * (n - 1 - i) for i, r in enumerate(m._num)]
-    return [p - c for p in _gauss_jordan(rows, c + n) if p >= c]
+    rows = _sparse_rows([r + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, r in enumerate(m._num)])
+    return [p - c for p in _echelon(rows)[1] if p >= c]
 
 
 def extend_to_basis(m: Matrix) -> Matrix:

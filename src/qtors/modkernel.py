@@ -8,21 +8,22 @@ one connected component of the matrix at a time, each row a dict of its
 non-zero entries, forward elimination first.  Modulo the prime the entries
 are Python ints reduced at every step, and the canonical kernel vectors mod
 p are back-substituted from the forward echelon form when first read.  Over
-the integers the elimination is fraction-free: every update is divided by
-its content, and the rows are back-substituted once (`exact_kernel`, which
-gives the presentation kernels and Ext groups of qtors.rep too).  Dense
+the integers it is the fraction-free elimination of qtors.linalg (which
+`Matrix.rref` runs too), back-substituted once (`exact_kernel`, which gives
+the presentation kernels, Ext groups and `hom_basis` of qtors.rep).  Dense
 residue matrices (rank tests, products) stay numpy float64 with deferred
 reduction: products stay below 2**53, hence exact.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
 import numpy as np
+
+from .linalg import _back_substitute, _echelon, _pivot_groups
 
 # a prime just below 2**19: with p**2 < 2**38, up to ~2**14 accumulated
 # products of reduced values fit in float64 exactly, so reductions mod p can
@@ -53,37 +54,6 @@ def _row_dicts(ri: np.ndarray, ci: np.ndarray, vals: list[int]) -> Iterable[dict
             else:
                 row[j] = v
     return rows.values()
-
-
-def _pivot_groups(
-    rows: Iterable[dict[int, int]],
-) -> Iterator[tuple[int, list[dict[int, int]]]]:
-    """The steps of a sparse forward elimination of non-zero row dicts.
-    Every row that holds no pivot yet waits under its leading column; the
-    columns come up in ascending order, and each step yields (c, group),
-    the rows waiting under c with the one of fewest entries first (the
-    first such).  The caller makes group[0] the pivot row of c and clears
-    column c from the others in place; those left non-zero then wait
-    under their new leading columns.  Rows with a pivot are never touched
-    again."""
-    waiting: dict[int, list[dict[int, int]]] = {}
-    for row in rows:
-        waiting.setdefault(min(row), []).append(row)
-    heads = list(waiting)
-    heapq.heapify(heads)
-    while heads:
-        c = heapq.heappop(heads)
-        group = waiting.pop(c)
-        group.sort(key=len)  # stable: the first of the fewest entries
-        yield c, group
-        for row in group[1:]:
-            if row:
-                head = min(row)
-                if head in waiting:
-                    waiting[head].append(row)
-                else:
-                    waiting[head] = [row]
-                    heapq.heappush(heads, head)
 
 
 def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[dict[int, int]], list[int]]:
@@ -123,30 +93,6 @@ def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[dict[int, int]], list[int
     return out, pivots
 
 
-def _clear(row: dict[int, int], pivot: dict[int, int], c: int) -> None:
-    """Clear column c of the integer row dict `row` with `pivot`, in place,
-    both non-zero at c: with h = pivot[c], f = row[c] and g = gcd(h, f),
-    row becomes (h/g) row - (f/g) pivot, divided by its content.  Every
-    value stays an integer and no division leaves a remainder."""
-    h, f = pivot[c], row.pop(c)
-    g = gcd(h, f)
-    h, f = h // g, f // g
-    if h != 1:
-        for j in row:
-            row[j] *= h
-    for j, v in pivot.items():
-        if j != c:
-            w = row.get(j, 0) - f * v
-            if w:
-                row[j] = w
-            else:
-                del row[j]
-    g = gcd(*row.values())
-    if g > 1:
-        for j in row:
-            row[j] //= g
-
-
 def _exact_echelon(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
 ) -> tuple[list[dict[int, int]], list[int]]:
@@ -155,18 +101,8 @@ def _exact_echelon(
     at (rows, cols), each position at most once, as `echelon_mod_p` gives
     it mod p: (rows, pivot_columns), row i a dict {column: int} of its
     non-zero entries, non-zero at pivot column i and nothing left of it.
-    The same sparse elimination (`_pivot_groups`), fraction-free: the pivot
-    row is left as it is, and column c is cleared from the other rows by
-    `_clear`, an integer combination divided by its content, in the manner
-    of Bareiss (Math. Comp. 22, 1968)."""
-    out: list[dict[int, int]] = []
-    pivots: list[int] = []
-    for c, group in _pivot_groups(_row_dicts(rows, cols, vals.tolist())):
-        out.append(group[0])
-        pivots.append(c)
-        for row in group[1:]:
-            _clear(row, group[0], c)
-    return out, pivots
+    The fraction-free elimination of qtors.linalg (`linalg._echelon`)."""
+    return _echelon(_row_dicts(rows, cols, vals.tolist()))
 
 
 def exact_kernel(
@@ -177,14 +113,11 @@ def exact_kernel(
     free column f, ascending, the entries (c, h, v) of column f of the
     reduced echelon form over the integers, one per row with pivot column
     c (ascending), entry h there and v != 0 at f.  One `_exact_echelon`,
-    back-substituted last pivot row first: each later pivot column that a
-    forward row holds is cleared by that pivot's reduced row (`_clear`)."""
+    back-substituted (`linalg._back_substitute`)."""
     ech, piv = _exact_echelon(rows, cols, vals)
-    at = dict(zip(piv, ech))
-    for row, c in zip(reversed(ech), reversed(piv)):
-        for j in [j for j in row if j != c and j in at]:
-            _clear(row, at[j], j)
-    out = {f: [] for f in range(ncols) if f not in at}
+    _back_substitute(ech, piv)
+    pivots = set(piv)
+    out = {f: [] for f in range(ncols) if f not in pivots}
     for row, c in zip(ech, piv):
         h = row[c]
         for f, v in row.items():

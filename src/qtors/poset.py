@@ -90,9 +90,7 @@ class FinitePoset:
     def _set_order(self, up: list[int]):
         n = len(self.elements)
         self._up = up
-        # transpose through fixed-width bit strings, least significant first
-        rows = [format(m, f"0{n}b")[::-1] for m in up]
-        self._down = [int("".join(col)[::-1], 2) for col in zip(*rows)]
+        self._down = transpose_masks(up, n)
         self._full = (1 << n) - 1
         self._validate()
         self.hasse = self._hasse_edges()
@@ -340,6 +338,17 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 def set_bits(m: int) -> Iterator[int]:
     """Positions of the set bits of m, in increasing order."""
     return compress(count(), bin(m)[:1:-1].encode().translate(_BIT_BYTES))
+
+
+def transpose_masks(masks: list[int], width: int) -> list[int]:
+    """The transpose of a 0/1 matrix held as row bitmasks below 2**width:
+    `width` masks, bit i of mask j set iff bit j of masks[i] is.  It goes
+    through fixed-width bit strings, least significant bit first, so no big
+    int is rebuilt per set bit."""
+    if not masks or not width:
+        return [0] * width
+    rows = [format(m, f"0{width}b")[::-1] for m in masks]
+    return [int("".join(col)[::-1], 2) for col in zip(*rows)]
 
 
 def _lowest(m: int) -> int:

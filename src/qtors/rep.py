@@ -212,13 +212,17 @@ def _intertwining_matrix(
 
 
 def hom_basis(x: Rep, y: Rep) -> list[Morphism]:
-    """Basis of Hom(x, y): the kernel basis of `_intertwining_matrix` made
-    dense, one matrix X_v -> Y_v per vertex."""
-    rows, cols, vals, shape = _intertwining_matrix(x, y)
-    dense = np.zeros(shape, dtype=object)
-    dense[rows, cols] = vals
+    """Basis of Hom(x, y): the canonical kernel basis of
+    `_intertwining_matrix` (`exact_kernel`), 1 at a free column and minus
+    that column of the reduced echelon form at the pivots, one matrix
+    X_v -> Y_v per vertex."""
+    rows, cols, vals, (_, nvars) = _intertwining_matrix(x, y)
     basis = []
-    for vec in Matrix(*shape, dense.tolist()).kernel_basis():
+    for f, entries in exact_kernel(rows, cols, vals, nvars).items():
+        vec: list[int | Fraction] = [0] * nvars
+        vec[f] = 1
+        for c, h, v in entries:
+            vec[c] = Fraction(-v, h)
         mats = []
         o = 0
         for dx, dy in zip(x.dims, y.dims):
@@ -609,24 +613,24 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
 # -- the reduced Hom system: Hom dimensions, Gen-membership, surjections --
 #
 # Every Hom dimension, Gen test and surjection test runs on a reduced linear
-# system.  `hom_basis` and its dense intertwining system have no caller in
-# the package; they stay as the oracle of the tests and as a boundary of the
-# benchmark tracer.  Fixing a projective presentation P1 -> P0 -> x -> 0, a
-# morphism x -> y is a choice of images in y for the top generators of x,
-# subject to one linear condition per kernel column of the presentation;
-# the image of a morphism, and the trace of x in y, are then spanned by the
-# path images of generator images, so no decoded morphism matrices are
-# needed.  After rescaling both representations to integer form (an
-# isomorphism, always possible over an acyclic quiver), the presentation
-# kernels come from the sparse fraction-free elimination of the Hom blocks
+# system.  `hom_basis`, the kernel basis of the whole intertwining system,
+# has no caller in the package; it stays as the oracle of the tests and as a
+# boundary of the benchmark tracer.  Fixing a projective presentation
+# P1 -> P0 -> x -> 0, a morphism x -> y is a choice of images in y for the
+# top generators of x, subject to one linear condition per kernel column of
+# the presentation; the image of a morphism, and the trace of x in y, are
+# then spanned by the path images of generator images, so no decoded
+# morphism matrices are needed.  After rescaling both representations to
+# integer form (an isomorphism, always possible over an acyclic quiver), the
+# presentation kernels come from the sparse fraction-free elimination
 # (`_kernel_triples`), each held as its non-zero entries: the epis are wide
 # and mostly zero and unit columns, so their kernels are almost all zero.
 # The system then has integer entries and its kernel is analyzed by
 # qtors.modkernel: the nullity modulo one prime is a certified upper bound,
-# and a sparse fraction-free elimination of each block gives the exact
-# nullity and the exact canonical kernel basis, so every value returned
-# here is exact.  A system is *pinned* when its upper bound meets the
-# Euler-form lower bound; then its dimension needs no exact elimination,
+# and the package's one exact elimination (qtors.linalg) of each block gives
+# the exact nullity and the exact canonical kernel basis, so every value
+# returned here is exact.  A system is *pinned* when its upper bound meets
+# the Euler-form lower bound; then its dimension needs no exact elimination,
 # and a Gen or surjection "yes" is certified modulo the prime
 # (`_gen_certified_mod_p`).  Every other question reads the exact kernel.
 # Gen and surjection answers test ranks only at the vertices where the

@@ -11,7 +11,7 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from .forms import forms_context
-from .poset import FinitePoset, set_bits
+from .poset import FinitePoset, set_bits, transpose_masks
 from .quiver import Quiver, QuiverError, classify
 from .rep import (
     ExtGroup,
@@ -342,10 +342,7 @@ class TauTilting:
         # torsion class u iff M does; so up(t) is the intersection, over
         # the at most n module summands m of the pair, of the classes
         # holding m
-        holding = [0] * self._members
-        for k, t in enumerate(classes):
-            for m in set_bits(t):
-                holding[m] |= 1 << k
+        holding = transpose_masks(classes, self._members)
         up = []
         for summands in self._module_summands:
             u = (1 << len(classes)) - 1

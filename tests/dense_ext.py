@@ -2,17 +2,20 @@
 
 This is the route `qtors.rep.ExtGroup` took before it read its cocycles off
 one sparse exact kernel: the intertwining matrix delta built as a dense
-`Matrix`, and one integer Gauss-Jordan elimination of [delta | I] whose
-identity-block pivots are the cocycle coordinates and whose rows past the
-rank of delta project onto the cokernel.  It is kept only as a test oracle.
+`Matrix`, and one RREF of [delta | I] whose identity-block pivots are the
+cocycle coordinates and whose rows past the rank of delta project onto the
+cokernel.  It is kept only as a test oracle, and the RREF is the entry-wise
+`Fraction` one of `fraction_linalg`, so it shares no elimination with
+qtors.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
+import fraction_linalg
 from qtors import Matrix, Rep
-from qtors.linalg import _gauss_jordan
 from qtors.rep import Morphism
 
 
@@ -55,19 +58,26 @@ def dense_delta(x: Rep, y: Rep) -> Matrix:
 def cokernel(m: Matrix) -> tuple[list[int], Matrix]:
     """The indices j of the standard vectors e_j that complete the column
     span of m greedily in index order, and a projection P whose kernel is
-    that span: P m = 0, and P e_j is a non-zero multiple of the k-th unit
-    vector for the k-th index j.
+    that span: P m = 0, and P e_j is the k-th unit vector for the k-th
+    index j.
 
-    Eliminating [m | I] (numerators only: they span the same columns) gives
-    rows E [m | I] for an invertible E; the rows past the rank of m are zero
-    on m, and their identity parts, whose pivots are the picked e_j, are P.
+    The RREF of [m | I] is E [m | I] for an invertible E; the rows past the
+    rank of m are zero on m, and their identity parts, whose pivots are the
+    picked e_j, are P.
     """
-    n, c = m.rows, m.cols
-    rows = [list(r) + [0] * i + [1] + [0] * (n - 1 - i) for i, r in enumerate(m._num)]
-    pivots = _gauss_jordan(rows, c + n)
+    n, c, den = m.rows, m.cols, m._den
+    aug = fraction_linalg.Matrix(
+        n,
+        c + n,
+        [
+            [Fraction(x, den) if x else 0 for x in r] + [int(i == j) for j in range(n)]
+            for i, r in enumerate(m._num)
+        ],
+    )
+    red, pivots, _ = aug.rref()
     rank = sum(1 for p in pivots if p < c)
     picked = [p - c for p in pivots[rank:]]
-    return picked, Matrix._canonical(len(picked), n, tuple(tuple(r[c:]) for r in rows[rank:]))
+    return picked, Matrix(len(picked), n, [red.row(r)[c:] for r in range(rank, n)])
 
 
 def flatten(cocycle: Morphism) -> list:

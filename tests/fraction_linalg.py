@@ -14,8 +14,14 @@ from typing import Iterable, Sequence
 Scalar = int | Fraction
 
 
+_ZERO = Fraction(0)
+
+
 def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    # Fractions are immutable, so every zero entry can be the same object
+    if type(x) is Fraction:
+        return x
+    return Fraction(x) if x else _ZERO
 
 
 class Matrix:
@@ -30,7 +36,7 @@ class Matrix:
             raise ValueError(f"data shape does not match {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self._data = tuple(tuple(_frac(x) for x in row) for row in data)
+        self._data = tuple(tuple(map(_frac, row)) for row in data)
 
     # -- constructors ------------------------------------------------------
 
@@ -214,12 +220,19 @@ class Matrix:
             if pivot_row is None:
                 continue
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = 1 / m[pr][pc]
-            m[pr] = [x * inv for x in m[pr]]
+            # scaling or subtracting a zero changes nothing, so only the
+            # non-zero entries of the pivot row are visited
+            prow = m[pr]
+            nz = [j for j, b in enumerate(prow) if b]
+            inv = 1 / prow[pc]
+            for j in nz:
+                prow[j] *= inv
             for i in range(self.rows):
-                if i != pr and m[i][pc] != 0:
-                    f = m[i][pc]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
+                row = m[i]
+                if i != pr and row[pc]:
+                    f = row[pc]
+                    for j in nz:
+                        row[j] -= f * prow[j]
             pivots.append(pc)
             pr += 1
             if pr == self.rows:
@@ -266,11 +279,6 @@ class Matrix:
         if rank < n or pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
         return red.submatrix(range(n), range(n, 2 * n))
-
-
-def column_space_contains(m: Matrix, vec: Sequence[Scalar]) -> bool:
-    """True iff vec lies in the column span of m."""
-    return m.solve(vec) is not None
 
 
 def complement_indices(m: Matrix) -> list[int]:

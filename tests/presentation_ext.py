@@ -22,7 +22,6 @@ import numpy as np
 from qtors import (
     Matrix,
     Rep,
-    column_space_contains,
     extend_to_basis,
     hom_basis,
     projective_presentation,
@@ -140,7 +139,7 @@ class PresentationExt:
         return sol
 
     def is_coboundary(self, cocycle: Morphism) -> bool:
-        return column_space_contains(self.image, self.coordinates(cocycle))
+        return self.image.solve(self.coordinates(cocycle)) is not None
 
     def middle_term(self, cocycle: Morphism) -> Rep:
         """The pushout E = (X + P0) / graph of the cocycle K -> X."""

@@ -251,6 +251,10 @@ GOLDEN = Path(__file__).parent / "golden"
             ("check-lattice", str(GOLDEN / "cycle40_pendant.quiver")),
             "check_lattice_cycle40_pendant.txt",
         ),
+        # orientations of D5 and E6 with mixed arrows: the poset masks and
+        # Hasse edges, and the Coxeter inverse behind the catalog
+        (("poset", str(GOLDEN / "d5.quiver"), "--out", "dot"), "poset_d5_dot.txt"),
+        (("check-lattice", str(GOLDEN / "e6.quiver")), "check_lattice_e6.txt"),
     ],
     ids=[
         "kronecker",
@@ -264,6 +268,8 @@ GOLDEN = Path(__file__).parent / "golden"
         "check-lattice-D~9",
         "check-lattice-E~8",
         "check-lattice-cycle40-pendant",
+        "poset-dot-D5",
+        "check-lattice-E6",
     ],
 )
 def test_stdout_matches_golden(capsys, argv, golden):

@@ -16,7 +16,7 @@ from qtors import (
     poset_from_json,
     torsion_poset,
 )
-from qtors.poset import set_bits
+from qtors.poset import set_bits, transpose_masks
 from qtors.taurig import class_count
 
 from conftest import linear_quiver
@@ -340,3 +340,19 @@ def test_intersection_certificate():
     # closed under intersection, but with two maximal elements
     p, masks = _set_family(["", "a", "b"])
     assert p.intersection_certificate(masks)[0] is False
+
+
+@given(
+    st.integers(0, 70).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, 2**w - 1), max_size=40))
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_transpose_masks_matches_one_bit_at_a_time(case):
+    # the loop `TauTilting.poset` used: one OR per set bit
+    width, masks = case
+    want = [0] * width
+    for i, m in enumerate(masks):
+        for j in set_bits(m):
+            want[j] |= 1 << i
+    assert transpose_masks(masks, width) == want
