@@ -21,7 +21,7 @@ from .families import (
 )
 from .forms import forms_context, triple_quiver, wild_triple_euler_value
 from .quiver import QuiverError, classify, decide_with_class, parse_quiver
-from .taurig import CLASS_LIMIT, stt_pairs_to_json, tau_tilting
+from .taurig import CLASS_LIMIT, tau_tilting, write_stt_pairs_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -93,7 +93,7 @@ def _tau_tilting(q):
 
 def _cmd_enumerate(args) -> int:
     q = _load_quiver(args.file)
-    print(stt_pairs_to_json(q, _tau_tilting(q).pairs))
+    write_stt_pairs_json(q, _tau_tilting(q).pairs, sys.stdout)
     return EXIT_OK
 
 
@@ -107,7 +107,7 @@ def _cmd_poset(args) -> int:
     if args.out == "dot":
         sys.stdout.write(p.export_dot(label=_poset_label))
     else:
-        print(p.export_json(label=_poset_label))
+        p.write_json(sys.stdout, label=_poset_label)
     return EXIT_OK
 
 

@@ -3,10 +3,12 @@ duality and interval extraction, plus DOT/JSON export."""
 
 from __future__ import annotations
 
+import io
 import json
 from functools import cached_property
 from itertools import compress, count
-from typing import Callable, Hashable, Iterator, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TextIO
 
 
 class PosetError(ValueError):
@@ -320,16 +322,30 @@ class FinitePoset:
         return "\n".join(lines) + "\n"
 
     def export_json(self, label: Callable[[Hashable], str] = str) -> str:
-        return json.dumps(
-            {
-                "elements": [
-                    {"id": i, "label": label(e), "payload": _payload(e)}
-                    for i, e in enumerate(self.elements)
-                ],
-                "hasse": [[lo, hi] for lo, hi in sorted(self.hasse)],
-            },
-            indent=2,
+        """The text `write_json` writes, without its final newline."""
+        buf = io.StringIO()
+        self.write_json(buf, label)
+        return buf.getvalue()[:-1]
+
+    def write_json(self, out: TextIO, label: Callable[[Hashable], str] = str) -> None:
+        """Write the poset as the JSON object {"elements": [{"id", "label",
+        "payload"}, ...], "hasse": [[lo, hi], ...]}, with the Hasse edges
+        sorted.  The bytes are exactly those of `json.dumps(obj,
+        indent=2)` followed by one newline, as `print` would put them out,
+        and they go out one element or edge per `out.write`, so the whole
+        document is never held.  Str labels and int-list payloads are joined
+        directly; any other label or payload is encoded by
+        `json.dumps(value, indent=2)` and indented to its depth.  A value
+        that cannot be encoded raises `TypeError` after the elements before
+        it have been written."""
+        elements = (
+            f'    {{\n      "id": {i},\n      "label": {_value_text(label(e))},\n'
+            f'      "payload": {_value_text(_payload(e))}\n    }}'
+            for i, e in enumerate(self.elements)
         )
+        _write_json_list(out, '{\n  "elements": ', elements, len(self.elements), ",\n")
+        edges = (f"    [\n      {lo},\n      {hi}\n    ]" for lo, hi in sorted(self.hasse))
+        _write_json_list(out, '  "hasse": ', edges, len(self.hasse), "\n}\n")
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -361,6 +377,35 @@ def _payload(e: Hashable):
     if isinstance(e, (tuple, list)):
         return list(e)
     return e
+
+
+def _value_text(v) -> str:
+    """`json.dumps(v, indent=2)` laid out at the depth of a field of an
+    element in `FinitePoset.write_json`: its lines after the first indented
+    by 6.  A str (every CLI label) and a list of ints (every torsion-class
+    payload) are joined directly."""
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    if type(v) is list and all(type(x) is int for x in v):
+        return "[\n        " + ",\n        ".join(map(str, v)) + "\n      ]" if v else "[]"
+    return json.dumps(v, indent=2).replace("\n", "\n      ")
+
+
+def _write_json_list(
+    out: TextIO, opening: str, texts: Iterable[str], n: int, closing: str
+) -> None:
+    """Write a list of n items that is a value of a top-level JSON object,
+    laid out as `json.dumps(indent=2)` lays it out: `opening` (the text
+    before the list), the list, then `closing`.  Each item text holds the
+    item's lines, indented by 4; each goes out in its own write, with the
+    comma and line break that end it."""
+    if not n:
+        out.write(opening + "[]" + closing)
+        return
+    out.write(opening + "[\n")
+    for k, text in enumerate(texts, 1):
+        out.write(text + ",\n" if k < n else text + "\n")
+    out.write("  ]" + closing)
 
 
 def poset_from_json(text: str) -> FinitePoset:

@@ -4,14 +4,16 @@ neighborhoods, Fac-classes, perpendicular categories and meet/join."""
 
 from __future__ import annotations
 
+import io
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
+from typing import TextIO
 
 from .forms import forms_context
-from .poset import FinitePoset, set_bits, transpose_masks
+from .poset import FinitePoset, _write_json_list, set_bits, transpose_masks
 from .quiver import Quiver, QuiverError, classify
 from .rep import (
     ExtGroup,
@@ -470,13 +472,37 @@ def surjection_table(q: Quiver) -> dict[tuple[int, int], bool]:
     return table
 
 
-def stt_pairs_to_json(q: Quiver, pairs: list[SttPair]) -> str:
+def stt_pairs_to_json(q: Quiver, pairs: Sequence[SttPair]) -> str:
+    """The text `write_stt_pairs_json` writes, without its final newline."""
+    buf = io.StringIO()
+    write_stt_pairs_json(q, pairs, buf)
+    return buf.getvalue()[:-1]
+
+
+def write_stt_pairs_json(q: Quiver, pairs: Sequence[SttPair], out: TextIO) -> None:
+    """Write the pairs as the JSON object {"count": ..., "pairs": [...]}, one
+    entry per pair: the dimension vectors of its module summands in
+    catalog order ("modules") and the vertices of its shifted projectives
+    in increasing order ("shifted_projectives").  The bytes are exactly
+    those of `json.dumps(obj, indent=2)` followed by one newline, as
+    `print` would put them out, and they go out one pair per `out.write`,
+    so the whole document is never held.  Each root's text is encoded once,
+    at its depth in the document, and a pair's entry is joined from those
+    texts."""
     cat = catalog(q)
-    out = []
-    for p in pairs:
-        entry = {
-            "modules": [list(cat.roots[i]) for k, i in sorted(p) if k == "mod"],
-            "shifted_projectives": [i for k, i in sorted(p) if k == "proj"],
-        }
-        out.append(entry)
-    return json.dumps({"count": len(pairs), "pairs": out}, indent=2)
+    roots = [
+        "        " + json.dumps(list(r), indent=2).replace("\n", "\n        ")
+        for r in cat.roots
+    ]
+
+    def entry(p: SttPair) -> str:
+        summands = sorted(p)
+        mods = [roots[i] for k, i in summands if k == "mod"]
+        projs = [f"        {i}" for k, i in summands if k == "proj"]
+        m = "[\n" + ",\n".join(mods) + "\n      ]" if mods else "[]"
+        s = "[\n" + ",\n".join(projs) + "\n      ]" if projs else "[]"
+        return f'    {{\n      "modules": {m},\n      "shifted_projectives": {s}\n    }}'
+
+    _write_json_list(
+        out, f'{{\n  "count": {len(pairs)},\n  "pairs": ', map(entry, pairs), len(pairs), "\n}\n"
+    )

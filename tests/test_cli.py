@@ -254,6 +254,8 @@ GOLDEN = Path(__file__).parent / "golden"
         # orientations of D5 and E6 with mixed arrows: the poset masks and
         # Hasse edges, and the Coxeter inverse behind the catalog
         (("poset", str(GOLDEN / "d5.quiver"), "--out", "dot"), "poset_d5_dot.txt"),
+        (("poset", str(GOLDEN / "d5.quiver"), "--out", "json"), "poset_d5_json.txt"),
+        (("enumerate", str(GOLDEN / "d5.quiver")), "enumerate_d5.txt"),
         (("check-lattice", str(GOLDEN / "e6.quiver")), "check_lattice_e6.txt"),
     ],
     ids=[
@@ -269,6 +271,8 @@ GOLDEN = Path(__file__).parent / "golden"
         "check-lattice-E~8",
         "check-lattice-cycle40-pendant",
         "poset-dot-D5",
+        "poset-json-D5",
+        "enumerate-D5",
         "check-lattice-E6",
     ],
 )
