@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import cache
 
 from .families import (
@@ -146,21 +147,7 @@ def _cmd_kronecker(args) -> int:
     except ValueError as e:
         raise SystemExit(f"error: {e}")
     report = kronecker_chain_check(w)
-    _emit(
-        {
-            "n": w.n,
-            "depth": w.depth,
-            "dims_preprojective": [list(d) for d in report.dims_preprojective],
-            "dims_preinjective": [list(d) for d in report.dims_preinjective],
-            "all_bricks": report.all_bricks,
-            "consecutive_pairs_rigid": report.consecutive_pairs_rigid,
-            "chain_inclusions_hold": report.chain_inclusions_hold,
-            "top_class_is_everything": report.top_class_is_everything,
-            "bottom_generates_only_itself": report.bottom_generates_only_itself,
-            "failures": report.failures,
-            "ok": report.ok(),
-        }
-    )
+    _emit({"n": w.n, "depth": w.depth, **asdict(report), "ok": report.ok()})
     return EXIT_OK if report.ok() else EXIT_CHECK_FAILED
 
 
@@ -181,24 +168,15 @@ def _cmd_witness(args) -> int:
         raise SystemExit("error: witness needs a quiver file or --abc a,b,c")
     w = build_wild_witness(q)
     report = w.report
+    checks = asdict(report)
+    failures = checks.pop("failures")
     out = {
         "case": w.case,
         "abc": list(w.abc),
         "dim_m": list(w.m.dims),
         "dim_n": list(w.n.dims),
-        "checks": {
-            "hom_mn": report.hom_mn,
-            "hom_nm": report.hom_nm,
-            "ext_mn": report.ext_mn,
-            "ext_nm": report.ext_nm,
-            "end_m": report.end_m,
-            "end_n": report.end_n,
-            "rigid_m": report.rigid_m,
-            "rigid_n": report.rigid_n,
-            "euler_nm": report.euler_nm,
-            "closed_form": report.closed_form,
-        },
-        "failures": report.failures,
+        "checks": checks,
+        "failures": failures,
         "ok": report.ok(),
     }
     ok = report.ok()

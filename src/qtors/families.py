@@ -75,8 +75,8 @@ def kronecker_window(n: int, depth: int) -> KroneckerWindow:
     follows that sum rather than the deepest member alone, since for n = 2
     the members grow linearly but the Gen tests quadratically with the
     depth.  n = 2 at depth 38 and n = 4 at depth 6 sit just below the
-    limit and take about 12 s each; n = 3 at depth 8 (sum 2205, about 60 s
-    and 2.9 GB) is refused."""
+    limit; on a shared 2-core host they take 2.2-3.9 s (158 MB peak RSS)
+    and 1.5-2.5 s.  n = 3 at depth 8 (sum 2205) is refused."""
     if n < 2:
         raise ValueError("Kronecker window needs at least 2 arrows")
     if depth < 2:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import index, mul
 from typing import Iterable, Iterator, Sequence
@@ -448,16 +448,23 @@ class Matrix:
 
 
 def complement_indices(m: Matrix) -> list[int]:
-    """Indices j of the standard basis vectors e_j completing the column
-    span of m to k^rows, chosen greedily in index order.
+    """Indices i of the standard basis vectors e_i completing the column
+    span of m to k^rows, chosen greedily in index order: e_i is taken
+    exactly when it lies outside the span of m and e_0 .. e_{i-1}.
 
-    They are the pivots that fall in the identity block of a forward
-    elimination of [m | I] (`_echelon`): e_j is a pivot there exactly when
-    it lies outside the span of m and e_0 .. e_{j-1}.
+    That happens exactly when some w supported on the rows i, i+1, ...
+    with w_i != 0 has w m = 0, that is, when row i of m lies in the span of
+    the rows below it.  Row i of m is column rows - 1 - i of the reversed
+    transpose of m, so the indices are read off the non-pivot columns of
+    one forward elimination of that transpose (`_echelon`).
     """
-    n, c = m.rows, m.cols
-    rows = _sparse_rows([r + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, r in enumerate(m._num)])
-    return [p - c for p in _echelon(rows)[1] if p >= c]
+    n = m.rows
+    cols: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(m._num):
+        for j in compress(range(m.cols), row):
+            cols.setdefault(j, {})[n - 1 - i] = row[j]
+    independent = {n - 1 - j for j in _echelon(cols.values())[1]}
+    return [i for i in range(n) if i not in independent]
 
 
 def extend_to_basis(m: Matrix) -> Matrix:

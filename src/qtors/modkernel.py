@@ -27,8 +27,8 @@ from .linalg import _back_substitute, _echelon, _pivot_groups
 
 # a prime just below 2**19: with p**2 < 2**38, up to ~2**14 accumulated
 # products of reduced values fit in float64 exactly, so reductions mod p can
-# be deferred across the whole elimination of a matrix with <= 8192 rows or
-# columns, and a dot product of reduced vectors over <= 8192 entries is exact
+# be deferred across 8192 pivots of an elimination, and a dot product of
+# reduced vectors over <= 8192 entries is exact
 PRIME = 524287
 
 _MAX_COLS = 8192  # deferred-reduction exactness bound for the prime size
@@ -148,12 +148,11 @@ def pivot_columns_mod_p(a: np.ndarray, p: int) -> list[int]:
     column is reduced mod p when it is searched and a pivot row when it is
     normalized; every other reduction is deferred: with p < 2**19 each entry
     gains at most one product of reduced residues, below 2**38, per pivot,
-    and there are at most min(rows, cols) <= _MAX_COLS = 2**13 pivots, so
-    float64 holds every value exactly.  Dense residue matrices, such as
-    the Gen certificate's, go here; sparse blocks go to `echelon_mod_p`."""
+    and the active block is reduced every _MAX_COLS = 2**13 pivots, so
+    float64 holds every value exactly at any size.  Dense residue
+    matrices, such as the Gen rank tests', go here; sparse blocks go to
+    `echelon_mod_p`."""
     m, n = a.shape
-    if min(m, n) > _MAX_COLS:
-        raise ValueError("matrix too large for exact deferred reduction")
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -175,6 +174,9 @@ def pivot_columns_mod_p(a: np.ndarray, p: int) -> list[int]:
             a[r + 1 :, c + 1 :] -= np.multiply.outer(a[r + 1 :, c], pivot)
         pivots.append(c)
         r += 1
+        if r % _MAX_COLS == 0:
+            active = a[r:, c + 1 :]
+            np.remainder(active, p, out=active)
     return pivots
 
 

@@ -10,17 +10,16 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from .forms import forms_context
-from .linalg import Matrix, extend_to_basis
+from .linalg import Matrix, complement_indices, extend_to_basis
 from .modkernel import (
     PRIME,
     ModKernel,
-    echelon_mod_p,
     exact_kernel,
     int_array,
     matmul_mod_p,
@@ -488,32 +487,33 @@ def dualize(x: Rep) -> Rep:
     )
 
 
+def _coxeter_functor(x: Rep, at_sinks: bool) -> Rep:
+    """Reflect at every vertex once, along a reversed topological order
+    (each vertex a sink when reached) or along a topological order (each a
+    source), which brings the arrows back to the quiver of x."""
+    order = x.quiver.topological_order()
+    if order is None:
+        raise ValueError("AR translate requires an acyclic quiver")
+    cur = x
+    for v in reversed(order) if at_sinks else order:
+        cur = reflect(cur, v)
+    if cur.quiver != x.quiver:
+        raise RuntimeError("reflections did not return to the quiver")
+    return cur
+
+
 def ar_translate(x: Rep) -> Rep:
     """AR translate via the Coxeter functor: reflect at sinks along a
     reversed topological order.  Kills projective summands; on an
     indecomposable non-projective the dimension vector transforms by the
     Coxeter matrix."""
-    order = x.quiver.topological_order()
-    if order is None:
-        raise ValueError("AR translate requires an acyclic quiver")
-    cur = x
-    for v in reversed(order):
-        cur = reflect(cur, v)
-    if cur.quiver != x.quiver:
-        raise RuntimeError("reflections did not return to the quiver")
-    return cur
+    return _coxeter_functor(x, at_sinks=True)
 
 
 def ar_translate_inverse(x: Rep) -> Rep:
-    order = x.quiver.topological_order()
-    if order is None:
-        raise ValueError("AR translate requires an acyclic quiver")
-    cur = x
-    for v in order:
-        cur = reflect(cur, v)
-    if cur.quiver != x.quiver:
-        raise RuntimeError("reflections did not return to the quiver")
-    return cur
+    """Inverse AR translate: reflect at sources along a topological
+    order.  Kills injective summands."""
+    return _coxeter_functor(x, at_sinks=False)
 
 
 # -- surjections and isomorphism ---------------------------------------------
@@ -532,8 +532,8 @@ def exists_surjection(x: Rep, y: Rep) -> bool:
     one random solution mod p whose trace has rank dim y_v at every tested
     vertex v certifies "yes" (`_gen_certified_mod_p`).  Otherwise seeded
     random combinations of the exact solution basis, with integer
-    coefficients in [1, p] for p = PRIME, are tested exactly; every "yes"
-    is certified.
+    coefficients in [1, p] for p = PRIME, are tested exactly, each top
+    vertex once per draw (`_column_span_full`); every "yes" is certified.
 
     The last "no" is probabilistic, not a proof: if a surjection exists, a
     product of one dim y_v minor of the trace columns per vertex is a
@@ -562,8 +562,7 @@ def exists_surjection(x: Rep, y: Rep) -> bool:
         coeffs = rng.integers(1, p, size=len(basis), endpoint=True).astype(object)
         cols = _trace_columns(sys, ti, (coeffs @ basis).tolist(), skip)
         if all(
-            s or _exact_column_span_full(c, dv)
-            for s, c, dv in zip(skip, cols, ti.dims)
+            s or _column_span_full(c, dv) for s, c, dv in zip(skip, cols, ti.dims)
         ):
             return True
     return False
@@ -620,11 +619,14 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
 # top generators of x, subject to one linear condition per kernel column of
 # the presentation; the image of a morphism, and the trace of x in y, are
 # then spanned by the path images of generator images, so no decoded
-# morphism matrices are needed.  After rescaling both representations to
-# integer form (an isomorphism, always possible over an acyclic quiver), the
-# presentation kernels come from the sparse fraction-free elimination
-# (`_kernel_triples`), each held as its non-zero entries: the epis are wide
-# and mostly zero and unit columns, so their kernels are almost all zero.
+# morphism matrices are needed.  The top generators are exact: at each
+# vertex, the standard coordinates that `complement_indices` picks to
+# complete the radical, read off the package's one exact elimination.
+# After rescaling both representations to integer form (an isomorphism,
+# always possible over an acyclic quiver), the presentation kernels come
+# from the sparse fraction-free elimination (`_kernel_triples`), each held
+# as its non-zero entries: the epis are wide and mostly zero and unit
+# columns, so their kernels are almost all zero.
 # The system then has integer entries and its kernel is analyzed by
 # qtors.modkernel: the nullity modulo one prime is a certified upper bound,
 # and the package's one exact elimination (qtors.linalg) of each block gives
@@ -634,13 +636,13 @@ def enumerate_indecomposables(q: Quiver) -> list[Rep]:
 # and a Gen or surjection "yes" is certified modulo the prime
 # (`_gen_certified_mod_p`).  Every other question reads the exact kernel.
 # Gen and surjection answers test ranks only at the vertices where the
-# target has a top: a trace or an image is a subrepresentation, so by
-# Nakayama's lemma it is everything once it fills the top (`gen_contains`);
-# two closed-form deciders, a top "no" and a projective "yes", answer before
-# any system is built.  The integer and dual forms, presentations and path
-# maps are cached on the Rep they describe; Hom systems and dimensions on
-# the first argument, keyed by a weak reference to the second
-# (`_pair_memo`).
+# target has a top, each once per question or draw (`_column_span_full`): a
+# trace or an image is a subrepresentation, so by Nakayama's lemma it is
+# everything once it fills the top (`gen_contains`); two closed-form
+# deciders, a top "no" and a projective "yes", answer before any system is
+# built.  The integer and dual forms, presentations and path maps are
+# cached on the Rep they describe; Hom systems and dimensions on the first
+# argument, keyed by a weak reference to the second (`_pair_memo`).
 
 # slack of the one-prime Gen certificate: trace columns it draws at each
 # top vertex v of the target beyond dim t_v
@@ -712,26 +714,6 @@ def _np_path_map(x: Rep, path: tuple[int, ...], start: int) -> np.ndarray:
     return pm
 
 
-def _complement_coords(r: Matrix) -> list[int]:
-    """Indices of standard basis vectors completing the column space of an
-    integer matrix: e_i is taken exactly when row i of r lies in the span of
-    the rows below it, tested mod p by the greedy pivot columns of the
-    reversed transpose of r (as wide as r is tall), from one sparse
-    `echelon_mod_p`.  These are the identity pivots of an echelon of
-    [r | I] at the same prime.  The rows of r at the indices not taken are
-    independent mod p, hence over the rationals, so the chosen vectors
-    provably complete the span; an unlucky prime can only make the choice
-    non-minimal, never wrong."""
-    d = r.rows
-    if d == 0:
-        return []
-    if r.cols == 0:
-        return list(range(d))
-    _, pivots = echelon_mod_p(int_array(r._num)[::-1].T, PRIME)
-    independent = {d - 1 - j for j in pivots}
-    return [i for i in range(d) if i not in independent]
-
-
 def _kernel_triples(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Integer basis of the rational kernel of an integer matrix: the
     non-zero entries (rows, columns, values) of its (ncols, nullity) matrix,
@@ -751,16 +733,15 @@ def _kernel_triples(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 @dataclass
 class _Tops:
-    """Top generators of an integer representation (standard coordinates
-    completing the radical at each vertex), the paths out of their vertices
-    and the dimension at each vertex of the projective P0 they span.  The
-    generators map P0 onto the representation, so the presentation kernel
-    at w has p0_dims[w - 1] - dim x_w columns.
+    """Top generators of an integer representation (the standard
+    coordinates that `complement_indices` picks to complete the radical at
+    each vertex), the paths out of their vertices and the dimension at each
+    vertex of the projective P0 they span.  The generators map P0 onto the
+    representation, so the presentation kernel at w has p0_dims[w - 1] -
+    dim x_w columns.
 
-    `support` holds the vertices with a top generator.  At every other
-    vertex the radical is certified full: `_complement_coords` found all
-    rows of the radical independent mod p, hence over the rationals.  An
-    unlucky prime can only add vertices to the support."""
+    `support` holds the vertices with a top generator, exactly: at every
+    other vertex the radical is full."""
 
     summands: list[tuple[int, int]]
     paths: dict[int, dict[int, list[tuple[int, ...]]]]
@@ -772,7 +753,7 @@ def _top_generators(x: Rep) -> _Tops:
     q = x.quiver
     summands: list[tuple[int, int]] = []
     for v in range(1, q.n + 1):
-        for c in _complement_coords(radical_generators(x, v)):
+        for c in complement_indices(radical_generators(x, v)):
             summands.append((v, c))
     paths = {v: _paths_from(q, v) for v in sorted({v for v, _ in summands})}
     p0_dims = [
@@ -813,7 +794,6 @@ class _HomSystem:
     ncols: int
     mk: ModKernel | None
     ynp: dict[tuple[int, tuple[int, ...]], np.ndarray]
-    _residues: dict[int, dict] = field(default_factory=dict, repr=False)
 
     @property
     def upper(self) -> int:
@@ -825,18 +805,15 @@ class _HomSystem:
         """Largest absolute entry of the path maps of y."""
         return max((max_abs(a) for a in self.ynp.values()), default=0)
 
-    def path_residues(self, p: int) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
-        """The maps of y along the non-empty paths reduced mod p, as float64
-        arrays, built once per prime (an empty path maps by the
-        identity)."""
-        maps = self._residues.get(p)
-        if maps is None:
-            maps = self._residues[p] = {
-                (v, pth): (m % p).astype(np.float64)
-                for (v, pth), m in self.ynp.items()
-                if pth
-            }
-        return maps
+    @cached_property
+    def path_residues(self) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
+        """The maps of y along the non-empty paths reduced mod PRIME, as
+        float64 arrays (an empty path maps by the identity)."""
+        return {
+            (v, pth): (m % PRIME).astype(np.float64)
+            for (v, pth), m in self.ynp.items()
+            if pth
+        }
 
     def solutions(self):
         """The canonical basis of the solutions, from one exact elimination
@@ -1024,6 +1001,17 @@ def _exact_column_span_full(columns: list[np.ndarray], dim: int) -> bool:
     return exact.rank() == dim
 
 
+def _column_span_full(columns: list[np.ndarray], dim: int) -> bool:
+    """Whether integer columns span the full space of dimension dim > 0:
+    full rank of their residues mod PRIME, from one `pivot_columns_mod_p`,
+    proves it (a minor non-zero mod p is non-zero), and only columns left
+    short go to the exact rank (`_exact_column_span_full`)."""
+    if not columns:
+        return False
+    res = (np.stack(columns, axis=1) % PRIME).astype(np.float64)
+    return len(pivot_columns_mod_p(res, PRIME)) == dim or _exact_column_span_full(columns, dim)
+
+
 def _gen_certified_mod_p(sys: _HomSystem, ti: Rep, solutions: int = 0) -> bool:
     """True only with a certificate that the trace of g in t is full, read
     off random kernel vectors of a pinned Hom system modulo one prime, with
@@ -1072,7 +1060,7 @@ def _gen_certified_mod_p(sys: _HomSystem, ti: Rep, solutions: int = 0) -> bool:
     if any(-(-d // c) > count for d, c in zip(tested, per) if d):
         return False  # too few columns for rank dim t_v
     u, p = sys.mk.random_residues(count)
-    pmod = sys.path_residues(p)
+    pmod = sys.path_residues
     for tv in range(1, q.n + 1):
         d = tested[tv - 1]
         if not d:
@@ -1089,11 +1077,7 @@ def _gen_certified_mod_p(sys: _HomSystem, ti: Rep, solutions: int = 0) -> bool:
                     img = matmul_mod_p(pmod[(v, pth)], img, p)
                 rows[at : at + n * k].reshape(n, k, d)[...] = img.transpose(0, 2, 1)
                 at += n * k
-        try:
-            rank = len(pivot_columns_mod_p(rows, p))
-        except ValueError:  # too large for one elimination
-            return False
-        if rank < d:
+        if len(pivot_columns_mod_p(rows, p)) < d:
             return False
     return True
 
@@ -1134,14 +1118,12 @@ def gen_contains(m: Rep, x: Rep) -> bool:
     X/T = J(X/T), and therefore X/T = 0.
 
     Decided in this order, with no Hom system built before the last step:
-    - x = 0 is in Fac(m).  A non-zero vertex of x that no path from a top
-      generator vertex of m reaches has zero trace: "no".
+    - x = 0 is in Fac(m).
     - Top "no".  A surjection m^k -> x maps rad onto rad, so top x is a
-      quotient of (top m)^k.  If m has no top generator at a vertex w
-      (certified: its radical is full there) and top x is non-zero at w,
-      the answer is "no".  The top support of x can be over-counted mod p,
-      so top x_w != 0 is confirmed exactly first: the radical of x at w
-      has exact rank below dim x_w.
+      quotient of (top m)^k: if top x is non-zero at a vertex where top m
+      is zero, the answer is "no".  Past this step every non-zero vertex
+      of x, reached by a path from a top vertex of x, is reached from a
+      top vertex of m.
     - Projective "yes".  Past the top "no", top x is non-zero only at
       generator vertices of m.  When every presentation kernel of m is
       empty (P0 = m), every choice of generator images is a morphism, so
@@ -1151,26 +1133,17 @@ def gen_contains(m: Rep, x: Rep) -> bool:
       "no".  A pinned system (upper bound equal to the Euler-form lower
       bound) certifies "yes" from random solutions modulo one prime, with
       rank tests at the top vertices of x only (`_gen_certified_mod_p`).
-      Failing that, the exact canonical solution basis is read in order,
-      and the trace, spanned by the path images of its generator images,
-      grows by exact columns at the top vertices only, every other vertex
-      counting as full from the start: each top vertex keeps the residues
-      of its greedy pivot columns mod p, fullness mod p at every top vertex
-      decides True, and once the whole basis is absorbed the exact rank
-      (`_exact_column_span_full`) decides each top vertex not yet full."""
+      Failing that, the trace columns of the whole exact canonical solution
+      basis, which span the trace, are collected at the top vertices of x,
+      and each top vertex is decided once by `_column_span_full`."""
     if m.quiver != x.quiver:
         raise ValueError("Gen test requires a common quiver")
     if x.is_zero():
         return True
     gi, ti = _integer_form(m), _integer_form(x)
     gens, top = gi._tops, ti._tops.support
-    q = ti.quiver
-    # a non-zero vertex of x reached by no path out of a generator vertex
-    for tv in range(1, q.n + 1):
-        if ti.dims[tv - 1] and not any(gens.paths[v][tv] for v in gens.support):
-            return False
-    # top "no": top x non-zero, exactly, where m has no top generator
-    if any(radical_generators(ti, w).rank() < ti.dim(w) for w in top - gens.support):
+    # top "no": top x non-zero where top m is zero
+    if top - gens.support:
         return False
     # projective "yes": m is its own P0
     if gens.p0_dims == list(gi.dims):
@@ -1180,32 +1153,12 @@ def gen_contains(m: Rep, x: Rep) -> bool:
         return False
     if _pinned(sys, m, x) and _gen_certified_mod_p(sys, ti):
         return True
-    buffers: list[list[np.ndarray]] = [[] for _ in range(q.n)]
-    full = [d == 0 or v not in top for v, d in enumerate(ti.dims, 1)]
-    p0 = PRIME
-    # residues mod p0 of trace columns independent mod p0 (hence exactly),
-    # one float64 column each, at every vertex
-    kept = [np.zeros((d, 0)) for d in ti.dims]
+    skip = [v not in top for v in range(1, ti.quiver.n + 1)]
+    columns: list[list[np.ndarray]] = [[] for _ in ti.dims]
     # the numerators of a solution span the same trace as the solution
     for w, _ in sys.solutions():
-        for v, cols in enumerate(_trace_columns(sys, ti, w, full)):
-            if not cols:
-                continue
-            buffers[v] += cols
-            res = np.stack(cols, axis=1) % p0
-            res = np.concatenate([kept[v], res.astype(np.float64)], axis=1)
-            # a vertex too large for one elimination is not known to be full
-            try:
-                pivots = pivot_columns_mod_p(res.copy(), p0)
-            except ValueError:
-                continue
-            kept[v] = res[:, pivots]
-            full[v] = len(pivots) == ti.dims[v]
-        if all(full):
-            return True
-    # the exact solutions span Hom(g, t), so the buffers span the exact
-    # trace
+        for v, cols in enumerate(_trace_columns(sys, ti, w, skip)):
+            columns[v] += cols
     return all(
-        full[v] or _exact_column_span_full(buffers[v], ti.dims[v])
-        for v in range(q.n)
+        s or _column_span_full(c, dv) for s, c, dv in zip(skip, columns, ti.dims)
     )

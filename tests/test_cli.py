@@ -236,12 +236,16 @@ GOLDEN = Path(__file__).parent / "golden"
     "argv, golden",
     [
         (("kronecker", "--n", "2", "--depth", "6"), "kronecker_n2_depth6.txt"),
+        # 9 Gen certificates
+        (("kronecker", "--n", "3", "--depth", "6"), "kronecker_n3_depth6.txt"),
         (("witness", "--abc", "2,1,0", "--tower", "4"), "witness_abc210_tower4.txt"),
         (("witness", "--abc", "2,1,0", "--tower", "6"), "witness_abc210_tower6.txt"),
         (("witness", "--abc", "4,5,0"), "witness_abc450.txt"),
         (("witness", "--abc", "3,2,1", "--tower", "6"), "witness_abc321_tower6.txt"),
         (("witness", "--abc", "4,3,1", "--tower", "3"), "witness_abc431_tower3.txt"),
         (("witness", "--abc", "3,3,2", "--tower", "4"), "witness_abc332_tower4.txt"),
+        # three Gen "no" answers from the exact route
+        (("witness", "--abc", "5,2,4", "--tower", "4"), "witness_abc524_tower4.txt"),
         # seeded relabelings and orientations of a 16-cycle, D~9, the E~8
         # star and a 40-cycle with a pendant at one vertex
         (("check-lattice", str(GOLDEN / "cycle16.quiver")), "check_lattice_cycle16.txt"),
@@ -260,12 +264,14 @@ GOLDEN = Path(__file__).parent / "golden"
     ],
     ids=[
         "kronecker",
+        "kronecker-n3",
         "witness-tower",
         "witness-tower6",
         "witness-450",
         "witness-321-tower6",
         "witness-431-tower3",
         "witness-332-tower4",
+        "witness-524-tower4",
         "check-lattice-cycle16",
         "check-lattice-D~9",
         "check-lattice-E~8",

@@ -163,6 +163,16 @@ def _unlucky_unpinned_pair(arrow):
     return g, t
 
 
+def _unlucky_brick(arrow):
+    """The brick t of dims (2, 1) on the Kronecker quiver 1 => 2 whose
+    arrow maps are the functionals (1, 0) and (0, arrow), `arrow` a
+    multiple of the prime.  Its top is exactly vertex 1, but modulo the
+    prime the second map vanishes: the End(t) system has upper bound 3
+    against a Euler bound of 1 and is not pinned, while End(t) = k."""
+    q = Quiver(2, ((1, 2), (1, 2)))
+    return Rep(q, (2, 1), (Matrix(1, 2, [[1, 0]]), Matrix(1, 2, [[0, arrow]])))
+
+
 # a prime other than PRIME, so that PRIME * _OTHER_PRIME is unlucky at PRIME
 # and has a second large prime factor
 _OTHER_PRIME = 524269
@@ -195,12 +205,16 @@ def test_unlucky_prime_cannot_certify():
         assert not gen_contains(g, t)
         g, t = _unlucky_unpinned_pair(arrow)
         assert hom_dim(g, t) == 1
-        # t is a brick that looks like S1 + S2 mod p: End(t) has upper
-        # bound 2, and the identity is onto
-        _, t = _unlucky_unpinned_pair(arrow)
+        # a brick whose End system is unlucky although its top is exact:
+        # the identity is onto
+        t = _unlucky_brick(arrow)
+        assert rep._integer_form(t)._tops.support == {1}
         sys = rep._hom_system(rep._integer_form(t), rep._integer_form(t))
-        assert sys.upper == 2 and not rep._pinned(sys, t, t)
+        euler = forms_context(t.quiver).euler_form(list(t.dims), list(t.dims))
+        assert (sys.upper, euler) == (3, 1) and not rep._pinned(sys, t, t)
+        t = _unlucky_brick(arrow)
         assert hom_dim(t, t) == 1
+        assert gen_contains(t, t)
         assert exists_surjection(t, t)
         assert is_isomorphic(t, t)
         assert len(hom_basis(t, t)) == 1
@@ -223,8 +237,8 @@ def test_certificate_reads_cached_path_residues():
     m = w.preprojectives[-1]
     assert gen_contains(top, m)
     sys = rep._hom_system(rep._integer_form(top), rep._integer_form(m))
-    maps = sys.path_residues(PRIME)
-    assert sys.path_residues(PRIME) is maps
+    maps = sys.path_residues
+    assert sys.path_residues is maps
     assert all(pth for _, pth in maps)  # the identity is never stored
     for (v, pth), res in maps.items():
         assert np.array_equal(res, sys.ynp[(v, pth)] % PRIME)

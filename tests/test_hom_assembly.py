@@ -1,8 +1,8 @@
 """The reduced Hom system is assembled as the non-zero triples of its
 matrix.  Here the triples are held to the dense assembly and to the
 per-generator assembly they replaced, the system shape read off the top
-generators to the built presentation, and the top generators to an echelon
-of [radical | I]."""
+generators to the built presentation, and the top generators to an exact
+RREF of [radical | I]."""
 
 import numpy as np
 import pytest
@@ -14,15 +14,16 @@ from qtors import (
     enumerate_indecomposables,
     kronecker_window,
 )
-from qtors.modkernel import PRIME, echelon_mod_p, max_abs
+from qtors.modkernel import PRIME, max_abs
 from qtors.rep import (
-    _complement_coords,
     _hom_rows,
     _integer_form,
     _np_path_map,
     _system_shape,
+    radical_generators,
 )
 
+import fraction_linalg as ref
 from conftest import linear_quiver, star_quiver
 from presentation_ext import dense_kernel
 from test_hom_route import _twisted
@@ -230,14 +231,21 @@ def test_per_generator_bound_when_a_tall_generator_adds_no_term():
 
 
 def test_tops_are_the_identity_pivots_of_radical_beside_identity():
+    # the top generators at each vertex are the identity pivots of one
+    # exact RREF of [radical | I] (the Fraction oracle), also where a row of
+    # the radical vanishes mod PRIME only: the top support is exact
+    q = Quiver(3, ((1, 3), (1, 3), (2, 3)))
     rng = np.random.default_rng(3)
-    p = PRIME
-    for _ in range(40):
-        d, m, rank = (int(t) for t in rng.integers(1, 7, 3))
-        r = rng.integers(-3, 4, (d, min(rank, d))) @ rng.integers(-3, 4, (min(rank, d), m))
-        r[rng.integers(0, d)] *= p  # a row that vanishes mod p only
-        aug = np.hstack([r % p, np.eye(d, dtype=np.int64)])
-        _, piv = echelon_mod_p(aug, p)
-        want = [c - m for c in piv if c >= m]
-        assert _complement_coords(Matrix.from_rows(r.tolist())) == want
-
+    for _ in range(30):
+        a, b, d, rank = (int(t) for t in rng.integers(1, 4, 4))
+        r = rng.integers(-3, 4, (d, rank)) @ rng.integers(-3, 4, (rank, 2 * a + b))
+        r[rng.integers(0, d)] *= PRIME
+        maps = (r[:, :a], r[:, a : 2 * a], r[:, 2 * a :])
+        x = Rep(q, (a, b, d), tuple(Matrix.from_rows(m.tolist()) for m in maps))
+        want = []
+        for v in range(1, q.n + 1):
+            rad = radical_generators(x, v)
+            oracle = ref.Matrix(rad.rows, rad.cols, [list(rad.row(i)) for i in range(rad.rows)])
+            want += [(v, c) for c in ref.complement_indices(oracle)]
+        assert x._tops.summands == want
+        assert x._tops.support == {v for v, _ in want}

@@ -250,11 +250,12 @@ class TestExactGenRoute:
         assert not _exact_column_span_full([], 1)
         assert _exact_column_span_full(cols + [np.array([0, 0, 1])], 3)
 
-    def test_unpinned_yes_stops_lifting_once_the_trace_is_full(self):
+    def test_unpinned_yes_reads_the_whole_basis_once(self):
         """A3 + B1 of the 2-Kronecker window maps onto A5 through an
-        unpinned system (upper bound 3 against a Euler bound of -3); its
-        trace is full after two of the three basis vectors, and the lift
-        stops there."""
+        unpinned system (upper bound 3 against a Euler bound of -3).  The
+        exact route reads all three basis vectors, then ranks the trace
+        columns at the one top vertex of A5 once: they are full mod PRIME,
+        so no exact rank is taken."""
         w = kronecker_window(2, 5)
         m = direct_sum([w.preprojectives[2], w.preinjectives[0]])
         x = w.preprojectives[4]
@@ -266,9 +267,58 @@ class TestExactGenRoute:
                 lifted.append(u)
                 yield u
 
-        with mock.patch.object(qtors.rep._HomSystem, "solutions", counted):
+        ranks = mock.patch.object(
+            qtors.rep, "pivot_columns_mod_p", wraps=pivot_columns_mod_p
+        )
+        exact = mock.patch.object(
+            qtors.rep, "_exact_column_span_full", side_effect=AssertionError
+        )
+        with mock.patch.object(qtors.rep._HomSystem, "solutions", counted), ranks as rank, exact:
             assert gen_contains(m, x)
+        assert qtors.rep._integer_form(x)._tops.support == {1}
+        assert len(lifted) == 3 and rank.call_count == 1
         lower = forms_context(m.quiver).euler_form(list(m.dims), list(x.dims))
         assert lower == -3 and hom_dim(m, x) == 3
-        assert len(lifted) == 2
         assert dense_gen_contains(m, x)
+
+    def test_one_rank_test_per_top_vertex(self):
+        """With the certificate switched off, a Gen "yes" from the exact
+        route makes one `pivot_columns_mod_p` call per top vertex of the
+        target and a "no" at most that many, on Kronecker window members
+        and on twisted Dynkin modules and their sums."""
+        w = kronecker_window(3, 4)
+        mods = enumerate_indecomposables(star_quiver(3))
+        sums = [direct_sum([a, b]) for a, b in zip(mods, mods[1:])]
+        reps = [w.preprojectives + w.preinjectives, mods + [_twisted(x) for x in mods] + sums]
+        calls = []
+        hom_system = qtors.rep._hom_system
+
+        def built(x, y):
+            calls.append("system")
+            return hom_system(x, y)
+
+        def ranked(a, p):
+            calls.append("rank")
+            return pivot_columns_mod_p(a, p)
+
+        routed = {True: 0, False: 0}
+        with mock.patch.object(
+            qtors.rep, "_gen_certified_mod_p", return_value=False
+        ), mock.patch.object(qtors.rep, "_hom_system", built), mock.patch.object(
+            qtors.rep, "pivot_columns_mod_p", ranked
+        ):
+            for group in reps:
+                for m in group:
+                    for x in group:
+                        del calls[:]
+                        got = gen_contains(m, x)
+                        assert got == dense_gen_contains(m, x)
+                        if not calls:
+                            continue
+                        # a "no" stops at the first top vertex left short
+                        top = len(qtors.rep._integer_form(x)._tops.support)
+                        ranks = calls.count("rank")
+                        assert calls == ["system"] + ["rank"] * ranks, (m.dims, x.dims)
+                        assert ranks == top if got else ranks <= top, (m.dims, x.dims)
+                        routed[got] += ranks > 0
+        assert routed[True] > 20 and routed[False] > 20

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import fraction_linalg as ref
 from qtors import linalg
 from qtors.linalg import Matrix
+from qtors.modkernel import PRIME
 
 small = st.integers(min_value=-5, max_value=5)
 huge = st.integers(min_value=2**64, max_value=2**70) | st.integers(
@@ -221,6 +222,19 @@ class TestElimination:
         # transpose is one more input for them
         assert m.transpose().rank() == o.transpose().rank()
         assert linalg.complement_indices(m.transpose()) == ref.complement_indices(o.transpose())
+
+    def test_complement_indices_where_a_row_vanishes_mod_the_prime(self):
+        # a radical row that is a multiple of PRIME looks like zero mod p,
+        # and the exact greedy complement must not take it for one
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            d, c, rank = (int(t) for t in rng.integers(1, 7, 3))
+            r = rng.integers(-3, 4, (d, min(rank, d))) @ rng.integers(-3, 4, (min(rank, d), c))
+            r[rng.integers(0, d)] *= PRIME
+            m, o = both((d, c, r.tolist()))
+            assert linalg.complement_indices(m) == ref.complement_indices(o)
+        m, o = both((2, 1, [[PRIME], [0]]))
+        assert linalg.complement_indices(m) == ref.complement_indices(o) == [1]
 
     @given(tables(max_dim=3))
     @settings(max_examples=60, deadline=None)

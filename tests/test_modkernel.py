@@ -213,14 +213,17 @@ def test_pivot_columns_mod_p_are_the_echelon_pivots(case, lift, seed):
     assert pivot_columns_mod_p(a.astype(np.float64), p) == want
 
 
-def test_pivot_columns_mod_p_guard_allocates_nothing():
-    # the size check comes before any write to the read-only view, and it
-    # bounds the smaller side only
-    a = np.broadcast_to(np.zeros(1), (modkernel._MAX_COLS + 1,) * 2)
-    with pytest.raises(ValueError, match="too large"):
-        pivot_columns_mod_p(a, PRIMES[0])
-    tall = np.ones((modkernel._MAX_COLS + 1, 2))
-    assert pivot_columns_mod_p(tall, PRIMES[0]) == [0]
+@settings(max_examples=60, deadline=None)
+@given(case=residue_matrices(), seed=st.integers(0, 3))
+@example(case=(np.array([[1, 2, 3], [4, 5, 6], [7, 8, 10]]), PRIMES[0]), seed=0)
+def test_pivot_columns_mod_p_has_no_size_limit(case, seed):
+    # with the active block reduced every 2 pivots instead of every
+    # _MAX_COLS, the reduction runs many times on small inputs, and the
+    # pivots stay those of echelon_mod_p on residues lifted by up to 2p
+    a, p = case
+    lifted = a + p * np.random.default_rng(seed).integers(0, 3, a.shape)
+    with mock.patch.object(modkernel, "_MAX_COLS", 2):
+        assert pivot_columns_mod_p(lifted.astype(np.float64), p) == echelon_mod_p(a, p)[1]
 
 
 def test_upper_bound_matches_exact_nullity():
@@ -542,12 +545,10 @@ def test_kronecker_window_echelon_traffic():
 
         return counted
 
-    # the block eliminations, the top-generator tests and the rank tests
-    # of the Gen certificate
+    # the block eliminations and the rank tests of the Gen certificate
+    # (the top generators are read off the exact elimination)
     with mock.patch.object(
         modkernel, "echelon_mod_p", counting(modkernel.echelon_mod_p)
-    ), mock.patch.object(
-        rep, "echelon_mod_p", counting(rep.echelon_mod_p)
     ), mock.patch.object(
         rep, "pivot_columns_mod_p", counting(rep.pivot_columns_mod_p)
     ):
